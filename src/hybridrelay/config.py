@@ -34,10 +34,13 @@ class SystemConfig:
             raise ValueError("n_antennas must be a positive integer")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be a positive integer")
-        if not 1 <= self.n_rx_chains <= self.n_antennas:
-            raise ValueError("n_rx_chains must satisfy 1 <= n_rx_chains <= n_antennas")
-        if not 1 <= self.n_tx_chains <= self.n_antennas:
-            raise ValueError("n_tx_chains must satisfy 1 <= n_tx_chains <= n_antennas")
+        # Chain i of either side matches the phases of pair i's channel, so
+        # a chain without a pair has nothing to match.
+        for name in ("n_rx_chains", "n_tx_chains"):
+            if not 1 <= getattr(self, name) <= min(self.n_pairs, self.n_antennas):
+                raise ValueError(
+                    f"{name} must satisfy 1 <= {name} <= min(n_pairs, n_antennas)"
+                )
         if self.p_user < 0 or self.p_relay < 0:
             raise ValueError("transmit powers must be non-negative")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:

@@ -20,6 +20,10 @@ MODES = ("hybrid", "full_digital")
 # channel (undefined power normalization).
 _MAX_DEGENERATE_FRACTION = 0.01
 
+# Trials are stacked in blocks holding about this many bytes of fading;
+# the thread pool runs over blocks, so cells of a single block run serially.
+_BLOCK_BYTES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -32,33 +36,31 @@ class RatePoint:
     n_degenerate: int = 0         # trials skipped for degenerate channels
 
 
-def _hybrid_rows(real: ChannelRealization, proc: HybridProcessor) -> np.ndarray:
-    """All K effective rows g2k^H F2^H W F1, via A2 = F2 G2 (K x N)."""
-    return (proc.a2.conj().T @ proc.w) @ proc.f1
-
-
-def _full_digital_rows(
-    real: ChannelRealization, proc: FullDigitalProcessor
+def _gram_sinrs(
+    hop1: Tuple[np.ndarray, np.ndarray],
+    hop2: Tuple[np.ndarray, np.ndarray],
+    alpha_sq: np.ndarray,
+    config: SystemConfig,
 ) -> np.ndarray:
-    """All K effective rows g2k^H W_full, contracted right-to-left (K x N)."""
-    return proc.alpha * ((real.g2.conj().T @ real.g2) @ real.g1.conj().T)
+    """Per-pair SINRs from the hops' K x K Grams (hybrid._hop_grams).
 
-
-def _sinrs_from_rows(
-    rows: np.ndarray, g1: np.ndarray, config: SystemConfig
-) -> np.ndarray:
-    """Per-pair SINR given the effective destination rows.
-
-    Row k combines with source column i through rows @ g1; the diagonal is
-    the desired gain, off-diagonal entries are inter-pair interference, and
-    the row norm carries the forwarded relay noise.
+    The end-to-end source-to-destination matrix is S = alpha * A2 A1: its
+    diagonal is the desired gain and the rest of row k the inter-pair
+    interference at destination k.  The relay noise forwarded to
+    destination k has power var_nR * alpha^2 * (A2 B1 A2)_kk.  Works on a
+    stack of trials, one alpha^2 each; a NaN alpha^2 gives a NaN row.
     """
-    s = rows @ g1
-    power = np.abs(s) ** 2
-    desired = config.p_user * np.diagonal(power)
-    interference = config.p_user * (power.sum(axis=1) - np.diagonal(power))
-    relay_noise = config.var_relay_noise * np.sum(np.abs(rows) ** 2, axis=1)
-    return desired / (interference + relay_noise + config.var_dest_noise)
+    (a1, b1), (a2, _) = hop1, hop2
+    power = np.abs(a2 @ a1) ** 2
+    desired = np.diagonal(power, axis1=-2, axis2=-1)
+    off_diagonal = ~np.eye(config.n_pairs, dtype=bool)
+    interference = np.where(off_diagonal, power, 0.0).sum(axis=-1)
+    relay_noise = np.diagonal(a2 @ b1 @ a2, axis1=-2, axis2=-1).real
+    gain = np.asarray(alpha_sq)[..., None]
+    return gain * config.p_user * desired / (
+        gain * (config.p_user * interference + config.var_relay_noise * relay_noise)
+        + config.var_dest_noise
+    )
 
 
 def _check_pair_index(k: int, config: SystemConfig) -> None:
@@ -75,13 +77,14 @@ def sinr_exact(
     """Exact instantaneous SINR of pair k under hybrid processing.
 
     Numerator p_user |g2k^H F2^H W F1 g1k|^2 over interference from the
-    other pairs, forwarded relay noise, and destination noise.  The
-    effective row vector is computed once and reused across all terms.
-    Pair indices are 0-based.
+    other pairs, forwarded relay noise, and destination noise, all taken
+    from the K x K Grams of the processor's effective channels (which
+    carry the realization).  Pair indices are 0-based.
     """
     _check_pair_index(k, config)
-    rows = _hybrid_rows(real, proc)
-    return float(_sinrs_from_rows(rows, real.g1, config)[k])
+    hop1 = hybrid._hop_grams(proc.a1, proc.f1)
+    hop2 = hybrid._hop_grams(proc.a2, proc.f2)
+    return float(_gram_sinrs(hop1, hop2, proc.alpha ** 2, config)[k])
 
 
 def sinr_full_digital(
@@ -92,8 +95,8 @@ def sinr_full_digital(
 ) -> float:
     """Exact instantaneous SINR of pair k under the full-digital reference."""
     _check_pair_index(k, config)
-    rows = _full_digital_rows(real, proc)
-    return float(_sinrs_from_rows(rows, real.g1, config)[k])
+    hop1, hop2 = hybrid._hop_grams(real.g1), hybrid._hop_grams(real.g2)
+    return float(_gram_sinrs(hop1, hop2, proc.alpha ** 2, config)[k])
 
 
 def rate_of_realization(sinrs: np.ndarray) -> float:
@@ -104,27 +107,45 @@ def rate_of_realization(sinrs: np.ndarray) -> float:
     return float(0.5 * np.sum(np.log2(1.0 + sinrs)))
 
 
-def _trial_sinrs(
+def _block_trials(config: SystemConfig) -> int:
+    """Trials per block: about _BLOCK_BYTES of fading (two N x K hops each)."""
+    trial_bytes = 2 * config.n_antennas * config.n_pairs * np.dtype(complex).itemsize
+    return max(1, _BLOCK_BYTES // trial_bytes)
+
+
+def _block_sinrs(
     config: SystemConfig,
-    trial: int,
+    lo: int,
+    hi: int,
     mode: str,
     drop: Optional[Tuple[np.ndarray, np.ndarray]],
-) -> Optional[np.ndarray]:
-    """SINR vector for one trial, or None when the draw is degenerate."""
-    real = channel.sample_realization(config, trial, drop=drop)
-    try:
-        if mode == "full_digital":
-            fd = hybrid.build_full_digital(real, config)
-            rows = _full_digital_rows(real, fd)
-        else:
-            proc = hybrid.build_processor(real, config)
-            rows = _hybrid_rows(real, proc)
-    except hybrid.DegenerateChannelError:
-        return None
-    return _sinrs_from_rows(rows, real.g1, config)
+) -> np.ndarray:
+    """SINR rows of trials lo..hi-1, NaN rows for degenerate draws.
+
+    Every trial is drawn on its own stream; the draws are stacked and go
+    through the analog stage, the Grams, alpha and the SINRs together.
+    """
+    shape = (hi - lo, config.n_antennas, config.n_pairs)
+    g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for i, trial in enumerate(range(lo, hi)):
+        real = channel.sample_realization(config, trial, drop=drop)
+        g1[i], g2[i] = real.g1, real.g2
+    if mode == "full_digital":
+        hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
+    else:
+        bits = config.quant_bits
+        quant = hybrid.QuantizationSpec(bits) if bits is not None else None
+        f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
+        f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
+        hop1 = hybrid._hop_grams(f1 @ g1, f1)
+        hop2 = hybrid._hop_grams(f2 @ g2, f2)
+    alpha_sq = hybrid._alpha_squared(
+        hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
+    )
+    return _gram_sinrs(hop1, hop2, alpha_sq, config)
 
 
-def _worker_count(n_trials: int, max_workers: Optional[int]) -> int:
+def _worker_count(n_blocks: int, max_workers: Optional[int]) -> int:
     limit = max_workers if max_workers is not None else os.cpu_count() or 1
     env = os.environ.get("SIM_THREADS")
     if env:
@@ -132,7 +153,7 @@ def _worker_count(n_trials: int, max_workers: Optional[int]) -> int:
             limit = min(limit, max(1, int(env)))
         except ValueError:
             pass
-    return max(1, min(limit, n_trials))
+    return max(1, min(limit, n_blocks))
 
 
 def monte_carlo_rate(
@@ -144,12 +165,17 @@ def monte_carlo_rate(
 ) -> RatePoint:
     """Average spectral efficiency over seeded Monte-Carlo trials.
 
-    Each trial is a pure function of (config.seed, trial index), and the
-    reduction always runs in ascending trial order, so the result is
-    bit-identical for any worker count (capped by the SIM_THREADS
-    environment variable).  `drop`, when given, pins the large-scale gains
-    for every trial; otherwise each trial redraws the user placement.
-    Noise enters through its statistics only; no noise samples are drawn.
+    Each trial is a pure function of (config.seed, trial index), drawn on
+    its own stream.  Trials run in blocks of about 1 MB of fading
+    (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
+    Grams together; a trial's SINRs do not depend on the block it lands in.
+    A thread pool runs the blocks only when a cell has more than one, with
+    at most `max_workers` (default: the CPU count) workers, capped by the
+    SIM_THREADS environment variable.  The reduction always runs in
+    ascending trial order, so the result is bit-identical for any worker
+    count.  `drop`, when given, pins the large-scale gains for every trial;
+    otherwise each trial redraws the user placement.  Noise enters through
+    its statistics only; no noise samples are drawn.
 
     Degenerate draws are skipped and counted, and the run aborts if they
     exceed 1% of n_trials.
@@ -161,21 +187,18 @@ def monte_carlo_rate(
     if drop is not None:
         drop = channel._validated_drop(drop, config.n_pairs)
 
-    k = config.n_pairs
-    sinr_table = np.full((n_trials, k), np.nan)
+    sinr_table = np.empty((n_trials, config.n_pairs))
 
     def run_block(lo: int, hi: int) -> None:
-        for trial in range(lo, hi):
-            sinrs = _trial_sinrs(config, trial, mode, drop)
-            if sinrs is not None:
-                sinr_table[trial] = sinrs
+        sinr_table[lo:hi] = _block_sinrs(config, lo, hi, mode, drop)
 
-    workers = _worker_count(n_trials, max_workers)
+    block = _block_trials(config)
+    bounds = [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
+    workers = _worker_count(len(bounds), max_workers)
     if workers == 1:
-        run_block(0, n_trials)
+        for lo, hi in bounds:
+            run_block(lo, hi)
     else:
-        block = max(1, -(-n_trials // (workers * 4)))
-        bounds = [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
                 future.result()

@@ -6,6 +6,7 @@ import logging
 
 import pytest
 
+from hybridrelay import metrics
 from hybridrelay.cli import (
     CSV_COLUMNS,
     LEMMA_COLUMNS,
@@ -94,6 +95,8 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_output_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        # Blocks of one or two trials, so every cell reaches the thread pool.
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 11)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("SIM_THREADS", "1")
         run_simulate(a, ["--modes", "hybrid,full"])
@@ -166,6 +169,19 @@ class TestSimulateErrors:
         argv = ["simulate", "--case", "2", "--n", "4,64", "--eu-db", "13",
                 "--pr-db", "13", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("chains", [
+        ["--n-pairs", "3", "--n-rx-chains", "5"],
+        ["--n-pairs", "4"],  # the default ten chains on each side
+    ])
+    def test_chains_must_fit_pairs(self, tmp_path, capsys, chains):
+        # Each chain matches one pair's channel; extra chains used to fail
+        # mid-sweep with exit 1 instead of at parse time.
+        argv = ["simulate", "--case", "2", "--n", "64", "--eu-db", "13",
+                "--pr-db", "13", "--trials", "4",
+                "--out", str(tmp_path / "x.csv")] + chains
+        assert main(argv) == 2
+        assert "n_pairs" in capsys.readouterr().err
 
     def test_unwritable_output_is_failure_not_usage(self, tmp_path, capsys):
         argv = ["simulate", "--case", "2", "--n", "8", "--eu-db", "13",

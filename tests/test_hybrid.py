@@ -113,6 +113,23 @@ class TestBuildAnalog:
         bound = QuantizationSpec(bits).step / math.sqrt(24) + 1e-12
         assert np.max(np.abs(quant - cont)) <= bound
 
+    @pytest.mark.parametrize("bits", [None, 1, 2, 3])
+    def test_matches_exp_of_snapped_phase(self, rng, bits):
+        # The stage against its definition exp(-1j * snap(angle(g))) / sqrt(N),
+        # on a stack of trials holding zeros and phases where codewords tie.
+        g = np.stack([make_channels(rng, 16, 4).g1 for _ in range(3)])
+        g[0, :9, 0] = [0, 1, 1 + 1j, 1j, -1 + 1j, -1, complex(-1, -0.0), -1 - 1j, -1j]
+        g[1, 3, 2] = 0.0
+        quant = QuantizationSpec(bits) if bits is not None else None
+        phase = np.angle(g)
+        if quant is not None:
+            phase = quantize_phase(phase, quant)
+        want = np.swapaxes(np.exp(-1j * phase), -1, -2) / 4.0
+        got = build_analog(g, 4, quant)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        for trial in range(3):
+            np.testing.assert_array_equal(got[trial], build_analog(g[trial], 4, quant))
+
     def test_quantized_phases_on_grid(self, rng):
         real = make_channels(rng, 16, 4)
         spec = QuantizationSpec(2)

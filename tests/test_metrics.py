@@ -17,12 +17,30 @@ from hybridrelay import (
     sinr_exact,
     sinr_full_digital,
 )
+from hybridrelay import metrics
 from hybridrelay.channel import ChannelRealization
-from hybridrelay.metrics import _worker_count
+from hybridrelay.metrics import _block_sinrs, _block_trials, _worker_count
 
 SMALL = SystemConfig(
     n_antennas=8, n_pairs=3, n_rx_chains=3, n_tx_chains=3, seed=21
 )
+PINNED = (np.array([1.0, 4.0, 0.25]), np.array([2.0, 1.0, 0.5]))
+
+# (config, mode, drop) of the block engine's oracle comparison.
+ENGINE_CASES = {
+    "continuous": (SMALL, "hybrid", None),
+    "one-bit": (replace(SMALL, quant_bits=1), "hybrid", None),
+    "two-bit": (replace(SMALL, quant_bits=2), "hybrid", None),
+    "fewer-chains": (replace(SMALL, n_rx_chains=2, n_tx_chains=1), "hybrid", None),
+    "full-digital-pinned": (SMALL, "full_digital", PINNED),
+}
+
+
+def trials_per_block(monkeypatch, config, trials):
+    """Shrink the engine's block byte target to `trials` trials of config."""
+    trial_bytes = 2 * config.n_antennas * config.n_pairs * 16
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", trials * trial_bytes)
+    assert _block_trials(config) == trials
 
 
 class TestSinr:
@@ -124,12 +142,47 @@ class TestMonteCarlo:
         assert point.mean_rate == pytest.approx(mean, rel=1e-12)
 
     def test_pinned_drop_reaches_every_trial(self):
-        drop = (np.array([1.0, 4.0, 0.25]), np.array([2.0, 1.0, 0.5]))
-        point = monte_carlo_rate(SMALL, 30, drop=drop)
-        mean, _, _ = oracles.mc_reference(SMALL, 30, drop=drop)
+        point = monte_carlo_rate(SMALL, 30, drop=PINNED)
+        mean, _, _ = oracles.mc_reference(SMALL, 30, drop=PINNED)
         assert point.mean_rate == pytest.approx(mean, rel=1e-12)
 
-    def test_worker_count_invariance_is_bitwise(self):
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_blocks_match_sequential_oracle(self, monkeypatch, case):
+        # Seven trials per block: 30 trials span five blocks, the last one
+        # short, and the blocks go through the thread pool.
+        config, mode, drop = ENGINE_CASES[case]
+        trials_per_block(monkeypatch, config, 7)
+        point = monte_carlo_rate(config, 30, mode, drop=drop, max_workers=3)
+        mean, se, sinrs = oracles.mc_reference(config, 30, mode=mode, drop=drop)
+        assert point.mean_rate == pytest.approx(mean, rel=1e-12)
+        assert point.std_error == pytest.approx(se, rel=1e-12)
+        np.testing.assert_allclose(point.per_pair_mean_sinr, sinrs, rtol=1e-12)
+        assert point.n_trials == 30
+
+    @pytest.mark.parametrize("mode,bits", [
+        ("hybrid", None), ("hybrid", 2), ("full_digital", None),
+    ])
+    def test_trial_rows_bitwise_independent_of_blocking(self, monkeypatch, mode, bits):
+        # A trial's SINR row must not depend on which block it was stacked
+        # into, so results cannot move with the block size or worker count.
+        config = SystemConfig(n_antennas=64, n_rx_chains=7, quant_bits=bits, seed=21)
+        whole = _block_sinrs(config, 0, 12, mode, None)
+        split = np.concatenate([
+            _block_sinrs(config, lo, hi, mode, None)
+            for lo, hi in ((0, 1), (1, 5), (5, 12))
+        ])
+        np.testing.assert_array_equal(whole, split)
+        one_block = monte_carlo_rate(config, 12, mode)
+        trials_per_block(monkeypatch, config, 5)
+        three_blocks = monte_carlo_rate(config, 12, mode)
+        assert one_block.mean_rate == three_blocks.mean_rate
+        assert one_block.std_error == three_blocks.std_error
+        np.testing.assert_array_equal(
+            one_block.per_pair_mean_sinr, three_blocks.per_pair_mean_sinr
+        )
+
+    def test_worker_count_invariance_is_bitwise(self, monkeypatch):
+        trials_per_block(monkeypatch, SMALL, 5)  # seven blocks for the pool
         a = monte_carlo_rate(SMALL, 32, max_workers=1)
         b = monte_carlo_rate(SMALL, 32, max_workers=5)
         assert a.mean_rate == b.mean_rate
@@ -137,6 +190,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.per_pair_mean_sinr, b.per_pair_mean_sinr)
 
     def test_sim_threads_env_caps_workers(self, monkeypatch):
+        trials_per_block(monkeypatch, SMALL, 5)
         monkeypatch.setenv("SIM_THREADS", "3")
         a = monte_carlo_rate(SMALL, 32)
         monkeypatch.setenv("SIM_THREADS", "1")
