@@ -45,6 +45,7 @@ from .hybrid import (
 from .metrics import (
     RatePoint,
     monte_carlo_rate,
+    monte_carlo_rates,
     rate_of_realization,
     sinr_exact,
     sinr_full_digital,
@@ -72,6 +73,7 @@ __all__ = [
     "convergence_sweep",
     "lemma_rng",
     "monte_carlo_rate",
+    "monte_carlo_rates",
     "pathloss",
     "quantize_phase",
     "rate_case1",

@@ -24,7 +24,7 @@ from . import asymptotics, diagnostics
 from .channel import canonical_drop, lemma_rng, sample_small_scale
 from .config import SystemConfig
 from .hybrid import QuantizationSpec, build_analog, sinc_penalty
-from .metrics import monte_carlo_rate
+from .metrics import _env_thread_cap, monte_carlo_rates
 
 log = logging.getLogger("hybridrelay.cli")
 
@@ -182,22 +182,30 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     canonical benchmark drop, which is what the fixed-drop policy pins the
     Monte-Carlo runs to as well; they do not move with trials or seed.
     Full-digital cells have no phase quantizer, so they are run once per N
-    and tagged with beta = cont.
+    and tagged with beta = cont.  All Monte-Carlo cells of one N share one
+    engine call, so each trial's fading is drawn once per N; the first
+    failing cell, in the order full digital then hybrid by beta, raises.
     """
     bench_drop = canonical_drop(config)
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
     betas = tuple(dict.fromkeys(spec.beta_values))
+    variants = []
+    if "full_digital" in spec.modes:
+        variants.append(("full_digital", None))
+    if "hybrid" in spec.modes:
+        variants.extend(("hybrid", beta) for beta in betas)
     rows = []
     for n in spec.n_values:
         p_user, p_relay = _cell_powers(spec, n)
         base = dataclasses.replace(
             config, n_antennas=n, p_user=p_user, p_relay=p_relay
         )
+        points = {}
+        if variants:
+            results = monte_carlo_rates(base, spec.trials, variants, drop=mc_drop)
+            points = dict(zip(variants, results))
         if "full_digital" in spec.modes:
-            point = monte_carlo_rate(
-                dataclasses.replace(base, quant_bits=None),
-                spec.trials, "full_digital", drop=mc_drop,
-            )
+            point = points["full_digital", None]
             rows.append(_result_row(spec, n, None, "full_digital", point, None))
         for beta in betas:
             asym = _asymptote_rate(spec, beta, bench_drop, config)
@@ -209,10 +217,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
                     "degenerate_trials": 0,
                 })
             if "hybrid" in spec.modes:
-                point = monte_carlo_rate(
-                    dataclasses.replace(base, quant_bits=beta),
-                    spec.trials, "hybrid", drop=mc_drop,
-                )
+                point = points["hybrid", beta]
                 rows.append(_result_row(spec, n, beta, "hybrid", point, asym))
     rows.sort(key=lambda r: (r["case"], r["N"], _beta_key(r["beta"]), r["mode"]))
     return rows
@@ -418,6 +423,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = settings.get("out")
     if not out:
         raise UsageError("missing required setting: out (output CSV path)")
+    try:
+        _env_thread_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows = run_sweep(spec, config)
     emit_csv(rows, out)
     if settings.get("dat"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,12 +16,15 @@ from .hybrid import FullDigitalProcessor, HybridProcessor
 
 MODES = ("hybrid", "full_digital")
 
+# A processing variant of the engine: (mode, quant_bits), None = continuous.
+Variant = Tuple[str, Optional[int]]
+
 # A run aborts if more than this fraction of trials hits a degenerate
-# channel (undefined power normalization).
+# channel (undefined power normalization or a non-finite SINR).
 _MAX_DEGENERATE_FRACTION = 0.01
 
 # Trials are stacked in blocks holding about this many bytes of fading;
-# the thread pool runs over blocks, so cells of a single block run serially.
+# the thread pool runs over blocks, so calls of a single block run serially.
 _BLOCK_BYTES = 2 ** 20
 
 
@@ -99,12 +102,17 @@ def sinr_full_digital(
     return float(_gram_sinrs(hop1, hop2, proc.alpha ** 2, config)[k])
 
 
+def _sum_rates(sinrs: np.ndarray) -> np.ndarray:
+    """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) of each SINR row."""
+    return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
+
+
 def rate_of_realization(sinrs: np.ndarray) -> float:
     """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) for one realization."""
     sinrs = np.asarray(sinrs, dtype=float)
     if sinrs.size == 0 or np.any(~np.isfinite(sinrs)) or np.any(sinrs < 0):
         raise ValueError("SINRs must be a non-empty vector of finite values >= 0")
-    return float(0.5 * np.sum(np.log2(1.0 + sinrs)))
+    return float(_sum_rates(sinrs))
 
 
 def _block_trials(config: SystemConfig) -> int:
@@ -113,27 +121,17 @@ def _block_trials(config: SystemConfig) -> int:
     return max(1, _BLOCK_BYTES // trial_bytes)
 
 
-def _block_sinrs(
-    config: SystemConfig,
-    lo: int,
-    hi: int,
+def _variant_sinrs(
+    g1: np.ndarray,
+    g2: np.ndarray,
     mode: str,
-    drop: Optional[Tuple[np.ndarray, np.ndarray]],
+    bits: Optional[int],
+    config: SystemConfig,
 ) -> np.ndarray:
-    """SINR rows of trials lo..hi-1, NaN rows for degenerate draws.
-
-    Every trial is drawn on its own stream; the draws are stacked and go
-    through the analog stage, the Grams, alpha and the SINRs together.
-    """
-    shape = (hi - lo, config.n_antennas, config.n_pairs)
-    g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for i, trial in enumerate(range(lo, hi)):
-        real = channel.sample_realization(config, trial, drop=drop)
-        g1[i], g2[i] = real.g1, real.g2
+    """SINR rows of a stack of draws under one (mode, quant_bits) variant."""
     if mode == "full_digital":
         hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
     else:
-        bits = config.quant_bits
         quant = hybrid.QuantizationSpec(bits) if bits is not None else None
         f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
         f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
@@ -145,52 +143,127 @@ def _block_sinrs(
     return _gram_sinrs(hop1, hop2, alpha_sq, config)
 
 
+def _block_sinrs(
+    config: SystemConfig,
+    lo: int,
+    hi: int,
+    variants: Sequence[Variant],
+    drop: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
+
+    Every trial is drawn once, on its own stream; the stacked draws then go
+    through the analog stage, the Grams, alpha and the SINRs of one variant
+    after another.  Degenerate draws give NaN rows.
+    """
+    shape = (hi - lo, config.n_antennas, config.n_pairs)
+    g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for i, trial in enumerate(range(lo, hi)):
+        real = channel.sample_realization(config, trial, drop=drop)
+        g1[i], g2[i] = real.g1, real.g2
+    out = np.empty((len(variants), hi - lo, config.n_pairs))
+    for v, (mode, bits) in enumerate(variants):
+        out[v] = _variant_sinrs(g1, g2, mode, bits, config)
+    return out
+
+
+def _env_thread_cap() -> Optional[int]:
+    """The SIM_THREADS worker cap; None when the variable is unset or empty."""
+    env = os.environ.get("SIM_THREADS")
+    if not env:
+        return None
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"SIM_THREADS must be a positive integer, got {env!r}")
+    return cap
+
+
 def _worker_count(n_blocks: int, max_workers: Optional[int]) -> int:
     limit = max_workers if max_workers is not None else os.cpu_count() or 1
-    env = os.environ.get("SIM_THREADS")
-    if env:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            pass
+    cap = _env_thread_cap()
+    if cap is not None:
+        limit = min(limit, cap)
     return max(1, min(limit, n_blocks))
 
 
-def monte_carlo_rate(
+def _rate_point(sinr_table: np.ndarray) -> RatePoint:
+    """Reduce one variant's (n_trials, K) SINR table in trial order.
+
+    A trial enters the average only if every SINR in its row is finite;
+    the rest are counted as degenerate, and more than 1% of them abort.
+    """
+    n_trials = sinr_table.shape[0]
+    valid = np.isfinite(sinr_table).all(axis=1)
+    n_degenerate = int(n_trials - valid.sum())
+    if n_degenerate > _MAX_DEGENERATE_FRACTION * n_trials:
+        raise RuntimeError(
+            f"{n_degenerate} of {n_trials} trials degenerate (> "
+            f"{_MAX_DEGENERATE_FRACTION:.0%}); configuration unusable"
+        )
+    kept = sinr_table[valid]
+    if kept.shape[0] < 2:
+        raise RuntimeError("fewer than two usable trials")
+    rates = _sum_rates(kept)
+    n_used = int(kept.shape[0])
+    return RatePoint(
+        mean_rate=float(np.mean(rates)),
+        std_error=float(np.std(rates, ddof=1) / np.sqrt(n_used)),
+        n_trials=n_used,
+        per_pair_mean_sinr=kept.mean(axis=0),
+        n_degenerate=n_degenerate,
+    )
+
+
+def monte_carlo_rates(
     config: SystemConfig,
     n_trials: int,
-    mode: str = "hybrid",
+    variants: Sequence[Variant],
     drop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     max_workers: Optional[int] = None,
-) -> RatePoint:
-    """Average spectral efficiency over seeded Monte-Carlo trials.
+) -> List[RatePoint]:
+    """Average spectral efficiency of several processing variants on shared draws.
 
-    Each trial is a pure function of (config.seed, trial index), drawn on
-    its own stream.  Trials run in blocks of about 1 MB of fading
+    `variants` lists (mode, quant_bits) pairs; quant_bits (None for
+    continuous phases) overrides config.quant_bits and is ignored in
+    full_digital mode.  Each trial is a pure function of (config.seed,
+    trial index), drawn on its own stream, and is drawn once for all
+    variants.  Trials run in blocks of about 1 MB of fading
     (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
-    Grams together; a trial's SINRs do not depend on the block it lands in.
-    A thread pool runs the blocks only when a cell has more than one, with
-    at most `max_workers` (default: the CPU count) workers, capped by the
-    SIM_THREADS environment variable.  The reduction always runs in
-    ascending trial order, so the result is bit-identical for any worker
-    count.  `drop`, when given, pins the large-scale gains for every trial;
-    otherwise each trial redraws the user placement.  Noise enters through
-    its statistics only; no noise samples are drawn.
+    Grams together; a trial's SINRs do not depend on the block it lands in
+    or on the other variants of the call.  A thread pool runs the blocks
+    only when there is more than one, with at most `max_workers` (default:
+    the CPU count) workers, capped by the SIM_THREADS environment variable.
+    Each variant's reduction runs in ascending trial order, so the result
+    is bit-identical for any worker count and equals a separate
+    `monte_carlo_rate` call per variant.  `drop`, when given, pins the
+    large-scale gains for every trial; otherwise each trial redraws the
+    user placement.  Noise enters through its statistics only; no noise
+    samples are drawn.
 
-    Degenerate draws are skipped and counted, and the run aborts if they
-    exceed 1% of n_trials.
+    Degenerate draws are skipped and counted per variant; the first
+    variant, in the given order, whose degenerate draws exceed 1% of
+    n_trials aborts the call.  Returns one RatePoint per variant, in order.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be at least 2")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    variants = list(variants)
+    if not variants:
+        raise ValueError("variants must not be empty")
+    for mode, bits in variants:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if bits is not None and bits < 1:
+            raise ValueError("quant_bits must be a positive integer or None")
     if drop is not None:
         drop = channel._validated_drop(drop, config.n_pairs)
 
-    sinr_table = np.empty((n_trials, config.n_pairs))
+    sinr_table = np.empty((len(variants), n_trials, config.n_pairs))
 
     def run_block(lo: int, hi: int) -> None:
-        sinr_table[lo:hi] = _block_sinrs(config, lo, hi, mode, drop)
+        sinr_table[:, lo:hi] = _block_sinrs(config, lo, hi, variants, drop)
 
     block = _block_trials(config)
     bounds = [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
@@ -202,23 +275,22 @@ def monte_carlo_rate(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
                 future.result()
+    return [_rate_point(table) for table in sinr_table]
 
-    valid = ~np.isnan(sinr_table[:, 0])
-    n_degenerate = int(n_trials - valid.sum())
-    if n_degenerate > _MAX_DEGENERATE_FRACTION * n_trials:
-        raise RuntimeError(
-            f"{n_degenerate} of {n_trials} trials degenerate (> "
-            f"{_MAX_DEGENERATE_FRACTION:.0%}); configuration unusable"
-        )
-    kept = sinr_table[valid]
-    if kept.shape[0] < 2:
-        raise RuntimeError("fewer than two usable trials")
-    rates = 0.5 * np.sum(np.log2(1.0 + kept), axis=1)
-    n_used = int(kept.shape[0])
-    return RatePoint(
-        mean_rate=float(np.mean(rates)),
-        std_error=float(np.std(rates, ddof=1) / np.sqrt(n_used)),
-        n_trials=n_used,
-        per_pair_mean_sinr=kept.mean(axis=0),
-        n_degenerate=n_degenerate,
-    )
+
+def monte_carlo_rate(
+    config: SystemConfig,
+    n_trials: int,
+    mode: str = "hybrid",
+    drop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    max_workers: Optional[int] = None,
+) -> RatePoint:
+    """Average spectral efficiency of one processing mode over seeded trials.
+
+    The one-variant call of `monte_carlo_rates`: hybrid mode uses
+    config.quant_bits, full_digital ignores it.  Degenerate draws are
+    skipped and counted, and the run aborts if they exceed 1% of n_trials.
+    """
+    return monte_carlo_rates(
+        config, n_trials, [(mode, config.quant_bits)], drop, max_workers
+    )[0]

@@ -42,6 +42,7 @@ from hybridrelay import (
     build_full_digital,
     build_processor,
     monte_carlo_rate,
+    monte_carlo_rates,
     rate_case2,
     rate_case3,
     sample_small_scale,
@@ -237,9 +238,8 @@ def test_criterion_5_one_bit_sinr_ratio(capsys):
     t0 = time.monotonic()
     n = 2048
     cfg = replace(BASE, n_antennas=n, p_user=EU / n, p_relay=EU)
-    cont = monte_carlo_rate(cfg, TRIALS, "hybrid", drop=UNIT_DROP)
-    one_bit = monte_carlo_rate(
-        replace(cfg, quant_bits=1), TRIALS, "hybrid", drop=UNIT_DROP
+    cont, one_bit = monte_carlo_rates(
+        cfg, TRIALS, [("hybrid", None), ("hybrid", 1)], drop=UNIT_DROP
     )
     ratio = one_bit.per_pair_mean_sinr.mean() / cont.per_pair_mean_sinr.mean()
     target = 4.0 / math.pi**2
@@ -272,8 +272,10 @@ def test_criterion_7_hybrid_vs_full_digital(capsys):
     t0 = time.monotonic()
     n = RATIO_N
     cfg = replace(BASE, n_antennas=n, p_user=EU / n, p_relay=EU / n)
-    hybrid = monte_carlo_rate(cfg, RATIO_TRIALS, "hybrid", drop=UNIT_DROP)
-    full = monte_carlo_rate(cfg, RATIO_TRIALS, "full_digital", drop=UNIT_DROP)
+    hybrid, full = monte_carlo_rates(
+        cfg, RATIO_TRIALS, [("hybrid", None), ("full_digital", None)],
+        drop=UNIT_DROP,
+    )
     ratio = hybrid.mean_rate / full.mean_rate
     elapsed = time.monotonic() - t0
     ok = 0.80 <= ratio <= 0.98 and elapsed < 600.0

@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from hybridrelay import metrics
+from hybridrelay import channel, metrics
 from hybridrelay.cli import (
     CSV_COLUMNS,
     LEMMA_COLUMNS,
@@ -31,6 +31,19 @@ def read_csv(path):
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
     return header, [dict(zip(header, row)) for row in body]
+
+
+def count_draws(monkeypatch):
+    """Record the trial index of every channel draw from here on."""
+    calls = []
+    orig = channel.sample_realization
+
+    def counting(config, trial, drop=None):
+        calls.append(trial)
+        return orig(config, trial, drop=drop)
+
+    monkeypatch.setattr(channel, "sample_realization", counting)
+    return calls
 
 
 def run_simulate(out, extra):
@@ -103,6 +116,12 @@ class TestSimulate:
         monkeypatch.setenv("SIM_THREADS", "4")
         run_simulate(b, ["--modes", "hybrid,full"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_each_trial_drawn_once_per_array_size(self, tmp_path, monkeypatch):
+        # Full digital and hybrid at two betas share each N's draws.
+        calls = count_draws(monkeypatch)
+        assert run_simulate(tmp_path / "rates.csv", ["--modes", "hybrid,full"]) == 0
+        assert len(calls) == 2 * 6  # len(n_values) x trials
 
     def test_dat_companion(self, tmp_path):
         out, dat = tmp_path / "rates.csv", tmp_path / "rates.dat"
@@ -189,6 +208,18 @@ class TestSimulateErrors:
                 "--out", str(tmp_path / "no" / "dir" / "x.csv")] + SMALL_ARGS
         assert main(argv) == 1
         assert "failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+    def test_invalid_sim_threads_fails_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        calls = count_draws(monkeypatch)
+        monkeypatch.setenv("SIM_THREADS", threads)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--modes", "hybrid,full"]) == 2
+        assert "SIM_THREADS" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_missing_out(self, tmp_path):
         argv = ["simulate", "--case", "2", "--n", "8", "--eu-db", "13",

@@ -12,6 +12,7 @@ from hybridrelay import (
     build_full_digital,
     build_processor,
     monte_carlo_rate,
+    monte_carlo_rates,
     rate_of_realization,
     sample_realization,
     sinr_exact,
@@ -166,11 +167,11 @@ class TestMonteCarlo:
         # A trial's SINR row must not depend on which block it was stacked
         # into, so results cannot move with the block size or worker count.
         config = SystemConfig(n_antennas=64, n_rx_chains=7, quant_bits=bits, seed=21)
-        whole = _block_sinrs(config, 0, 12, mode, None)
+        whole = _block_sinrs(config, 0, 12, [(mode, bits)], None)
         split = np.concatenate([
-            _block_sinrs(config, lo, hi, mode, None)
+            _block_sinrs(config, lo, hi, [(mode, bits)], None)
             for lo, hi in ((0, 1), (1, 5), (5, 12))
-        ])
+        ], axis=1)
         np.testing.assert_array_equal(whole, split)
         one_block = monte_carlo_rate(config, 12, mode)
         trials_per_block(monkeypatch, config, 5)
@@ -203,8 +204,12 @@ class TestMonteCarlo:
         assert _worker_count(2, 8) == 2
         monkeypatch.setenv("SIM_THREADS", "3")
         assert _worker_count(100, 8) == 3
-        monkeypatch.setenv("SIM_THREADS", "not-a-number")
+        monkeypatch.setenv("SIM_THREADS", "")
         assert _worker_count(100, 4) == 4
+        for bad in ("not-a-number", "0", "-1"):
+            monkeypatch.setenv("SIM_THREADS", bad)
+            with pytest.raises(ValueError, match="SIM_THREADS"):
+                _worker_count(100, 4)
 
     def test_degenerate_trials_skipped_and_counted(self, monkeypatch):
         import hybridrelay.channel as channel_mod
@@ -219,6 +224,26 @@ class TestMonteCarlo:
         point = monte_carlo_rate(SMALL, 300)
         assert point.n_degenerate == 1
         assert point.n_trials == 299
+
+    def test_non_finite_sinr_in_any_column_is_degenerate(self, monkeypatch):
+        # SMALL's 300 trials fit one block, so row 7 of the block is trial 7.
+        sinrs = _block_sinrs(SMALL, 0, 300, [("hybrid", None)], None)[0]
+        orig = metrics._gram_sinrs
+
+        def inf_in_column_2(*args):
+            out = orig(*args)
+            out[7, 2] = np.inf
+            return out
+
+        monkeypatch.setattr(metrics, "_gram_sinrs", inf_in_column_2)
+        point = monte_carlo_rate(SMALL, 300)
+        assert point.n_degenerate == 1
+        assert point.n_trials == 299
+        kept = np.delete(sinrs, 7, axis=0)
+        rates = 0.5 * np.sum(np.log2(1.0 + kept), axis=1)
+        assert point.mean_rate == pytest.approx(rates.mean(), rel=1e-12)
+        np.testing.assert_allclose(point.per_pair_mean_sinr, kept.mean(axis=0),
+                                   rtol=1e-12)
 
     def test_too_many_degenerate_trials_abort(self, monkeypatch):
         import hybridrelay.channel as channel_mod
@@ -240,3 +265,59 @@ class TestMonteCarlo:
             monte_carlo_rate(SMALL, 10, mode="analog_only")
         with pytest.raises(ValueError, match="strictly positive"):
             monte_carlo_rate(SMALL, 10, drop=(np.zeros(3), np.ones(3)))
+        with pytest.raises(ValueError, match="variants"):
+            monte_carlo_rates(SMALL, 10, [])
+        with pytest.raises(ValueError, match="mode"):
+            monte_carlo_rates(SMALL, 10, [("hybrid", None), ("analog_only", None)])
+        with pytest.raises(ValueError, match="quant_bits"):
+            monte_carlo_rates(SMALL, 10, [("hybrid", 0)])
+
+
+def assert_same_point(a, b):
+    assert a.mean_rate == b.mean_rate
+    assert a.std_error == b.std_error
+    assert a.n_trials == b.n_trials
+    assert a.n_degenerate == b.n_degenerate
+    np.testing.assert_array_equal(a.per_pair_mean_sinr, b.per_pair_mean_sinr)
+
+
+SHARED_VARIANTS = [
+    ("full_digital", None), ("hybrid", None), ("hybrid", 1), ("hybrid", 2),
+]
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize("drop", [None, PINNED], ids=["redrawn", "pinned"])
+    @pytest.mark.parametrize("config", [
+        SMALL, replace(SMALL, n_rx_chains=2, n_tx_chains=1),
+    ], ids=["full-chains", "fewer-chains"])
+    def test_matches_separate_calls_bitwise(self, monkeypatch, config, drop, threads):
+        # Seven trials per block: 30 trials span five blocks.
+        trials_per_block(monkeypatch, config, 7)
+        monkeypatch.setenv("SIM_THREADS", threads)
+        shared = monte_carlo_rates(config, 30, SHARED_VARIANTS, drop=drop)
+        assert len(shared) == len(SHARED_VARIANTS)
+        for (mode, bits), point in zip(SHARED_VARIANTS, shared):
+            alone = monte_carlo_rate(
+                replace(config, quant_bits=bits), 30, mode, drop=drop
+            )
+            assert_same_point(point, alone)
+
+    def test_first_failing_variant_in_order_raises(self, monkeypatch):
+        # SMALL's 100 trials fit one block, so row t of the block is trial t.
+        # 1-bit loses its first 5 trials, 2-bit its first 10.
+        orig = metrics._variant_sinrs
+
+        def lossy(g1, g2, mode, bits, config):
+            out = orig(g1, g2, mode, bits, config)
+            out[:{1: 5, 2: 10}.get(bits, 0)] = np.nan
+            return out
+
+        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
+        with pytest.raises(RuntimeError, match="^5 of 100"):
+            monte_carlo_rates(
+                SMALL, 100, [("hybrid", None), ("hybrid", 1), ("hybrid", 2)]
+            )
+        with pytest.raises(RuntimeError, match="^10 of 100"):
+            monte_carlo_rates(SMALL, 100, [("hybrid", 2), ("hybrid", 1)])
