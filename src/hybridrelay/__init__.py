@@ -24,12 +24,6 @@ from .channel import (
     trial_rng,
 )
 from .config import SystemConfig
-from .diagnostics import (
-    ConvergenceReport,
-    check_fh_convergence,
-    check_orthonormality,
-    convergence_sweep,
-)
 from .hybrid import (
     DegenerateChannelError,
     FullDigitalProcessor,
@@ -47,8 +41,7 @@ from .metrics import (
     monte_carlo_rate,
     monte_carlo_rates,
     rate_of_realization,
-    sinr_exact,
-    sinr_full_digital,
+    sinrs,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticInputs",
     "ChannelRealization",
-    "ConvergenceReport",
     "DegenerateChannelError",
     "FullDigitalProcessor",
     "HybridProcessor",
@@ -67,10 +59,7 @@ __all__ = [
     "build_full_digital",
     "build_processor",
     "canonical_drop",
-    "check_fh_convergence",
-    "check_orthonormality",
     "compute_alpha",
-    "convergence_sweep",
     "lemma_rng",
     "monte_carlo_rate",
     "monte_carlo_rates",
@@ -86,7 +75,6 @@ __all__ = [
     "sinc_penalty",
     "sinr_asymptotic_finite_n",
     "sinr_case1",
-    "sinr_exact",
-    "sinr_full_digital",
+    "sinrs",
     "trial_rng",
 ]

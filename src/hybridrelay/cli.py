@@ -13,23 +13,22 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import asymptotics, diagnostics
+from . import asymptotics, diagnostics, metrics
 from .channel import canonical_drop, lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec, build_analog, sinc_penalty
+from .hybrid import QuantizationSpec
 from .metrics import _env_thread_cap, monte_carlo_rates
 
 log = logging.getLogger("hybridrelay.cli")
 
 CASES = ("case1", "case2", "case3", "fixed_power")
-MODES = ("asymptote", "full_digital", "hybrid")
+MODES = ("asymptote",) + metrics.MODES
 DROP_POLICIES = ("redraw_per_trial", "fixed_drop")
 
 CSV_COLUMNS = (
@@ -157,7 +156,7 @@ def _asymptote_rate(
     """Closed-form limit rate of the cell, None where no law applies."""
     if spec.case == "fixed_power":
         return None
-    delta = math.pi / 2 ** beta if beta is not None else 0.0
+    delta = QuantizationSpec(beta).step if beta is not None else 0.0
     inputs = asymptotics.AsymptoticInputs(
         eta1=eta[0],
         eta2=eta[1],
@@ -437,44 +436,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.n, "n")
-    if not sizes or any(n < 1 for n in sizes):
+    if not sizes:
         raise UsageError("n must list positive antenna counts")
     if args.seeds < 1:
         raise UsageError("seeds must be positive")
     betas = _parse_beta_list(args.beta)
-    n_pairs = args.n_pairs if args.n_pairs is not None else 10
-    n_chains = args.n_rx_chains if args.n_rx_chains is not None else 10
-    base_seed = args.seed if args.seed is not None else 0
-    if n_chains > n_pairs:
-        raise UsageError("rx chains must not exceed the pair count")
-    if min(sizes) < n_chains:
-        raise UsageError("every antenna count must be >= the chain count")
+    # The lemmas measure one side; its chain count stands for both.
+    flags = {"n_pairs": args.n_pairs, "n_rx_chains": args.n_rx_chains,
+             "n_tx_chains": args.n_rx_chains, "seed": args.seed}
+    try:
+        config = SystemConfig(
+            n_antennas=min(sizes),
+            **{key: value for key, value in flags.items() if value is not None},
+        )
+        for beta in betas:
+            if beta is not None:
+                QuantizationSpec(beta)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     rows = []
     for n in sizes:
-        bound = 5.0 / math.sqrt(n)
-        for seed in range(base_seed, base_seed + args.seeds):
-            h = sample_small_scale(n, n_pairs, lemma_rng(seed, n))
+        for seed in range(config.seed, config.seed + args.seeds):
+            h = sample_small_scale(n, config.n_pairs, lemma_rng(seed, n))
             for beta in betas:
-                quant = QuantizationSpec(beta) if beta is not None else None
-                f = build_analog(h, n_chains, quant)
-                diag_dev, off_dev = diagnostics.orthonormality_parts(f)
-                rows.append({
-                    "metric": "orthonormality", "N": n, "beta": beta,
-                    "seed": seed, "diag_deviation": diag_dev,
-                    "offdiag_deviation": off_dev,
-                    "diag_mean": float(np.sum(np.abs(f) ** 2, axis=1).mean()),
-                    "bound": bound,
-                    "passed": diag_dev <= diagnostics.DIAG_TOL and off_dev <= bound,
-                })
-                fh_diag, fh_off, fh_mean = diagnostics.fh_parts(f, h, n, quant)
-                rows.append({
-                    "metric": "fh_convergence", "N": n, "beta": beta,
-                    "seed": seed, "diag_deviation": fh_diag,
-                    "offdiag_deviation": fh_off, "diag_mean": fh_mean,
-                    "bound": bound,
-                    "passed": max(fh_diag, fh_off) <= bound,
-                })
+                rows.extend(
+                    {**row, "N": n, "beta": beta, "seed": seed}
+                    for row in diagnostics.lemma_checks(h, config.n_rx_chains, beta)
+                )
     rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
     emit_csv(rows, args.out, LEMMA_COLUMNS)
     log.info("wrote %d rows to %s", len(rows), args.out)

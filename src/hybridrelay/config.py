@@ -53,3 +53,5 @@ class SystemConfig:
             raise ValueError("pathloss_exp must be non-negative")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")

@@ -9,31 +9,15 @@ Both shrink like 1/sqrt(N) and are reported against a 5/sqrt(N) envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from . import channel
-from .config import SystemConfig
 from .hybrid import QuantizationSpec, build_analog, sinc_penalty
-
-METRICS = ("orthonormality", "fh_convergence")
 
 # Row norms of the analog stage are exact by construction; only float
 # accumulation separates them from 1.
 DIAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of one deviation measurement at one array size."""
-
-    n_antennas: int
-    metric_name: str
-    deviation: float
-    bound: float
-    passed: bool
 
 
 def orthonormality_parts(f: np.ndarray) -> Tuple[float, float]:
@@ -68,75 +52,36 @@ def fh_parts(
     return diag_dev, off_dev, float(diag.real.mean())
 
 
-def check_orthonormality(f: np.ndarray, n: int) -> ConvergenceReport:
-    """Check F F^H against the identity.
+def lemma_checks(
+    h: np.ndarray, n_chains: int, bits: Optional[int]
+) -> Tuple[dict, dict]:
+    """Both identity checks of one N x K draw at one phase resolution.
 
-    Diagonals must match 1 to DIAG_TOL (each row is an exact average of N
-    unit-magnitude entries); off-diagonals are empirical means of N random
-    unit phasors and are held to 5/sqrt(N).
+    Builds the analog stage F from the first n_chains columns of h
+    (continuous phases when bits is None) and returns the orthonormality
+    and the F H row, each keyed by metric, diag_deviation,
+    offdiag_deviation, diag_mean, bound and passed.  Both rows carry the
+    5/sqrt(N) bound.  F F^H passes when its diagonal matches 1 to DIAG_TOL
+    (each row is an exact average of N unit-magnitude entries) and its
+    off-diagonals, empirical means of N random unit phasors, stay within
+    the bound; F H passes when every deviation stays within the bound.
     """
+    n = h.shape[0]
+    quant = QuantizationSpec(bits) if bits is not None else None
+    f = build_analog(h, n_chains, quant)
+    bound = 5.0 / math.sqrt(n)
     diag_dev, off_dev = orthonormality_parts(f)
-    bound = 5.0 / math.sqrt(n)
-    return ConvergenceReport(
-        n_antennas=n,
-        metric_name="orthonormality",
-        deviation=max(diag_dev, off_dev),
-        bound=bound,
-        passed=bool(diag_dev <= DIAG_TOL and off_dev <= bound),
-    )
-
-
-def check_fh_convergence(
-    f: np.ndarray,
-    h: np.ndarray,
-    n: int,
-    quant: Optional[QuantizationSpec] = None,
-) -> ConvergenceReport:
-    """Check F H / sqrt(N pi/4) against sinc(step) times the identity."""
-    diag_dev, off_dev, _ = fh_parts(f, h, n, quant)
-    bound = 5.0 / math.sqrt(n)
-    deviation = max(diag_dev, off_dev)
-    return ConvergenceReport(
-        n_antennas=n,
-        metric_name="fh_convergence",
-        deviation=deviation,
-        bound=bound,
-        passed=bool(deviation <= bound),
-    )
-
-
-def convergence_sweep(
-    n_list: Sequence[int],
-    config: SystemConfig,
-    metric: str,
-) -> List[ConvergenceReport]:
-    """Measure one deviation metric over ascending array sizes.
-
-    Each size draws fresh fading from the (config.seed, n) diagnostic
-    stream, so repeated sizes reproduce identical deviations and the whole
-    sweep is deterministic for a given seed.  The quantized analog stage is
-    used iff config.quant_bits is set.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if len(n_list) == 0:
-        raise ValueError("n_list must not be empty")
-    if any(b > a for a, b in zip(n_list[1:], n_list)):
-        raise ValueError("n_list must be non-decreasing")
-    quant = (
-        QuantizationSpec(config.quant_bits)
-        if config.quant_bits is not None
-        else None
-    )
-    reports = []
-    for n in n_list:
-        if n < config.n_rx_chains:
-            raise ValueError("array size below the chain count")
-        rng = channel.lemma_rng(config.seed, n)
-        h = channel.sample_small_scale(n, config.n_pairs, rng)
-        f = build_analog(h, config.n_rx_chains, quant)
-        if metric == "orthonormality":
-            reports.append(check_orthonormality(f, n))
-        else:
-            reports.append(check_fh_convergence(f, h, n, quant))
-    return reports
+    orthonormality = {
+        "metric": "orthonormality", "diag_deviation": diag_dev,
+        "offdiag_deviation": off_dev,
+        "diag_mean": float(np.sum(np.abs(f) ** 2, axis=1).mean()),
+        "bound": bound,
+        "passed": diag_dev <= DIAG_TOL and off_dev <= bound,
+    }
+    fh_diag, fh_off, fh_mean = fh_parts(f, h, n, quant)
+    return orthonormality, {
+        "metric": "fh_convergence", "diag_deviation": fh_diag,
+        "offdiag_deviation": fh_off, "diag_mean": fh_mean,
+        "bound": bound,
+        "passed": max(fh_diag, fh_off) <= bound,
+    }

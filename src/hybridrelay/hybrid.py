@@ -14,7 +14,7 @@ from .config import SystemConfig
 
 
 class DegenerateChannelError(RuntimeError):
-    """Raised when the relay power normalization is undefined for a draw."""
+    """Raised when a draw's power normalization or SINRs are undefined."""
 
 
 @dataclass(frozen=True)
@@ -35,26 +35,25 @@ class QuantizationSpec:
 
 @dataclass(frozen=True)
 class HybridProcessor:
-    """Analog + digital processing state for one channel realization."""
+    """Analog stages and power normalization for one channel realization.
+
+    The digital stage is W = alpha * (F2 G2)(F1 G1)^H; it follows from these
+    fields and the realization, so it is not stored.
+    """
 
     f1: np.ndarray  # K_r x N analog combiner, constant magnitude 1/sqrt(N)
     f2: np.ndarray  # K_t x N analog precoder, constant magnitude 1/sqrt(N)
-    w: np.ndarray   # K_t x K_r digital matrix, alpha * a2 @ a1^H
     alpha: float    # power normalization scalar
-    a1: np.ndarray  # f1 @ g1, effective receive channel (K_r x K)
-    a2: np.ndarray  # f2 @ g2, effective transmit channel (K_t x K)
 
 
 @dataclass(frozen=True)
 class FullDigitalProcessor:
-    """Factored form of the full-digital MRC/MRT matrix alpha * g2 @ g1^H.
+    """Power normalization of the full-digital MRC/MRT matrix alpha * G2 G1^H.
 
-    The N x N matrix itself is never materialized; consumers contract the
-    factors right-to-left.
+    The N x N matrix itself is never materialized; its factors are the
+    realization's channels.
     """
 
-    g1: np.ndarray
-    g2: np.ndarray
     alpha: float
 
 
@@ -213,14 +212,11 @@ def build_processor(
     )
     f1 = build_analog(real.g1, config.n_rx_chains, quant)
     f2 = build_analog(real.g2, config.n_tx_chains, quant)
-    a1 = f1 @ real.g1
-    a2 = f2 @ real.g2
     alpha = compute_alpha(
-        a1, a2, f1, f2,
+        f1 @ real.g1, f2 @ real.g2, f1, f2,
         config.p_user, config.p_relay, config.var_relay_noise,
     )
-    w = alpha * (a2 @ a1.conj().T)
-    return HybridProcessor(f1=f1, f2=f2, w=w, alpha=alpha, a1=a1, a2=a2)
+    return HybridProcessor(f1=f1, f2=f2, alpha=alpha)
 
 
 def build_full_digital(
@@ -239,7 +235,7 @@ def build_full_digital(
         real.g1, real.g2, None, None,
         config.p_user, config.p_relay, config.var_relay_noise,
     )
-    return FullDigitalProcessor(g1=real.g1, g2=real.g2, alpha=alpha)
+    return FullDigitalProcessor(alpha=alpha)
 
 
 def sinc_penalty(quant: Optional[QuantizationSpec]) -> float:

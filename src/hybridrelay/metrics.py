@@ -12,7 +12,6 @@ import numpy as np
 from . import channel, hybrid
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .hybrid import FullDigitalProcessor, HybridProcessor
 
 MODES = ("hybrid", "full_digital")
 
@@ -66,42 +65,6 @@ def _gram_sinrs(
     )
 
 
-def _check_pair_index(k: int, config: SystemConfig) -> None:
-    if not 0 <= k < config.n_pairs:
-        raise ValueError(f"pair index must be in [0, {config.n_pairs}), got {k}")
-
-
-def sinr_exact(
-    real: ChannelRealization,
-    proc: HybridProcessor,
-    config: SystemConfig,
-    k: int,
-) -> float:
-    """Exact instantaneous SINR of pair k under hybrid processing.
-
-    Numerator p_user |g2k^H F2^H W F1 g1k|^2 over interference from the
-    other pairs, forwarded relay noise, and destination noise, all taken
-    from the K x K Grams of the processor's effective channels (which
-    carry the realization).  Pair indices are 0-based.
-    """
-    _check_pair_index(k, config)
-    hop1 = hybrid._hop_grams(proc.a1, proc.f1)
-    hop2 = hybrid._hop_grams(proc.a2, proc.f2)
-    return float(_gram_sinrs(hop1, hop2, proc.alpha ** 2, config)[k])
-
-
-def sinr_full_digital(
-    real: ChannelRealization,
-    proc: FullDigitalProcessor,
-    config: SystemConfig,
-    k: int,
-) -> float:
-    """Exact instantaneous SINR of pair k under the full-digital reference."""
-    _check_pair_index(k, config)
-    hop1, hop2 = hybrid._hop_grams(real.g1), hybrid._hop_grams(real.g2)
-    return float(_gram_sinrs(hop1, hop2, proc.alpha ** 2, config)[k])
-
-
 def _sum_rates(sinrs: np.ndarray) -> np.ndarray:
     """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) of each SINR row."""
     return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
@@ -141,6 +104,32 @@ def _variant_sinrs(
         hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
     )
     return _gram_sinrs(hop1, hop2, alpha_sq, config)
+
+
+def sinrs(
+    real: ChannelRealization, config: SystemConfig, mode: str = "hybrid"
+) -> np.ndarray:
+    """Exact instantaneous SINR of every pair of one realization, shape (K,).
+
+    Entry k is p_user |g2k^H B g1k|^2 over the interference from the other
+    pairs, the relay noise forwarded through the end-to-end relay map B,
+    and the destination noise.  It runs the Monte-Carlo engine's kernel on
+    a one-trial stack, so it equals that trial's row in the engine bit for
+    bit: hybrid mode uses config.quant_bits, full_digital ignores it.
+    Raises DegenerateChannelError for a draw the engine would skip
+    (undefined power normalization or a non-finite SINR).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    row = _variant_sinrs(
+        real.g1[None], real.g2[None], mode, config.quant_bits, config
+    )[0]
+    if not np.isfinite(row).all():
+        raise hybrid.DegenerateChannelError(
+            "SINR undefined: zero or non-finite forwarded power or a "
+            "non-finite SINR"
+        )
+    return row
 
 
 def _block_sinrs(

@@ -26,13 +26,18 @@ def alpha_full_reference(g1, g2, p_user, p_relay, var_relay_noise):
     return math.sqrt(p_relay / (p_user * signal + var_relay_noise * noise))
 
 
-def relay_matrix(proc):
-    """Materialized end-to-end relay map F2^H W F1 (N x N)."""
-    return proc.f2.conj().T @ proc.w @ proc.f1
+def relay_matrix(proc, real):
+    """Materialized end-to-end relay map F2^H W F1 (N x N).
+
+    The digital stage W = alpha (F2 G2)(F1 G1)^H is formed here from the
+    analog stages and the realization's channels.
+    """
+    w = proc.alpha * ((proc.f2 @ real.g2) @ (proc.f1 @ real.g1).conj().T)
+    return proc.f2.conj().T @ w @ proc.f1
 
 
-def relay_matrix_full(proc):
-    return proc.alpha * (proc.g2 @ proc.g1.conj().T)
+def relay_matrix_full(proc, real):
+    return proc.alpha * (real.g2 @ real.g1.conj().T)
 
 
 def relay_output_power(b, g1, p_user, var_relay_noise):
@@ -94,9 +99,9 @@ def mc_reference(config, n_trials, mode="hybrid", drop=None):
     for trial in range(n_trials):
         real = sample_realization(config, trial, drop=drop)
         if mode == "full_digital":
-            b = relay_matrix_full(build_full_digital(real, config))
+            b = relay_matrix_full(build_full_digital(real, config), real)
         else:
-            b = relay_matrix(build_processor(real, config))
+            b = relay_matrix(build_processor(real, config), real)
         sinrs = [
             sinr_reference(
                 b, real.g1, real.g2, k,

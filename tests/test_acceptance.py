@@ -47,8 +47,7 @@ from hybridrelay import (
     rate_case3,
     sample_small_scale,
     sinc_penalty,
-    sinr_exact,
-    sinr_full_digital,
+    sinrs,
 )
 from hybridrelay import metrics
 from hybridrelay.channel import ChannelRealization
@@ -123,23 +122,20 @@ def test_criterion_1_sinr_matches_termwise_oracle(capsys):
     worst = 0.0
     for _ in range(100):
         cfg, real = random_instance(rng)
-        proc = build_processor(real, cfg)
-        b = oracles.relay_matrix(proc)
-        fd = build_full_digital(real, cfg)
-        b_fd = oracles.relay_matrix_full(fd)
-        for k in range(cfg.n_pairs):
-            want = oracles.sinr_reference(
-                b, real.g1, real.g2, k,
-                cfg.p_user, cfg.var_relay_noise, cfg.var_dest_noise,
-            )
-            got = sinr_exact(real, proc, cfg, k)
-            worst = max(worst, abs(got - want) / want)
-            want = oracles.sinr_reference(
-                b_fd, real.g1, real.g2, k,
-                cfg.p_user, cfg.var_relay_noise, cfg.var_dest_noise,
-            )
-            got = sinr_full_digital(real, fd, cfg, k)
-            worst = max(worst, abs(got - want) / want)
+        relay = {
+            "hybrid": oracles.relay_matrix(build_processor(real, cfg), real),
+            "full_digital": oracles.relay_matrix_full(
+                build_full_digital(real, cfg), real
+            ),
+        }
+        for mode, b in relay.items():
+            got = sinrs(real, cfg, mode)
+            for k in range(cfg.n_pairs):
+                want = oracles.sinr_reference(
+                    b, real.g1, real.g2, k,
+                    cfg.p_user, cfg.var_relay_noise, cfg.var_dest_noise,
+                )
+                worst = max(worst, abs(got[k] - want) / want)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     report(capsys, 1, ok,
@@ -156,12 +152,12 @@ def test_criterion_2_relay_power_identity(capsys):
         cfg, real = random_instance(rng, n_max=16)
         proc = build_processor(real, cfg)
         power = oracles.relay_output_power(
-            oracles.relay_matrix(proc), real.g1, cfg.p_user, cfg.var_relay_noise
+            oracles.relay_matrix(proc, real), real.g1, cfg.p_user, cfg.var_relay_noise
         )
         worst = max(worst, abs(power - cfg.p_relay) / cfg.p_relay)
         fd = build_full_digital(real, cfg)
         power = oracles.relay_output_power(
-            oracles.relay_matrix_full(fd), real.g1, cfg.p_user, cfg.var_relay_noise
+            oracles.relay_matrix_full(fd, real), real.g1, cfg.p_user, cfg.var_relay_noise
         )
         worst = max(worst, abs(power - cfg.p_relay) / cfg.p_relay)
     elapsed = time.monotonic() - t0

@@ -36,6 +36,11 @@ class TestStreams:
         with pytest.raises(ValueError, match="non-negative"):
             trial_rng(0, -1)
 
+    def test_negative_seed_rejected(self):
+        # Stream seeds must be non-negative; the scenario says so up front.
+        with pytest.raises(ValueError, match="seed"):
+            SystemConfig(n_antennas=16, seed=-1)
+
     def test_draw_order_is_re_then_im(self):
         # The stream layout is contractual: regenerating it by hand from the
         # same generator state must give the identical matrix.

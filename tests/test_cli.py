@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from hybridrelay import channel, metrics
+from hybridrelay import channel, cli, metrics
 from hybridrelay.cli import (
     CSV_COLUMNS,
     LEMMA_COLUMNS,
@@ -221,6 +221,12 @@ class TestSimulateErrors:
         assert calls == []
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out(self, tmp_path):
         argv = ["simulate", "--case", "2", "--n", "8", "--eu-db", "13",
                 "--pr-db", "13"] + SMALL_ARGS
@@ -251,6 +257,24 @@ class TestVerifyLemmas:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["verify-lemmas", "--n", "100", "--seeds", "1",
                      "--n-pairs", "2", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-rx-chains", "0"],
+        ["--n-rx-chains", "-1"],
+        ["--n-pairs", "0", "--n-rx-chains", "0"],
+        ["--beta", "0"],
+        ["--seed", "-1"],
+    ], ids=["zero-chains", "negative-chains", "zero-pairs", "zero-bits",
+            "negative-seed"])
+    def test_bad_input_fails_before_any_draw(self, tmp_path, monkeypatch, flags):
+        draws = []
+        monkeypatch.setattr(cli, "sample_small_scale",
+                            lambda *args: draws.append(args))
+        out = tmp_path / "x.csv"
+        assert main(["verify-lemmas", "--n", "100", "--seeds", "2",
+                     "--out", str(out)] + flags) == 2
+        assert draws == []
+        assert not out.exists()
 
     def test_required_flags(self):
         with pytest.raises(SystemExit):

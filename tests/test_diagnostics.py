@@ -1,28 +1,29 @@
 """Large-array convergence diagnostics for the analog stage."""
 
-import math
-
 import numpy as np
 import pytest
 
-from conftest import make_channels
 from hybridrelay import (
     QuantizationSpec,
-    SystemConfig,
-    check_fh_convergence,
-    check_orthonormality,
-    convergence_sweep,
     lemma_rng,
     sample_small_scale,
     sinc_penalty,
 )
-from hybridrelay.diagnostics import fh_parts, orthonormality_parts
+from hybridrelay.diagnostics import (
+    DIAG_TOL,
+    fh_parts,
+    lemma_checks,
+    orthonormality_parts,
+)
 from hybridrelay.hybrid import build_analog
 
 
+def lemma_draw(n, k=10, seed=0):
+    return sample_small_scale(n, k, lemma_rng(seed, n))
+
+
 def analog_pair(n, k=10, seed=0, bits=None):
-    rng = lemma_rng(seed, n)
-    h = sample_small_scale(n, k, rng)
+    h = lemma_draw(n, k, seed)
     quant = QuantizationSpec(bits) if bits is not None else None
     return build_analog(h, k, quant), h, quant
 
@@ -51,11 +52,10 @@ class TestOrthonormality:
         assert 3.3 < ratio < 30.0
 
     def test_report_passes_at_moderate_size(self):
-        f, _, _ = analog_pair(256)
-        rep = check_orthonormality(f, 256)
-        assert rep.passed
-        assert rep.metric_name == "orthonormality"
-        assert rep.bound == pytest.approx(5.0 / 16.0)
+        row, _ = lemma_checks(lemma_draw(256), 10, None)
+        assert row["passed"] is True
+        assert row["metric"] == "orthonormality"
+        assert row["bound"] == pytest.approx(5.0 / 16.0)
 
 
 class TestFhConvergence:
@@ -85,34 +85,38 @@ class TestFhConvergence:
 
     def test_report_fields(self):
         f, h, _ = analog_pair(400)
-        rep = check_fh_convergence(f, h, 400)
-        assert rep.metric_name == "fh_convergence"
-        assert rep.n_antennas == 400
-        assert rep.bound == pytest.approx(0.25)
-        assert rep.passed == (rep.deviation <= rep.bound)
+        _, row = lemma_checks(h, 10, None)
+        assert row["metric"] == "fh_convergence"
+        assert row["bound"] == pytest.approx(0.25)
+        assert (row["diag_deviation"], row["offdiag_deviation"],
+                row["diag_mean"]) == fh_parts(f, h, 400)
+        deviation = max(row["diag_deviation"], row["offdiag_deviation"])
+        assert row["passed"] == (deviation <= row["bound"])
 
 
 class TestSweep:
-    CFG = SystemConfig(n_antennas=64, seed=0)
+    """lemma_checks over the array sizes of a sweep, as verify-lemmas runs it."""
 
     def test_reports_in_requested_order(self):
-        reps = convergence_sweep([64, 256], self.CFG, "orthonormality")
-        assert [r.n_antennas for r in reps] == [64, 256]
-        assert all(r.metric_name == "orthonormality" for r in reps)
+        rows = [lemma_checks(lemma_draw(n), 10, None) for n in (64, 256)]
+        assert [ortho["bound"] for ortho, _ in rows] == [5.0 / 8.0, 5.0 / 16.0]
+        assert all(
+            (ortho["metric"], fh["metric"]) == ("orthonormality", "fh_convergence")
+            for ortho, fh in rows
+        )
 
     def test_passed_flag_matches_deviation_and_bound(self):
-        for metric in ("orthonormality", "fh_convergence"):
-            for rep in convergence_sweep([100, 900], self.CFG, metric):
-                assert rep.passed == (rep.deviation <= rep.bound)
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="metric"):
-            convergence_sweep([64], self.CFG, "condition_number")
-
-    def test_sizes_validated(self):
-        with pytest.raises(ValueError):
-            convergence_sweep([], self.CFG, "orthonormality")
-        with pytest.raises(ValueError):
-            convergence_sweep([256, 64], self.CFG, "orthonormality")
-        with pytest.raises(ValueError):
-            convergence_sweep([4], self.CFG, "orthonormality")
+        for n in (100, 900):
+            for bits in (None, 2):
+                ortho, fh = lemma_checks(lemma_draw(n), 10, bits)
+                # Python bools: the CSV writes them as true/false.
+                assert type(ortho["passed"]) is bool
+                assert type(fh["passed"]) is bool
+                assert ortho["passed"] == (
+                    ortho["diag_deviation"] <= DIAG_TOL
+                    and ortho["offdiag_deviation"] <= ortho["bound"]
+                )
+                assert fh["passed"] == (
+                    max(fh["diag_deviation"], fh["offdiag_deviation"])
+                    <= fh["bound"]
+                )

@@ -144,7 +144,8 @@ class TestAlpha:
         for bits in (None, 1, 2):
             real, proc = make_processor(rng, 24, 5, quant_bits=bits)
             expect = oracles.alpha_reference(
-                proc.a1, proc.a2, proc.f1, proc.f2, 1.0, 1.0, 1.0
+                proc.f1 @ real.g1, proc.f2 @ real.g2, proc.f1, proc.f2,
+                1.0, 1.0, 1.0,
             )
             assert proc.alpha == pytest.approx(expect, rel=1e-12)
 
@@ -156,7 +157,7 @@ class TestAlpha:
         )
         real = make_channels(rng, 24, 5)
         proc = build_processor(real, cfg)
-        b = oracles.relay_matrix(proc)
+        b = oracles.relay_matrix(proc, real)
         power = oracles.relay_output_power(b, real.g1, 2.5, 0.7)
         assert power == pytest.approx(3.5, rel=1e-10)
 
@@ -192,10 +193,10 @@ class TestAlpha:
 
     def test_compute_alpha_rejects_nonfinite(self, rng):
         real, proc = make_processor(rng, 16, 4)
-        a1 = proc.a1.copy()
+        a1 = proc.f1 @ real.g1
         a1[0, 0] = np.nan
         with pytest.raises(DegenerateChannelError):
-            compute_alpha(a1, proc.a2, proc.f1, proc.f2, 1.0, 1.0, 1.0)
+            compute_alpha(a1, proc.f2 @ real.g2, proc.f1, proc.f2, 1.0, 1.0, 1.0)
 
 
 class TestFullDigital:
@@ -214,7 +215,7 @@ class TestFullDigital:
                            n_tx_chains=5, p_user=1.3, p_relay=2.1,
                            var_relay_noise=0.9)
         proc = build_full_digital(real, cfg)
-        b = oracles.relay_matrix_full(proc)
+        b = oracles.relay_matrix_full(proc, real)
         power = oracles.relay_output_power(b, real.g1, 1.3, 0.9)
         assert power == pytest.approx(2.1, rel=1e-10)
 

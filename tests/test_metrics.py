@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_channels
 from hybridrelay import (
+    DegenerateChannelError,
     SystemConfig,
     build_full_digital,
     build_processor,
@@ -15,8 +18,7 @@ from hybridrelay import (
     monte_carlo_rates,
     rate_of_realization,
     sample_realization,
-    sinr_exact,
-    sinr_full_digital,
+    sinrs,
 )
 from hybridrelay import metrics
 from hybridrelay.channel import ChannelRealization
@@ -50,30 +52,69 @@ class TestSinr:
         cfg = replace(SMALL, quant_bits=bits, p_user=1.7, var_relay_noise=0.8,
                       var_dest_noise=1.2)
         real = make_channels(rng, 8, 3, eta1=[1.0, 0.3, 2.0], eta2=[0.5, 1.0, 1.5])
-        proc = build_processor(real, cfg)
-        b = oracles.relay_matrix(proc)
+        b = oracles.relay_matrix(build_processor(real, cfg), real)
+        got = sinrs(real, cfg)
+        assert got.shape == (3,)
         for k in range(3):
             expect = oracles.sinr_reference(b, real.g1, real.g2, k, 1.7, 0.8, 1.2)
-            assert sinr_exact(real, proc, cfg, k) == pytest.approx(expect, rel=1e-12)
+            assert got[k] == pytest.approx(expect, rel=1e-12)
 
     def test_full_digital_matches_termwise_oracle(self, rng):
         cfg = replace(SMALL, p_user=0.6)
         real = make_channels(rng, 8, 3)
-        proc = build_full_digital(real, cfg)
-        b = oracles.relay_matrix_full(proc)
+        b = oracles.relay_matrix_full(build_full_digital(real, cfg), real)
+        got = sinrs(real, cfg, "full_digital")
         for k in range(3):
             expect = oracles.sinr_reference(b, real.g1, real.g2, k, 0.6, 1.0, 1.0)
-            assert sinr_full_digital(real, proc, cfg, k) == pytest.approx(
-                expect, rel=1e-12
+            assert got[k] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", metrics.MODES)
+    def test_degenerate_draw_raises(self, rng, mode):
+        real = _dead_realization(make_channels(rng, 8, 3))
+        with pytest.raises(DegenerateChannelError):
+            sinrs(real, SMALL, mode)
+
+    def test_mode_validated(self, rng):
+        with pytest.raises(ValueError, match="mode"):
+            sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
+
+    @pytest.mark.parametrize("config", [
+        SMALL, replace(SMALL, quant_bits=2),
+        replace(SMALL, n_rx_chains=2, n_tx_chains=1),
+    ], ids=["continuous", "two-bit", "fewer-chains"])
+    @pytest.mark.parametrize("mode", metrics.MODES)
+    def test_equals_engine_row_bitwise(self, config, mode):
+        # SMALL's 12 trials fit one block, so row t of the block is trial t.
+        table = _block_sinrs(config, 0, 12, [(mode, config.quant_bits)], None)[0]
+        for t in range(12):
+            np.testing.assert_array_equal(
+                sinrs(sample_realization(config, t), config, mode), table[t]
             )
 
-    def test_pair_index_validated(self, rng):
-        real = make_channels(rng, 8, 3)
-        proc = build_processor(real, SMALL)
-        with pytest.raises(ValueError, match="pair index"):
-            sinr_exact(real, proc, SMALL, 3)
-        with pytest.raises(ValueError, match="pair index"):
-            sinr_exact(real, proc, SMALL, -1)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+        perm=st.permutations(range(4)),
+        mode=st.sampled_from(metrics.MODES),
+        bits=st.sampled_from([None, 2]),
+    )
+    def test_pair_permutation_permutes_sinrs(self, seed, perm, mode, bits):
+        # With one chain per pair on each side, pair labels carry no
+        # meaning: relabelling the pairs of both hops together relabels the
+        # SINRs and leaves alpha unchanged.
+        cfg = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4,
+                           n_tx_chains=4, quant_bits=bits)
+        rng = np.random.default_rng(seed)
+        real = make_channels(rng, 16, 4, eta1=rng.uniform(0.1, 3.0, 4),
+                             eta2=rng.uniform(0.1, 3.0, 4))
+        p = list(perm)
+        relabelled = ChannelRealization(
+            h1=real.h1[:, p], h2=real.h2[:, p], eta1=real.eta1[p],
+            eta2=real.eta2[p], g1=real.g1[:, p], g2=real.g2[:, p],
+        )
+        np.testing.assert_allclose(
+            sinrs(relabelled, cfg, mode), sinrs(real, cfg, mode)[p], rtol=1e-12
+        )
 
     def test_single_pair_sinr_increases_with_user_power(self):
         # With one pair there is no interference; pushing user power up
@@ -87,7 +128,7 @@ class TestSinr:
         for p in (0.5, 1.0, 2.0, 4.0, 8.0):
             cfg = SystemConfig(n_antennas=16, n_pairs=1, n_rx_chains=1,
                                n_tx_chains=1, p_user=p)
-            vals.append(sinr_exact(real, build_processor(real, cfg), cfg, 0))
+            vals.append(sinrs(real, cfg)[0])
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_joint_power_rescaling_leaves_sinr_invariant(self, rng):
@@ -100,10 +141,8 @@ class TestSinr:
         s = 3.7
         scaled = replace(base, p_user=1.5 * s, p_relay=2.0 * s,
                          var_relay_noise=0.8 * s, var_dest_noise=1.1 * s)
-        for k in range(4):
-            a = sinr_exact(real, build_processor(real, base), base, k)
-            b = sinr_exact(real, build_processor(real, scaled), scaled, k)
-            assert b == pytest.approx(a, rel=1e-10)
+        np.testing.assert_allclose(sinrs(real, scaled), sinrs(real, base),
+                                   rtol=1e-10)
 
 
 class TestRateOfRealization:
