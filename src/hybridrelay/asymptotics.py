@@ -22,9 +22,8 @@ class AsymptoticInputs:
     """Everything the closed forms need, already in linear units.
 
     Energies e_user/e_relay are the fixed products N * p_user / N * p_relay
-    of the scaled regimes; p_user/p_relay are the unscaled powers for the
-    regimes that hold one side fixed.  Each law validates that the fields it
-    needs are present.  r is the number of active pairs,
+    of the scaled regimes; the fixed side's power drops out of every limit.
+    Each law validates that the energies it needs are present.  r is the number of active pairs,
     min(rx chains, tx chains, pairs); delta is the phase quantization
     half-step, 0 for continuous phases.
     """
@@ -36,8 +35,6 @@ class AsymptoticInputs:
     var_dest_noise: float = 1.0
     e_user: Optional[float] = None
     e_relay: Optional[float] = None
-    p_user: Optional[float] = None
-    p_relay: Optional[float] = None
     delta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -55,7 +52,7 @@ class AsymptoticInputs:
             raise ValueError("noise variances must be positive")
         if not 0.0 <= self.delta <= math.pi / 2:
             raise ValueError("delta must lie in [0, pi/2]")
-        for name in ("e_user", "e_relay", "p_user", "p_relay"):
+        for name in ("e_user", "e_relay"):
             value = getattr(self, name)
             if value is not None and (value < 0 or not math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -78,37 +75,6 @@ def _require(inputs: AsymptoticInputs, *names: str) -> list:
 def _check_pair(inputs: AsymptoticInputs, k: int) -> None:
     if not 0 <= k < inputs.r:
         raise ValueError(f"pair index must be in [0, {inputs.r}), got {k}")
-
-
-def sinr_asymptotic_finite_n(
-    inputs: AsymptoticInputs, alpha: float, n: int, k: int
-) -> float:
-    """Large-array SINR of pair k at finite N, given the normalization alpha.
-
-    Signal and forwarded relay noise keep their leading-order deterministic
-    values; interference and fluctuations are gone:
-
-        (N pi/4)^4 p_u a^2 eta1k^2 eta2k^2 c^8
-        --------------------------------------------------
-        (N pi/4)^3 var_nR a^2 eta1k eta2k^2 c^6 + var_nD
-
-    with c = sinc(delta).
-    """
-    (p_user,) = _require(inputs, "p_user")
-    _check_pair(inputs, k)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    c = _sinc(inputs.delta)
-    scale = n * QUARTER_PI
-    e1, e2 = inputs.eta1[k], inputs.eta2[k]
-    num = scale ** 4 * p_user * alpha ** 2 * e1 ** 2 * e2 ** 2 * c ** 8
-    den = (
-        scale ** 3 * inputs.var_relay_noise * alpha ** 2 * e1 * e2 ** 2 * c ** 6
-        + inputs.var_dest_noise
-    )
-    if num == 0.0:
-        return 0.0
-    return num / den
 
 
 def _gain_sums(inputs: AsymptoticInputs) -> tuple:

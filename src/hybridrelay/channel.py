@@ -64,11 +64,6 @@ def sample_small_scale(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def pathloss(r_m: float, config: SystemConfig) -> float:
-    """Distance attenuation (r / r_guard)^(-nu), unity on the guard circle."""
-    return float((r_m / config.guard_radius_m) ** (-config.pathloss_exp))
-
-
 def sample_large_scale(
     config: SystemConfig, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:

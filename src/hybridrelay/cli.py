@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,17 +59,6 @@ _MODE_ALIASES = {
     "full": "full_digital", "full_digital": "full_digital",
     "asym": "asymptote", "asymptote": "asymptote",
 }
-
-_SYSTEM_KEYS = (
-    "n_pairs", "n_rx_chains", "n_tx_chains", "var_relay_noise",
-    "var_dest_noise", "cell_radius_m", "guard_radius_m", "pathloss_exp",
-    "shadow_std_db", "seed",
-)
-_SWEEP_KEYS = (
-    "case", "n_values", "beta_values", "modes", "trials",
-    "eu_db", "er_db", "pu_db", "pr_db", "drop_policy", "out", "dat",
-)
-
 
 class UsageError(ValueError):
     """Bad invocation: wrong flags, file keys, or value combinations."""
@@ -278,45 +268,93 @@ def emit_dat(rows: List[dict], path: str, columns: Sequence[str] = CSV_COLUMNS) 
 # settings merging: defaults < config file < flags
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text, what: str) -> Tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+# Scenario fields every cell sets itself: array size, powers, phase bits.
+_CELL_KEYS = ("n_antennas", "p_user", "p_relay", "quant_bits")
+_SYSTEM_HINTS = {
+    key: hint for key, hint in typing.get_type_hints(SystemConfig).items()
+    if key not in _CELL_KEYS
+}
+_SYSTEM_KEYS = tuple(_SYSTEM_HINTS)
+# Type hint of every settings key, in flag order: the scenario keys, the
+# sweep fields, and the two output paths.  A flag's dest is its key.
+_KEY_HINTS = {
+    **_SYSTEM_HINTS, **typing.get_type_hints(SweepSpec), "out": str, "dat": str,
+}
+# The scenario keys verify-lemmas takes as flags.
+_LEMMA_KEYS = ("n_pairs", "n_rx_chains", "seed")
+
+
+def _is_list(key: str) -> bool:
+    return typing.get_origin(_KEY_HINTS[key]) is tuple
+
+
+def _flag_type(key: str) -> type:
+    """What the flag of a settings key converts its text to: int, float or str.
+
+    Optional[T] gives T; a tuple field gives str, which parse_config splits
+    at its commas.
+    """
+    hint = _KEY_HINTS[key]
+    if _is_list(key):
+        return str
+    return next(t for t in (int, float, str) if t in (hint, *typing.get_args(hint)))
+
+
+def _file_value(key: str, value):
+    """A config-file value, converted exactly as its flag's text would be.
+
+    A number or string stands for its text, and a list, for a tuple field,
+    for its comma-separated items; a whole-number float such as 1000.0 is
+    written as an int, and null in a beta list stands for cont.  Other null,
+    booleans, objects, non-integral numbers for int keys and text the flag
+    would reject are usage errors.
+    """
+    items = value if isinstance(value, list) and _is_list(key) else [value]
+    if key == "beta_values" and isinstance(value, list):
+        items = ["cont" if v is None else v for v in items]
+    items = [int(v) if isinstance(v, float) and v.is_integer() else v for v in items]
+    if all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        try:
+            return _flag_type(key)(",".join(map(str, items)))
+        except ValueError:
+            pass
+    raise UsageError(f"bad value for config key {key}: {json.dumps(value)}")
+
+
+def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         return tuple(int(tok) for tok in items)
-    except (TypeError, ValueError):
+    except ValueError:
         raise UsageError(f"{what} must be a comma-separated list of integers")
 
 
-def _parse_beta_list(value) -> Tuple[Optional[int], ...]:
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
     out = []
-    for tok in items:
-        tok = tok.strip().lower() if isinstance(tok, str) else tok
-        if tok in ("cont", "continuous", None):
+    for tok in text.split(","):
+        tok = tok.strip().lower()
+        if tok in ("cont", "continuous"):
             out.append(None)
         else:
             try:
                 out.append(int(tok))
-            except (TypeError, ValueError):
+            except ValueError:
                 raise UsageError(f"bad beta value {tok!r}; use integers or 'cont'")
     return tuple(out)
 
 
-def _parse_modes(value) -> Tuple[str, ...]:
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+def _parse_modes(text: str) -> Tuple[str, ...]:
     out = []
-    for tok in items:
-        name = _MODE_ALIASES.get(str(tok).strip().lower())
+    for tok in text.split(","):
+        name = _MODE_ALIASES.get(tok.strip().lower())
         if name is None:
             raise UsageError(f"unknown mode {tok!r}")
         out.append(name)
     return tuple(dict.fromkeys(out))
 
 
-def _parse_case(value) -> str:
-    name = _CASE_ALIASES.get(str(value).strip().lower())
+def _parse_case(value: str) -> str:
+    name = _CASE_ALIASES.get(value.strip().lower())
     if name is None:
         raise UsageError(f"unknown case {value!r}")
     return name
@@ -335,29 +373,13 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a flat JSON object")
-        known = set(_SYSTEM_KEYS) | set(_SWEEP_KEYS)
-        unknown = sorted(set(loaded) - known)
+        unknown = sorted(set(loaded) - set(_KEY_HINTS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        settings.update(loaded)
+        settings = {key: _file_value(key, value) for key, value in loaded.items()}
 
-    flag_map = {
-        "case": args.case, "n_values": args.n, "beta_values": args.beta,
-        "modes": args.modes, "trials": args.trials, "eu_db": args.eu_db,
-        "er_db": args.er_db, "pu_db": args.pu_db, "pr_db": args.pr_db,
-        "seed": args.seed, "out": args.out, "dat": args.dat,
-        "n_pairs": args.n_pairs, "n_rx_chains": args.n_rx_chains,
-        "n_tx_chains": args.n_tx_chains,
-        "var_relay_noise": args.var_relay_noise,
-        "var_dest_noise": args.var_dest_noise,
-        "cell_radius_m": args.cell_radius_m,
-        "guard_radius_m": args.guard_radius_m,
-        "pathloss_exp": args.pathloss_exp,
-        "shadow_std_db": args.shadow_std_db,
-    }
-    if args.fixed_drop:
-        flag_map["drop_policy"] = "fixed_drop"
-    for key, value in flag_map.items():
+    for key in _KEY_HINTS:
+        value = getattr(args, key)
         if value is None:
             continue
         if key in settings and settings[key] != value:
@@ -367,6 +389,13 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             )
         settings[key] = value
     return settings
+
+
+def _given(cls, settings: dict) -> dict:
+    """The settings that name a field of dataclass `cls`."""
+    return {
+        f.name: settings[f.name] for f in dataclasses.fields(cls) if f.name in settings
+    }
 
 
 def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
@@ -379,37 +408,20 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
         raise UsageError("missing required setting: case")
     if "n_values" not in settings:
         raise UsageError("missing required setting: n (antenna counts)")
-    case = _parse_case(settings["case"])
-    n_values = _parse_int_list(settings["n_values"], "n")
-    beta_values = _parse_beta_list(settings.get("beta_values", "cont"))
-    modes = _parse_modes(settings.get("modes", "hybrid"))
-
-    spec = SweepSpec(
-        case=case,
-        n_values=n_values,
-        beta_values=beta_values,
-        modes=modes,
-        trials=int(settings.get("trials", 1000)),
-        eu_db=_opt_float(settings, "eu_db"),
-        er_db=_opt_float(settings, "er_db"),
-        pu_db=_opt_float(settings, "pu_db"),
-        pr_db=_opt_float(settings, "pr_db"),
-        drop_policy=str(settings.get("drop_policy", "redraw_per_trial")),
-    )
-
-    system_kwargs = {key: settings[key] for key in _SYSTEM_KEYS if key in settings}
+    spec = SweepSpec(**{
+        **_given(SweepSpec, settings),
+        "case": _parse_case(settings["case"]),
+        "n_values": _parse_int_list(settings["n_values"], "n"),
+        "beta_values": _parse_beta_list(settings.get("beta_values", "cont")),
+        "modes": _parse_modes(settings.get("modes", "hybrid")),
+    })
     try:
-        config = SystemConfig(n_antennas=max(spec.n_values), **system_kwargs)
+        config = SystemConfig(n_antennas=max(spec.n_values), **_given(SystemConfig, settings))
         # Every cell must fit the chain counts, including the smallest array.
         dataclasses.replace(config, n_antennas=min(spec.n_values))
     except ValueError as exc:
         raise UsageError(str(exc))
     return config, spec
-
-
-def _opt_float(settings: dict, key: str) -> Optional[float]:
-    value = settings.get(key)
-    return None if value is None else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +441,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rows = run_sweep(spec, config)
     emit_csv(rows, out)
     if settings.get("dat"):
-        emit_dat(rows, str(settings["dat"]))
+        emit_dat(rows, settings["dat"])
     log.info("wrote %d rows to %s", len(rows), out)
     return 0
 
@@ -441,9 +453,9 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise UsageError("seeds must be positive")
     betas = _parse_beta_list(args.beta)
+    flags = {key: getattr(args, key) for key in _LEMMA_KEYS}
     # The lemmas measure one side; its chain count stands for both.
-    flags = {"n_pairs": args.n_pairs, "n_rx_chains": args.n_rx_chains,
-             "n_tx_chains": args.n_rx_chains, "seed": args.seed}
+    flags["n_tx_chains"] = flags["n_rx_chains"]
     try:
         config = SystemConfig(
             n_antennas=min(sizes),
@@ -470,17 +482,23 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_system_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-pairs", type=int, default=None)
-    parser.add_argument("--n-rx-chains", type=int, default=None)
-    parser.add_argument("--n-tx-chains", type=int, default=None)
-    parser.add_argument("--var-relay-noise", type=float, default=None)
-    parser.add_argument("--var-dest-noise", type=float, default=None)
-    parser.add_argument("--cell-radius-m", type=float, default=None)
-    parser.add_argument("--guard-radius-m", type=float, default=None)
-    parser.add_argument("--pathloss-exp", type=float, default=None)
-    parser.add_argument("--shadow-std-db", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+def _add_setting(
+    parser: argparse.ArgumentParser, key: str, flag: Optional[str] = None, **kwargs
+) -> None:
+    """The flag of a settings key: dest is the key, type the key's field type."""
+    flag = flag or "--" + key.replace("_", "-")
+    # metavar: what argparse would derive from the flag, not from dest.
+    parser.add_argument(
+        flag, dest=key, type=_flag_type(key), default=None,
+        metavar=flag[2:].replace("-", "_").upper(), **kwargs,
+    )
+
+
+def _add_system_flags(
+    parser: argparse.ArgumentParser, keys: Sequence[str] = _SYSTEM_KEYS, **helps: str
+) -> None:
+    for key in keys:
+        _add_setting(parser, key, help=helps.get(key))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,27 +518,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--config", default=None,
                      help="JSON settings file; explicit flags override it")
-    sim.add_argument("--case", default=None,
-                     help="power regime: 1|2|3|fixed")
-    sim.add_argument("--n", default=None,
-                     help="comma-separated antenna counts, ascending")
-    sim.add_argument("--beta", default=None,
-                     help="comma-separated phase-shifter bits and/or 'cont'")
-    sim.add_argument("--modes", default=None,
-                     help="comma-separated subset of hybrid,full,asym")
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--eu-db", type=float, default=None,
-                     help="user energy N*p_user in dB (scaled regimes)")
-    sim.add_argument("--er-db", type=float, default=None,
-                     help="relay energy N*p_relay in dB (scaled regimes)")
-    sim.add_argument("--pu-db", type=float, default=None,
-                     help="fixed user power in dB")
-    sim.add_argument("--pr-db", type=float, default=None,
-                     help="fixed relay power in dB")
-    sim.add_argument("--out", default=None, help="output CSV path")
-    sim.add_argument("--dat", default=None,
-                     help="optional whitespace-separated companion table")
-    sim.add_argument("--fixed-drop", action="store_true", default=None,
+    _add_setting(sim, "case", help="power regime: 1|2|3|fixed")
+    _add_setting(sim, "n_values", "--n",
+                 help="comma-separated antenna counts, ascending")
+    _add_setting(sim, "beta_values", "--beta",
+                 help="comma-separated phase-shifter bits and/or 'cont'")
+    _add_setting(sim, "modes",
+                 help="comma-separated subset of hybrid,full,asym")
+    _add_setting(sim, "trials")
+    _add_setting(sim, "eu_db", help="user energy N*p_user in dB (scaled regimes)")
+    _add_setting(sim, "er_db", help="relay energy N*p_relay in dB (scaled regimes)")
+    _add_setting(sim, "pu_db", help="fixed user power in dB")
+    _add_setting(sim, "pr_db", help="fixed relay power in dB")
+    _add_setting(sim, "out", help="output CSV path")
+    _add_setting(sim, "dat", help="optional whitespace-separated companion table")
+    sim.add_argument("--fixed-drop", dest="drop_policy", action="store_const",
+                     const="fixed_drop", default=None,
                      help="pin the benchmark user placement for all trials "
                           "(default: redraw the placement every trial)")
     _add_system_flags(sim)
@@ -539,10 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--beta", default="cont",
                      help="comma-separated bits and/or 'cont' (default cont)")
     ver.add_argument("--out", required=True, help="output CSV path")
-    ver.add_argument("--n-pairs", type=int, default=None)
-    ver.add_argument("--n-rx-chains", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None,
-                     help="first seed of the family (default 0)")
+    _add_system_flags(ver, _LEMMA_KEYS,
+                      seed="first seed of the family (default 0)")
     ver.set_defaults(func=_cmd_verify_lemmas)
     return parser
 

@@ -1,5 +1,9 @@
-"""Relay processing: phase-only analog beamformers, digital MRC/MRT stage,
-power normalization, and the quantized-phase variants of all three."""
+"""Relay processing: phase quantizer, phase-only analog stage, and the
+K x K Gram kernel of the power normalization.
+
+The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
+and every SINR (metrics._gram_sinrs) reduce to the Grams of the two hops.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-
-from .channel import ChannelRealization
-from .config import SystemConfig
 
 
 class DegenerateChannelError(RuntimeError):
@@ -31,30 +32,6 @@ class QuantizationSpec:
     def step(self) -> float:
         """Half the codeword spacing: quantization error lies in [-step, step)."""
         return math.pi / 2 ** self.bits
-
-
-@dataclass(frozen=True)
-class HybridProcessor:
-    """Analog stages and power normalization for one channel realization.
-
-    The digital stage is W = alpha * (F2 G2)(F1 G1)^H; it follows from these
-    fields and the realization, so it is not stored.
-    """
-
-    f1: np.ndarray  # K_r x N analog combiner, constant magnitude 1/sqrt(N)
-    f2: np.ndarray  # K_t x N analog precoder, constant magnitude 1/sqrt(N)
-    alpha: float    # power normalization scalar
-
-
-@dataclass(frozen=True)
-class FullDigitalProcessor:
-    """Power normalization of the full-digital MRC/MRT matrix alpha * G2 G1^H.
-
-    The N x N matrix itself is never materialized; its factors are the
-    realization's channels.
-    """
-
-    alpha: float
 
 
 def _codeword_index(
@@ -166,76 +143,6 @@ def _alpha_squared(
     den = p_user * signal + var_relay_noise * noise
     ok = np.isfinite(den) & (den > 0.0)
     return np.where(ok, p_relay / np.where(ok, den, 1.0), np.nan)
-
-
-def compute_alpha(
-    a1: np.ndarray,
-    a2: np.ndarray,
-    f1: Optional[np.ndarray],
-    f2: Optional[np.ndarray],
-    p_user: float,
-    p_relay: float,
-    var_relay_noise: float,
-) -> float:
-    """Normalization making the average relay transmit power equal p_relay.
-
-        alpha = sqrt(p_relay / (p_user * ||F2^H A2 A1^H A1||_F^2
-                                + var_nR * ||F2^H A2 A1^H F1||_F^2))
-
-    Both norms are evaluated through the hops' K x K Grams (_hop_grams), so
-    no N x N or N x K product is formed.  With f1 = f2 = None there is no
-    analog stage and a1, a2 are the channels themselves (full digital).
-    """
-    alpha_sq = float(_alpha_squared(
-        _hop_grams(a1, f1), _hop_grams(a2, f2), p_user, p_relay, var_relay_noise
-    ))
-    if math.isnan(alpha_sq):
-        raise DegenerateChannelError(
-            "relay power normalization undefined: zero or non-finite "
-            "forwarded power"
-        )
-    return math.sqrt(alpha_sq)
-
-
-def build_processor(
-    real: ChannelRealization, config: SystemConfig
-) -> HybridProcessor:
-    """Assemble the full hybrid processing chain for one realization.
-
-    The quantized path is taken iff config.quant_bits is set; alpha is
-    recomputed per realization (instantaneous power constraint).
-    """
-    quant = (
-        QuantizationSpec(config.quant_bits)
-        if config.quant_bits is not None
-        else None
-    )
-    f1 = build_analog(real.g1, config.n_rx_chains, quant)
-    f2 = build_analog(real.g2, config.n_tx_chains, quant)
-    alpha = compute_alpha(
-        f1 @ real.g1, f2 @ real.g2, f1, f2,
-        config.p_user, config.p_relay, config.var_relay_noise,
-    )
-    return HybridProcessor(f1=f1, f2=f2, alpha=alpha)
-
-
-def build_full_digital(
-    real: ChannelRealization, config: SystemConfig
-) -> FullDigitalProcessor:
-    """Reference processor with one RF chain per antenna and no analog stage.
-
-        W_full = alpha_full * g2 @ g1^H
-        alpha_full = sqrt(p_relay / (p_user * ||G2 G1^H G1||_F^2
-                                     + var_nR * ||G2 G1^H||_F^2))
-
-    The same Gram-form normalization as the hybrid chain, with a = G and
-    no analog stage.
-    """
-    alpha = compute_alpha(
-        real.g1, real.g2, None, None,
-        config.p_user, config.p_relay, config.var_relay_noise,
-    )
-    return FullDigitalProcessor(alpha=alpha)
 
 
 def sinc_penalty(quant: Optional[QuantizationSpec]) -> float:

@@ -1,4 +1,7 @@
-"""Exact per-pair SINRs, per-realization sum rate, and the Monte-Carlo engine."""
+"""Exact per-pair SINRs of one realization and the Monte-Carlo sum-rate engine.
+
+Both run one K x K Gram kernel (_variant_sinrs) on a stack of draws.
+"""
 
 from __future__ import annotations
 
@@ -68,14 +71,6 @@ def _gram_sinrs(
 def _sum_rates(sinrs: np.ndarray) -> np.ndarray:
     """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) of each SINR row."""
     return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
-
-
-def rate_of_realization(sinrs: np.ndarray) -> float:
-    """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) for one realization."""
-    sinrs = np.asarray(sinrs, dtype=float)
-    if sinrs.size == 0 or np.any(~np.isfinite(sinrs)) or np.any(sinrs < 0):
-        raise ValueError("SINRs must be a non-empty vector of finite values >= 0")
-    return float(_sum_rates(sinrs))
 
 
 def _block_trials(config: SystemConfig) -> int:

@@ -1,9 +1,12 @@
 """Shared fixtures and small helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hybridrelay import build_processor, sample_small_scale
+import oracles
+from hybridrelay import hybrid, sample_small_scale
 from hybridrelay.channel import ChannelRealization
 from hybridrelay.config import SystemConfig
 
@@ -29,9 +32,35 @@ def make_channels(rng, n, k, eta1=None, eta2=None):
     )
 
 
-def make_processor(rng, n, k, config=None, quant_bits=None):
-    cfg = config or SystemConfig(
+def make_processor(rng, n, k, quant_bits=None):
+    """A random realization, its config, and the reference hybrid stage.
+
+    F1 and F2 come from build_analog, alpha from oracles.alpha_reference.
+    """
+    cfg = SystemConfig(
         n_antennas=n, n_pairs=k, n_rx_chains=k, n_tx_chains=k, quant_bits=quant_bits
     )
     real = make_channels(rng, n, k)
-    return real, build_processor(real, cfg)
+    f1, f2 = oracles.analog_stages(real, cfg)
+    alpha = oracles.alpha_reference(
+        f1 @ real.g1, f2 @ real.g2, f1, f2,
+        cfg.p_user, cfg.p_relay, cfg.var_relay_noise,
+    )
+    return real, cfg, SimpleNamespace(f1=f1, f2=f2, alpha=alpha)
+
+
+def kernel_alpha(real, config, mode="hybrid"):
+    """alpha of one realization from the package's one normalization.
+
+    That is hybrid._alpha_squared of the two hops' Grams, as the engine
+    forms it; NaN for a degenerate draw.
+    """
+    if mode == "full_digital":
+        hops = hybrid._hop_grams(real.g1), hybrid._hop_grams(real.g2)
+    else:
+        f1, f2 = oracles.analog_stages(real, config)
+        hops = hybrid._hop_grams(f1 @ real.g1, f1), hybrid._hop_grams(f2 @ real.g2, f2)
+    alpha_sq = hybrid._alpha_squared(
+        *hops, config.p_user, config.p_relay, config.var_relay_noise
+    )
+    return float(np.sqrt(alpha_sq))

@@ -2,13 +2,17 @@
 
 Everything here favors obviousness over speed: the relay matrix is
 materialized at full N x N size, sums are spelled out as loops, and no
-Gram-matrix shortcuts are used.  If the package and this file agree, the
-algebraic rearrangements in the package are validated.
+Gram-matrix shortcuts are used.  The only package code used is the channel
+draw and the analog stage F (build_analog with its QuantizationSpec); the
+power normalization, the digital stage and the SINRs are formed here.  If the package and this file
+agree, the algebraic rearrangements in the package are validated.
 """
 
 import math
 
 import numpy as np
+
+from hybridrelay import QuantizationSpec, build_analog, sample_realization
 
 
 def alpha_reference(a1, a2, f1, f2, p_user, p_relay, var_relay_noise):
@@ -26,18 +30,39 @@ def alpha_full_reference(g1, g2, p_user, p_relay, var_relay_noise):
     return math.sqrt(p_relay / (p_user * signal + var_relay_noise * noise))
 
 
-def relay_matrix(proc, real):
-    """Materialized end-to-end relay map F2^H W F1 (N x N).
+def analog_stages(real, config):
+    """F1 (K_r x N) and F2 (K_t x N) of one realization, from build_analog."""
+    bits = config.quant_bits
+    quant = None if bits is None else QuantizationSpec(bits)
+    return (
+        build_analog(real.g1, config.n_rx_chains, quant),
+        build_analog(real.g2, config.n_tx_chains, quant),
+    )
 
-    The digital stage W = alpha (F2 G2)(F1 G1)^H is formed here from the
-    analog stages and the realization's channels.
+
+def relay_matrix(real, config, alpha=None):
+    """Materialized end-to-end hybrid relay map F2^H W F1 (N x N).
+
+    The digital stage is W = alpha (F2 G2)(F1 G1)^H.  alpha defaults to
+    alpha_reference; pass another to check the relay power it gives.
     """
-    w = proc.alpha * ((proc.f2 @ real.g2) @ (proc.f1 @ real.g1).conj().T)
-    return proc.f2.conj().T @ w @ proc.f1
+    f1, f2 = analog_stages(real, config)
+    a1, a2 = f1 @ real.g1, f2 @ real.g2
+    if alpha is None:
+        alpha = alpha_reference(
+            a1, a2, f1, f2, config.p_user, config.p_relay, config.var_relay_noise
+        )
+    w = alpha * (a2 @ a1.conj().T)
+    return f2.conj().T @ w @ f1
 
 
-def relay_matrix_full(proc, real):
-    return proc.alpha * (real.g2 @ real.g1.conj().T)
+def relay_matrix_full(real, config, alpha=None):
+    """Full-digital relay map alpha G2 G1^H; alpha defaults to alpha_full_reference."""
+    if alpha is None:
+        alpha = alpha_full_reference(
+            real.g1, real.g2, config.p_user, config.p_relay, config.var_relay_noise
+        )
+    return alpha * (real.g2 @ real.g1.conj().T)
 
 
 def relay_output_power(b, g1, p_user, var_relay_noise):
@@ -92,16 +117,14 @@ def mc_reference(config, n_trials, mode="hybrid", drop=None):
     way: every trial builds the full N x N relay map and evaluates each
     pair's SINR term by term.
     """
-    from hybridrelay import build_full_digital, build_processor, sample_realization
-
     rates = []
     sinr_rows = []
     for trial in range(n_trials):
         real = sample_realization(config, trial, drop=drop)
         if mode == "full_digital":
-            b = relay_matrix_full(build_full_digital(real, config), real)
+            b = relay_matrix_full(real, config)
         else:
-            b = relay_matrix(build_processor(real, config), real)
+            b = relay_matrix(real, config)
         sinrs = [
             sinr_reference(
                 b, real.g1, real.g2, k,

@@ -35,12 +35,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import kernel_alpha
 from hybridrelay import (
     AsymptoticInputs,
     QuantizationSpec,
     SystemConfig,
-    build_full_digital,
-    build_processor,
     monte_carlo_rate,
     monte_carlo_rates,
     rate_case2,
@@ -123,10 +122,8 @@ def test_criterion_1_sinr_matches_termwise_oracle(capsys):
     for _ in range(100):
         cfg, real = random_instance(rng)
         relay = {
-            "hybrid": oracles.relay_matrix(build_processor(real, cfg), real),
-            "full_digital": oracles.relay_matrix_full(
-                build_full_digital(real, cfg), real
-            ),
+            "hybrid": oracles.relay_matrix(real, cfg),
+            "full_digital": oracles.relay_matrix_full(real, cfg),
         }
         for mode, b in relay.items():
             got = sinrs(real, cfg, mode)
@@ -150,16 +147,15 @@ def test_criterion_2_relay_power_identity(capsys):
     worst = 0.0
     for _ in range(1000):
         cfg, real = random_instance(rng, n_max=16)
-        proc = build_processor(real, cfg)
-        power = oracles.relay_output_power(
-            oracles.relay_matrix(proc, real), real.g1, cfg.p_user, cfg.var_relay_noise
-        )
-        worst = max(worst, abs(power - cfg.p_relay) / cfg.p_relay)
-        fd = build_full_digital(real, cfg)
-        power = oracles.relay_output_power(
-            oracles.relay_matrix_full(fd, real), real.g1, cfg.p_user, cfg.var_relay_noise
-        )
-        worst = max(worst, abs(power - cfg.p_relay) / cfg.p_relay)
+        # alpha from the package's normalization, the map from the oracle.
+        for b in (
+            oracles.relay_matrix(real, cfg, kernel_alpha(real, cfg)),
+            oracles.relay_matrix_full(real, cfg, kernel_alpha(real, cfg, "full_digital")),
+        ):
+            power = oracles.relay_output_power(
+                b, real.g1, cfg.p_user, cfg.var_relay_noise
+            )
+            worst = max(worst, abs(power - cfg.p_relay) / cfg.p_relay)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
     report(capsys, 2, ok,

@@ -11,7 +11,6 @@ from hybridrelay import (
     rate_case1,
     rate_case2,
     rate_case3,
-    sinr_asymptotic_finite_n,
     sinr_case1,
 )
 
@@ -54,15 +53,6 @@ class TestFrozenValues:
         r3 = rate_case3(AsymptoticInputs(eta1=one, eta2=one, r=1, e_relay=EU))
         assert r2 == pytest.approx(2.0296237077892405, rel=1e-13)
         assert r3 == pytest.approx(r2, rel=1e-13)
-
-    def test_finite_n_desk_value(self):
-        # N=1, alpha=1, p_user=2, unit gains: the whole formula reduces to
-        # 2 (pi/4)^4 / ((pi/4)^3 + 1).
-        inp = AsymptoticInputs(eta1=np.ones(1), eta2=np.ones(1), r=1, p_user=2.0)
-        got = sinr_asymptotic_finite_n(inp, alpha=1.0, n=1, k=0)
-        q = math.pi / 4.0
-        assert got == pytest.approx(2.0 * q**4 / (q**3 + 1.0), rel=1e-13)
-        assert got == pytest.approx(0.5126455558393692, rel=1e-13)
 
 
 class TestAgainstTranscription:
@@ -129,17 +119,6 @@ class TestRegimeReductions:
             kernel = (math.pi / 4.0 * 4.0 * self.eta1[k] ** 2
                       * self.eta2[k] ** 2 / (1.2 * s21))
             assert sinr_case1(inp, k) == pytest.approx(kernel, rel=1e-6)
-
-    def test_finite_n_reaches_case2_limit(self):
-        # p_user = e/N with growing N: the destination-noise term dies and
-        # the normalization cancels, landing on the case-2 kernel.
-        n = 10**9
-        one = np.ones(1)
-        inp = AsymptoticInputs(eta1=one, eta2=one, r=1, p_user=EU / n)
-        got = sinr_asymptotic_finite_n(inp, alpha=1.0, n=n, k=0)
-        limit = AsymptoticInputs(eta1=one, eta2=one, r=1, e_user=EU)
-        sinr2 = 2.0 ** (2.0 * rate_case2(limit)) - 1.0
-        assert got == pytest.approx(sinr2, rel=1e-6)
 
     def test_quantization_penalty_monotone(self):
         deltas = [math.pi / 2**b for b in range(1, 8)]

@@ -1,12 +1,13 @@
 """Channel generation: streams, fading statistics, geometry, drop handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hybridrelay import (
     SystemConfig,
     canonical_drop,
-    pathloss,
     sample_large_scale,
     sample_realization,
     sample_small_scale,
@@ -69,19 +70,41 @@ class TestSmallScale:
         assert sample_small_scale(7, 4, rng).shape == (7, 4)
 
 
+class _FixedDraws:
+    """Generator stub: every uniform draw is u and every normal draw 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def distance_gain(u):
+    """Source-side gain of sample_large_scale at area quantile u, unshadowed.
+
+    u = 0 puts the user on the guard circle, u = 1 on the cell edge.
+    """
+    cfg = replace(CFG, shadow_std_db=0.0)
+    eta1, _ = sample_large_scale(cfg, _FixedDraws(u))
+    return eta1[0]
+
+
 class TestPathloss:
     def test_frozen_value_at_cell_edge(self):
         # (1000 / 100)^(-3.8) evaluated by hand.
-        assert pathloss(1000.0, CFG) == pytest.approx(
+        assert distance_gain(1.0) == pytest.approx(
             1.5848931924611134e-4, rel=1e-12
         )
 
     def test_unity_on_guard_circle(self):
-        assert pathloss(100.0, CFG) == pytest.approx(1.0)
+        assert distance_gain(0.0) == 1.0
 
     def test_monotone_decreasing(self):
-        radii = np.linspace(100.0, 1000.0, 50)
-        vals = [pathloss(r, CFG) for r in radii]
+        vals = [distance_gain(u) for u in np.linspace(0.0, 1.0, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

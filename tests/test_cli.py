@@ -149,6 +149,27 @@ class TestSimulate:
         assert all(r["trials"] == "6" for r in body)
 
 
+    @pytest.mark.parametrize("settings,flags", [
+        ({"n_pairs": "3"}, ["--n-pairs", "3"]),
+        ({"n_pairs": 3, "pathloss_exp": "3"},
+         ["--n-pairs", "3", "--pathloss-exp", "3"]),
+        ({"trials": 6.0, "seed": 5.0}, []),
+        ({"beta_values": [None, 2]}, ["--beta", "cont,2"]),
+    ], ids=["int-as-text", "float-as-text", "int-as-whole-float", "beta-null"])
+    def test_config_values_read_as_flag_text(self, tmp_path, settings, flags):
+        # A file value goes through its flag's converter: "3" in the file
+        # is the same setting as 3 on the command line.
+        argv = ["simulate", "--case", "2", "--n", "8,16", "--eu-db", "13",
+                "--pr-db", "13", "--n-rx-chains", "3", "--n-tx-chains", "3",
+                "--out"]
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"trials": 6, "seed": 5, **settings}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + [str(a), "--config", str(cfg)]) == 0
+        assert main(argv + [str(b), "--trials", "6", "--seed", "5"] + flags) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestSimulateErrors:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -157,6 +178,34 @@ class TestSimulateErrors:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "antena_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 2.5),
+        ("trials", 2.5),
+        ("eu_db", "abc"),
+        ("pathloss_exp", "steep"),
+        ("n_rx_chains", True),
+        ("shadow_std_db", None),
+        ("case", None),
+        ("out", False),
+        ("trials", [6]),
+    ], ids=["seed-fraction", "trials-fraction", "float-key-text", "float-key-word", "bool", "null", "case-null",
+            "out-bool", "scalar-key-list"])
+    def test_bad_config_value_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        calls = count_draws(monkeypatch)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "case": "case2", "n_values": [8], "eu_db": 13, "pr_db": 13,
+            "trials": 4, "n_pairs": 3, "n_rx_chains": 3, "n_tx_chains": 3,
+            key: value,
+        }))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key {key}:" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_missing_energy_is_named(self, tmp_path, capsys):
         argv = ["simulate", "--case", "2", "--n", "8", "--pr-db", "13",

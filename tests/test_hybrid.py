@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_channels, make_processor
+from conftest import kernel_alpha, make_channels, make_processor
 from hybridrelay import (
-    DegenerateChannelError,
     QuantizationSpec,
     SystemConfig,
     build_analog,
-    build_full_digital,
-    build_processor,
-    compute_alpha,
+    hybrid,
     quantize_phase,
     sinc_penalty,
 )
@@ -142,12 +139,8 @@ class TestBuildAnalog:
 class TestAlpha:
     def test_matches_reference(self, rng):
         for bits in (None, 1, 2):
-            real, proc = make_processor(rng, 24, 5, quant_bits=bits)
-            expect = oracles.alpha_reference(
-                proc.f1 @ real.g1, proc.f2 @ real.g2, proc.f1, proc.f2,
-                1.0, 1.0, 1.0,
-            )
-            assert proc.alpha == pytest.approx(expect, rel=1e-12)
+            real, cfg, ref = make_processor(rng, 24, 5, quant_bits=bits)
+            assert kernel_alpha(real, cfg) == pytest.approx(ref.alpha, rel=1e-12)
 
     def test_relay_power_identity(self, rng):
         # The whole point of alpha: average transmit power == p_relay.
@@ -156,79 +149,57 @@ class TestAlpha:
             p_user=2.5, p_relay=3.5, var_relay_noise=0.7,
         )
         real = make_channels(rng, 24, 5)
-        proc = build_processor(real, cfg)
-        b = oracles.relay_matrix(proc, real)
+        b = oracles.relay_matrix(real, cfg, alpha=kernel_alpha(real, cfg))
         power = oracles.relay_output_power(b, real.g1, 2.5, 0.7)
         assert power == pytest.approx(3.5, rel=1e-10)
 
     def test_power_of_four_scaling_is_exact(self, rng):
         # Scaling p_relay by 4 moves only powers of two through sqrt, so
         # alpha doubles bit-for-bit.
-        real, _ = make_processor(rng, 16, 4)
+        real = make_channels(rng, 16, 4)
         cfg1 = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4,
                             n_tx_chains=4, p_relay=1.0)
         cfg4 = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4,
                             n_tx_chains=4, p_relay=4.0)
-        assert build_processor(real, cfg4).alpha == 2.0 * build_processor(real, cfg1).alpha
+        assert kernel_alpha(real, cfg4) == 2.0 * kernel_alpha(real, cfg1)
 
     def test_sqrt_homogeneity_in_p_relay(self, rng):
-        real, _ = make_processor(rng, 16, 4)
+        real = make_channels(rng, 16, 4)
         base = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4,
                             n_tx_chains=4, p_relay=1.0)
         scaled = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4,
                               n_tx_chains=4, p_relay=3.7)
-        ratio = build_processor(real, scaled).alpha / build_processor(real, base).alpha
+        ratio = kernel_alpha(real, scaled) / kernel_alpha(real, base)
         assert ratio == pytest.approx(math.sqrt(3.7), rel=1e-12)
 
-    def test_zero_channel_raises(self, rng):
-        real = make_channels(rng, 16, 4)
-        dead = type(real)(
-            h1=np.zeros_like(real.h1), h2=real.h2,
-            eta1=real.eta1, eta2=real.eta2,
-            g1=np.zeros_like(real.g1), g2=real.g2,
-        )
-        cfg = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4, n_tx_chains=4)
-        with pytest.raises(DegenerateChannelError):
-            build_processor(dead, cfg)
-
-    def test_compute_alpha_rejects_nonfinite(self, rng):
-        real, proc = make_processor(rng, 16, 4)
-        a1 = proc.f1 @ real.g1
+    def test_nonfinite_input_gives_nan(self, rng):
+        real, _, ref = make_processor(rng, 16, 4)
+        a1 = ref.f1 @ real.g1
         a1[0, 0] = np.nan
-        with pytest.raises(DegenerateChannelError):
-            compute_alpha(a1, proc.f2 @ real.g2, proc.f1, proc.f2, 1.0, 1.0, 1.0)
+        alpha_sq = hybrid._alpha_squared(
+            hybrid._hop_grams(a1, ref.f1),
+            hybrid._hop_grams(ref.f2 @ real.g2, ref.f2),
+            1.0, 1.0, 1.0,
+        )
+        assert np.isnan(alpha_sq)
 
 
 class TestFullDigital:
+    CFG = SystemConfig(n_antennas=24, n_pairs=5, n_rx_chains=5, n_tx_chains=5,
+                       p_user=1.3, p_relay=2.1, var_relay_noise=0.9)
+
     def test_alpha_matches_reference(self, rng):
         real = make_channels(rng, 24, 5)
-        cfg = SystemConfig(n_antennas=24, n_pairs=5, n_rx_chains=5,
-                           n_tx_chains=5, p_user=1.3, p_relay=2.1,
-                           var_relay_noise=0.9)
-        proc = build_full_digital(real, cfg)
         expect = oracles.alpha_full_reference(real.g1, real.g2, 1.3, 2.1, 0.9)
-        assert proc.alpha == pytest.approx(expect, rel=1e-12)
+        got = kernel_alpha(real, self.CFG, "full_digital")
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_relay_power_identity(self, rng):
         real = make_channels(rng, 24, 5)
-        cfg = SystemConfig(n_antennas=24, n_pairs=5, n_rx_chains=5,
-                           n_tx_chains=5, p_user=1.3, p_relay=2.1,
-                           var_relay_noise=0.9)
-        proc = build_full_digital(real, cfg)
-        b = oracles.relay_matrix_full(proc, real)
+        alpha = kernel_alpha(real, self.CFG, "full_digital")
+        b = oracles.relay_matrix_full(real, self.CFG, alpha=alpha)
         power = oracles.relay_output_power(b, real.g1, 1.3, 0.9)
         assert power == pytest.approx(2.1, rel=1e-10)
-
-    def test_zero_channel_raises(self, rng):
-        real = make_channels(rng, 16, 4)
-        dead = type(real)(
-            h1=real.h1, h2=np.zeros_like(real.h2),
-            eta1=real.eta1, eta2=real.eta2,
-            g1=real.g1, g2=np.zeros_like(real.g2),
-        )
-        cfg = SystemConfig(n_antennas=16, n_pairs=4, n_rx_chains=4, n_tx_chains=4)
-        with pytest.raises(DegenerateChannelError):
-            build_full_digital(dead, cfg)
 
 
 class TestSincPenalty:

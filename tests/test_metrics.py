@@ -12,11 +12,8 @@ from conftest import make_channels
 from hybridrelay import (
     DegenerateChannelError,
     SystemConfig,
-    build_full_digital,
-    build_processor,
     monte_carlo_rate,
     monte_carlo_rates,
-    rate_of_realization,
     sample_realization,
     sinrs,
 )
@@ -52,7 +49,7 @@ class TestSinr:
         cfg = replace(SMALL, quant_bits=bits, p_user=1.7, var_relay_noise=0.8,
                       var_dest_noise=1.2)
         real = make_channels(rng, 8, 3, eta1=[1.0, 0.3, 2.0], eta2=[0.5, 1.0, 1.5])
-        b = oracles.relay_matrix(build_processor(real, cfg), real)
+        b = oracles.relay_matrix(real, cfg)
         got = sinrs(real, cfg)
         assert got.shape == (3,)
         for k in range(3):
@@ -62,7 +59,7 @@ class TestSinr:
     def test_full_digital_matches_termwise_oracle(self, rng):
         cfg = replace(SMALL, p_user=0.6)
         real = make_channels(rng, 8, 3)
-        b = oracles.relay_matrix_full(build_full_digital(real, cfg), real)
+        b = oracles.relay_matrix_full(real, cfg)
         got = sinrs(real, cfg, "full_digital")
         for k in range(3):
             expect = oracles.sinr_reference(b, real.g1, real.g2, k, 0.6, 1.0, 1.0)
@@ -145,18 +142,10 @@ class TestSinr:
                                    rtol=1e-10)
 
 
-class TestRateOfRealization:
+class TestSumRate:
     def test_frozen_value(self):
         # 0.5 * (log2(2) + log2(4)) = 1.5
-        assert rate_of_realization(np.array([1.0, 3.0])) == 1.5
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            rate_of_realization(np.array([]))
-        with pytest.raises(ValueError):
-            rate_of_realization(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            rate_of_realization(np.array([1.0, -0.5]))
+        assert metrics._sum_rates(np.array([1.0, 3.0])) == 1.5
 
 
 def _dead_realization(real):
