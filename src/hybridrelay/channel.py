@@ -7,6 +7,7 @@ generated on any worker, in any order, with identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,14 +28,16 @@ _CANONICAL_DROP_ENTROPY = 314159265358979323
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the full propagation state for all K pairs."""
+    """One draw of the full propagation state for all K pairs.
 
-    h1: np.ndarray    # N x K small-scale fading, sources -> relay
-    h2: np.ndarray    # N x K small-scale fading, relay -> destinations
+    Only the composite channels are kept; the small-scale fading of hop i
+    is g_i / sqrt(eta_i), column by column.
+    """
+
     eta1: np.ndarray  # length-K large-scale gains, source side
     eta2: np.ndarray  # length-K large-scale gains, destination side
-    g1: np.ndarray    # h1 with column k scaled by sqrt(eta1[k])
-    g2: np.ndarray    # h2 with column k scaled by sqrt(eta2[k])
+    g1: np.ndarray    # N x K sources -> relay, column k scaled by sqrt(eta1[k])
+    g2: np.ndarray    # N x K relay -> destinations, column k by sqrt(eta2[k])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -53,15 +56,25 @@ def lemma_rng(seed: int, n: int) -> np.random.Generator:
     )
 
 
+def _complex_normals(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (normals[0] + 1j * normals[1]) / sqrt(2) into `out`, in place.
+
+    Bit for bit that expression: the sum holds both parts exactly, and the
+    in-place division is the same complex-by-real division.
+    """
+    out.real = normals[0]
+    out.imag = normals[1]
+    out /= math.sqrt(2.0)
+    return out
+
+
 def sample_small_scale(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """n x k matrix of i.i.d. circularly-symmetric unit-variance entries.
 
     Real parts are drawn first, then imaginary parts, so the layout of the
     stream is part of the reproducibility contract.
     """
-    re = rng.standard_normal((n, k))
-    im = rng.standard_normal((n, k))
-    return (re + 1j * im) / np.sqrt(2.0)
+    return _complex_normals(rng.standard_normal((2, n, k)), np.empty((n, k), complex))
 
 
 def sample_large_scale(
@@ -111,6 +124,29 @@ def _validated_drop(
     return eta1, eta2
 
 
+def _fill_trial(
+    config: SystemConfig,
+    trial: int,
+    drop: Optional[Tuple[np.ndarray, np.ndarray]],
+    g1: np.ndarray,
+    g2: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw one trial's composite channels into the N x K arrays g1 and g2.
+
+    The trial's stream gives, in order, the real and imaginary parts of the
+    source-side fading, those of the destination-side fading (one fill of
+    4 N K normals), then the large-scale gains unless `drop`, already
+    validated, pins them.  Returns the gains (eta1, eta2).
+    """
+    rng = trial_rng(config.seed, trial)
+    normals = rng.standard_normal((4, config.n_antennas, config.n_pairs))
+    etas = sample_large_scale(config, rng) if drop is None else drop
+    for g, hop, eta in zip((g1, g2), (normals[:2], normals[2:]), etas):
+        _complex_normals(hop, g)
+        g *= np.sqrt(eta)
+    return etas
+
+
 def sample_realization(
     config: SystemConfig,
     trial: int,
@@ -118,19 +154,15 @@ def sample_realization(
 ) -> ChannelRealization:
     """Generate the channel state for one trial.
 
-    A pure function of (config.seed, trial).  Small-scale fading is drawn
+    A pure function of (config.seed, trial), and the same bits as the
+    Monte-Carlo engine's draw of that trial.  Small-scale fading is drawn
     before the large-scale gains, so passing an explicit `drop` pins the
     user placement without disturbing the fading draw; paired comparisons
     between processing variants stay aligned trial by trial.
     """
-    rng = trial_rng(config.seed, trial)
-    n, k = config.n_antennas, config.n_pairs
-    h1 = sample_small_scale(n, k, rng)
-    h2 = sample_small_scale(n, k, rng)
-    if drop is None:
-        eta1, eta2 = sample_large_scale(config, rng)
-    else:
-        eta1, eta2 = _validated_drop(drop, k)
-    g1 = h1 * np.sqrt(eta1)
-    g2 = h2 * np.sqrt(eta2)
-    return ChannelRealization(h1=h1, h2=h2, eta1=eta1, eta2=eta2, g1=g1, g2=g2)
+    if drop is not None:
+        drop = _validated_drop(drop, config.n_pairs)
+    shape = (config.n_antennas, config.n_pairs)
+    g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    eta1, eta2 = _fill_trial(config, trial, drop, g1, g2)
+    return ChannelRealization(eta1=eta1, eta2=eta2, g1=g1, g2=g2)

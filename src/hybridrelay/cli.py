@@ -555,14 +555,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_system_flags(ver, _LEMMA_KEYS,
                       seed="first seed of the family (default 0)")
     ver.set_defaults(func=_cmd_verify_lemmas)
+    for command in (sim, ver):
+        command.add_argument("-v", "--verbose", action="store_true",
+                             help="also print INFO lines on stderr")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns 0 on success, 2 on usage errors, 1 on failures."""
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    """Entry point; returns 0 on success, 2 on usage errors, 1 on failures.
+
+    The package's log lines go to stderr for the length of the call:
+    warnings always, INFO lines with -v.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    package_log = logging.getLogger("hybridrelay")
+    level = package_log.level
+    package_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -571,6 +583,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
 
 
 def app() -> None:

@@ -72,7 +72,8 @@ def build_analog(
     the channel phase is snapped to the index of its nearest codeword
     (quantize_phase's rule) and the entry is read from a table of the 2**bits
     conjugate codewords.  `g` is N x K, or (..., N, K) for a stack of
-    trials, and the result is n_chains x N, or (..., n_chains, N).  Only the
+    trials, and the result is n_chains x N, or (..., n_chains, N): the
+    transposed view of an array built in g's own layout.  Only the
     first n_chains columns of g are used; requesting more chains than
     channel columns is an error because the remaining rows would have no
     channel to match.
@@ -84,24 +85,26 @@ def build_analog(
             f"n_chains must be in [1, {k}] for a channel with "
             f"{k} columns, got {n_chains}"
         )
-    gt = np.swapaxes(g[..., :n_chains], -1, -2)
+    gs = g[..., :n_chains]
     if quant is not None:
-        index = _codeword_index(np.angle(gt), quant)
+        index = _codeword_index(np.angle(gs), quant)
         size = 2 ** quant.bits
         if size > index.size:  # a table larger than the stage itself
-            return _conj_codeword(index, quant, n)
+            return np.swapaxes(_conj_codeword(index, quant, n), -1, -2)
         # angle() lies in [-pi, pi]; negative indices wrap through the mask.
         index = index.astype(np.intp) & (size - 1)
-        return _conj_codeword(np.arange(size), quant, n)[index]
-    mag = np.abs(gt)
-    dead = mag == 0.0
-    if dead.any():  # phase 0, as angle(0) gives
-        gt = np.where(dead, 1.0, gt)
+        return np.swapaxes(_conj_codeword(np.arange(size), quant, n)[index], -1, -2)
+    mag = np.abs(gs)
+    # A zero or NaN minimum: phase 0 where g = 0, as angle(0) gives.
+    if not mag.min(initial=math.inf) > 0.0:
+        dead = mag == 0.0
+        gs = np.where(dead, 1.0, gs)
         mag = np.where(dead, 1.0, mag)
     mag *= math.sqrt(n)
-    f = np.conj(gt, out=np.empty(gt.shape, dtype=complex))
-    f /= mag
-    return f
+    # a * (1 / c) is how numpy divides a complex a by a real c, bit for bit.
+    f = np.conj(gs)
+    f *= np.reciprocal(mag, out=mag)
+    return np.swapaxes(f, -1, -2)
 
 
 def _hop_grams(

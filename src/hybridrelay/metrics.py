@@ -136,15 +136,16 @@ def _block_sinrs(
 ) -> np.ndarray:
     """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
 
-    Every trial is drawn once, on its own stream; the stacked draws then go
-    through the analog stage, the Grams, alpha and the SINRs of one variant
-    after another.  Degenerate draws give NaN rows.
+    Every trial is drawn once, on its own stream, straight into its slice
+    of the block's two (hi - lo, N, K) channel stacks; `drop`, when given,
+    must already be validated.  The stacks then go through the analog
+    stage, the Grams, alpha and the SINRs of one variant after another.
+    Degenerate draws give NaN rows.
     """
     shape = (hi - lo, config.n_antennas, config.n_pairs)
     g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for i, trial in enumerate(range(lo, hi)):
-        real = channel.sample_realization(config, trial, drop=drop)
-        g1[i], g2[i] = real.g1, real.g2
+        channel._fill_trial(config, trial, drop, g1[i], g2[i])
     out = np.empty((len(variants), hi - lo, config.n_pairs))
     for v, (mode, bits) in enumerate(variants):
         out[v] = _variant_sinrs(g1, g2, mode, bits, config)
@@ -213,8 +214,9 @@ def monte_carlo_rates(
     `variants` lists (mode, quant_bits) pairs; quant_bits (None for
     continuous phases) overrides config.quant_bits and is ignored in
     full_digital mode.  Each trial is a pure function of (config.seed,
-    trial index), drawn on its own stream, and is drawn once for all
-    variants.  Trials run in blocks of about 1 MB of fading
+    trial index), drawn on its own stream straight into its block's
+    channel stacks (the bits sample_realization returns), and is drawn
+    once for all variants.  Trials run in blocks of about 1 MB of fading
     (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
     Grams together; a trial's SINRs do not depend on the block it lands in
     or on the other variants of the call.  A thread pool runs the blocks
@@ -222,10 +224,10 @@ def monte_carlo_rates(
     the CPU count) workers, capped by the SIM_THREADS environment variable.
     Each variant's reduction runs in ascending trial order, so the result
     is bit-identical for any worker count and equals a separate
-    `monte_carlo_rate` call per variant.  `drop`, when given, pins the
-    large-scale gains for every trial; otherwise each trial redraws the
-    user placement.  Noise enters through its statistics only; no noise
-    samples are drawn.
+    `monte_carlo_rate` call per variant.  `drop`, when given, is validated
+    once and pins the large-scale gains for every trial; otherwise each
+    trial redraws the user placement.  Noise enters through its statistics
+    only; no noise samples are drawn.
 
     Degenerate draws are skipped and counted per variant; the first
     variant, in the given order, whose degenerate draws exceed 1% of

@@ -23,12 +23,7 @@ def make_channels(rng, n, k, eta1=None, eta2=None):
     e1 = np.ones(k) if eta1 is None else np.asarray(eta1, dtype=float)
     e2 = np.ones(k) if eta2 is None else np.asarray(eta2, dtype=float)
     return ChannelRealization(
-        h1=h1,
-        h2=h2,
-        eta1=e1,
-        eta2=e2,
-        g1=h1 * np.sqrt(e1),
-        g2=h2 * np.sqrt(e2),
+        eta1=e1, eta2=e2, g1=h1 * np.sqrt(e1), g2=h2 * np.sqrt(e2)
     )
 
 
@@ -64,3 +59,11 @@ def kernel_alpha(real, config, mode="hybrid"):
         *hops, config.p_user, config.p_relay, config.var_relay_noise
     )
     return float(np.sqrt(alpha_sq))
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit for bit, signed zeros and NaN payloads included."""
+    actual = np.ascontiguousarray(actual)
+    expected = np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))

@@ -109,8 +109,7 @@ def random_instance(rng, n_max=32, k_max=4):
     eta1 = rng.uniform(0.1, 3.0, size=k)
     eta2 = rng.uniform(0.1, 3.0, size=k)
     real = ChannelRealization(
-        h1=h1, h2=h2, eta1=eta1, eta2=eta2,
-        g1=h1 * np.sqrt(eta1), g2=h2 * np.sqrt(eta2),
+        eta1=eta1, eta2=eta2, g1=h1 * np.sqrt(eta1), g2=h2 * np.sqrt(eta2),
     )
     return cfg, real
 

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits
 from hybridrelay import (
     SystemConfig,
     canonical_drop,
+    channel,
     sample_large_scale,
     sample_realization,
     sample_small_scale,
@@ -171,14 +173,18 @@ class TestSampleRealization:
 
     def test_shapes(self):
         real = sample_realization(CFG, 0)
-        assert real.h1.shape == (CFG.n_antennas, CFG.n_pairs)
-        assert real.h2.shape == (CFG.n_antennas, CFG.n_pairs)
+        assert real.g1.shape == (CFG.n_antennas, CFG.n_pairs)
+        assert real.g2.shape == (CFG.n_antennas, CFG.n_pairs)
         assert real.eta1.shape == (CFG.n_pairs,)
 
     def test_gain_applied_per_column(self):
-        real = sample_realization(CFG, 2)
-        np.testing.assert_allclose(real.g1, real.h1 * np.sqrt(real.eta1))
-        np.testing.assert_allclose(real.g2, real.h2 * np.sqrt(real.eta2))
+        # Under unit gains g is the small-scale fading h itself.
+        ones = (np.ones(CFG.n_pairs), np.ones(CFG.n_pairs))
+        h = sample_realization(CFG, 2, drop=ones)
+        drop = (np.linspace(0.5, 2.0, CFG.n_pairs), np.linspace(3.0, 0.1, CFG.n_pairs))
+        real = sample_realization(CFG, 2, drop=drop)
+        np.testing.assert_allclose(real.g1, h.g1 * np.sqrt(drop[0]))
+        np.testing.assert_allclose(real.g2, h.g2 * np.sqrt(drop[1]))
 
     def test_injected_drop_keeps_fading_aligned(self):
         # Pinning the placement must not perturb the small-scale draw:
@@ -186,10 +192,14 @@ class TestSampleRealization:
         free = sample_realization(CFG, 9)
         drop = (np.full(CFG.n_pairs, 2.0), np.full(CFG.n_pairs, 0.5))
         pinned = sample_realization(CFG, 9, drop=drop)
-        np.testing.assert_array_equal(free.h1, pinned.h1)
-        np.testing.assert_array_equal(free.h2, pinned.h2)
+        # h = g / sqrt(eta) on both sides; the bitwise pin of the fading is
+        # TestStreamLayout.
+        for g_free, eta_free, g_pinned, eta_pinned in (
+            (free.g1, free.eta1, pinned.g1, 2.0), (free.g2, free.eta2, pinned.g2, 0.5)
+        ):
+            np.testing.assert_allclose(g_pinned / np.sqrt(eta_pinned),
+                                       g_free / np.sqrt(eta_free), rtol=1e-15)
         np.testing.assert_array_equal(pinned.eta1, drop[0])
-        np.testing.assert_allclose(pinned.g1, pinned.h1 * np.sqrt(2.0))
 
     def test_drop_wrong_length_rejected(self):
         bad = (np.ones(3), np.ones(CFG.n_pairs))
@@ -200,3 +210,45 @@ class TestSampleRealization:
         bad = (np.ones(CFG.n_pairs), np.zeros(CFG.n_pairs))
         with pytest.raises(ValueError, match="strictly positive"):
             sample_realization(CFG, 0, drop=bad)
+
+
+def _straight_line_draw(config, trial, drop):
+    """The trial stream's layout written out: four N x K normal fills (h1
+    real, h1 imaginary, h2 real, h2 imaginary), then the large-scale gains."""
+    rng = trial_rng(config.seed, trial)
+    shape = (config.n_antennas, config.n_pairs)
+    re1 = rng.standard_normal(shape)
+    im1 = rng.standard_normal(shape)
+    re2 = rng.standard_normal(shape)
+    im2 = rng.standard_normal(shape)
+    h1 = (re1 + 1j * im1) / np.sqrt(2.0)
+    h2 = (re2 + 1j * im2) / np.sqrt(2.0)
+    eta1, eta2 = sample_large_scale(config, rng) if drop is None else drop
+    return h1 * np.sqrt(eta1), h2 * np.sqrt(eta2), eta1, eta2
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["redrawn", "pinned"])
+    def test_block_fill_matches_straight_line_draw(self, k, pinned):
+        cfg = SystemConfig(n_antennas=24, n_pairs=k, n_rx_chains=k,
+                           n_tx_chains=k, seed=17)
+        drop = (np.linspace(0.5, 2.0, k), np.linspace(3.0, 0.1, k)) if pinned else None
+        trials = (4, 5)
+        # Adjacent trials share one buffer per hop; both are filled before
+        # either is checked, so a write past a slice would show.
+        g1 = np.empty((2, 24, k), dtype=complex)
+        g2 = np.empty((2, 24, k), dtype=complex)
+        etas = [channel._fill_trial(cfg, t, drop, g1[i], g2[i])
+                for i, t in enumerate(trials)]
+        for i, trial in enumerate(trials):
+            want_g1, want_g2, eta1, eta2 = _straight_line_draw(cfg, trial, drop)
+            assert_same_bits(g1[i], want_g1)
+            assert_same_bits(g2[i], want_g2)
+            assert_same_bits(etas[i][0], eta1)
+            assert_same_bits(etas[i][1], eta2)
+            real = sample_realization(cfg, trial, drop=drop)
+            assert_same_bits(real.g1, g1[i])
+            assert_same_bits(real.g2, g2[i])
+            assert_same_bits(real.eta1, eta1)
+            assert_same_bits(real.eta2, eta2)

@@ -36,13 +36,13 @@ def read_csv(path):
 def count_draws(monkeypatch):
     """Record the trial index of every channel draw from here on."""
     calls = []
-    orig = channel.sample_realization
+    orig = channel._fill_trial
 
-    def counting(config, trial, drop=None):
+    def counting(config, trial, *args):
         calls.append(trial)
-        return orig(config, trial, drop=drop)
+        return orig(config, trial, *args)
 
-    monkeypatch.setattr(channel, "sample_realization", counting)
+    monkeypatch.setattr(channel, "_fill_trial", counting)
     return calls
 
 
@@ -131,6 +131,14 @@ class TestSimulate:
         assert len(lines) == 1 + 2
         # Blank cells (no closed form for a full-digital row) become nan.
         assert lines[1].split()[CSV_COLUMNS.index("asymptote_rate")] == "nan"
+
+    def test_verbose_prints_info_lines(self, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert run_simulate(quiet, []) == 0
+        assert capsys.readouterr().err == ""
+        assert run_simulate(loud, ["-v"]) == 0
+        assert capsys.readouterr().err == f"INFO wrote 4 rows to {loud}\n"
+        assert quiet.read_bytes() == loud.read_bytes()
 
     def test_config_file_with_flag_override_warns(self, tmp_path, caplog):
         cfg = tmp_path / "sweep.json"
@@ -300,6 +308,16 @@ class TestVerifyLemmas:
         # Row normalization is exact regardless of quantization.
         assert all(float(r["diag_deviation"]) < 1e-12
                    for r in body if r["metric"] == "orthonormality")
+
+    def test_verbose_prints_info_lines(self, tmp_path, capsys):
+        argv = ["verify-lemmas", "--n", "16", "--seeds", "2", "--n-pairs", "3",
+                "--n-rx-chains", "3", "--out"]
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert main(argv + [str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + [str(loud), "--verbose"]) == 0
+        assert capsys.readouterr().err == f"INFO wrote 4 rows to {loud}\n"
+        assert quiet.read_bytes() == loud.read_bytes()
 
     def test_chains_must_fit(self, tmp_path):
         assert main(["verify-lemmas", "--n", "4", "--seeds", "1",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import kernel_alpha, make_channels, make_processor
+from conftest import assert_same_bits, kernel_alpha, make_channels, make_processor
 from hybridrelay import (
     QuantizationSpec,
     SystemConfig,
@@ -126,6 +126,25 @@ class TestBuildAnalog:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
         for trial in range(3):
             np.testing.assert_array_equal(got[trial], build_analog(g[trial], 4, quant))
+
+    @pytest.mark.parametrize("chains", [4, 6], ids=["fewer-chains", "all-chains"])
+    def test_continuous_is_conj_over_scaled_magnitude(self, rng, chains):
+        # Bit for bit the textbook form, on a stack of trials and on each
+        # trial alone.  Trial 0 holds zeros (phase 0, no warning) and trial
+        # 1 a NaN, which must not reach trial 0's zeros.
+        g = np.stack([make_channels(rng, 16, 6).g1 for _ in range(3)])
+        g[0, [2, 7], [0, 3]] = 0.0
+        g[1, 5, 1] = complex(np.nan, 0.0)
+        gs = g[..., :chains]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.conj(gs) / (np.abs(gs) * math.sqrt(16))
+        want[0, [2, 7], [0, 3]] = 1.0 / math.sqrt(16)
+        got = build_analog(g, chains)
+        assert got.shape == (3, chains, 16)
+        assert_same_bits(got, np.swapaxes(want, -1, -2))
+        assert np.all(np.angle(got[0, [0, 3], [2, 7]]) == 0.0)
+        for trial in range(3):
+            assert_same_bits(build_analog(g[trial], chains), got[trial])
 
     def test_quantized_phases_on_grid(self, rng):
         real = make_channels(rng, 16, 4)

@@ -17,7 +17,7 @@ from hybridrelay import (
     sample_realization,
     sinrs,
 )
-from hybridrelay import metrics
+from hybridrelay import channel, metrics
 from hybridrelay.channel import ChannelRealization
 from hybridrelay.metrics import _block_sinrs, _block_trials, _worker_count
 
@@ -106,8 +106,7 @@ class TestSinr:
                              eta2=rng.uniform(0.1, 3.0, 4))
         p = list(perm)
         relabelled = ChannelRealization(
-            h1=real.h1[:, p], h2=real.h2[:, p], eta1=real.eta1[p],
-            eta2=real.eta2[p], g1=real.g1[:, p], g2=real.g2[:, p],
+            eta1=real.eta1[p], eta2=real.eta2[p], g1=real.g1[:, p], g2=real.g2[:, p],
         )
         np.testing.assert_allclose(
             sinrs(relabelled, cfg, mode), sinrs(real, cfg, mode)[p], rtol=1e-12
@@ -150,9 +149,21 @@ class TestSumRate:
 
 def _dead_realization(real):
     return ChannelRealization(
-        h1=real.h1, h2=real.h2, eta1=real.eta1, eta2=real.eta2,
-        g1=np.zeros_like(real.g1), g2=real.g2,
+        eta1=real.eta1, eta2=real.eta2, g1=np.zeros_like(real.g1), g2=real.g2,
     )
+
+
+def _kill_trials(monkeypatch, dead):
+    """Zero the source-side channel of every engine draw whose trial is dead."""
+    orig = channel._fill_trial
+
+    def fill(config, trial, drop, g1, g2):
+        etas = orig(config, trial, drop, g1, g2)
+        if dead(trial):
+            g1[...] = 0.0
+        return etas
+
+    monkeypatch.setattr(channel, "_fill_trial", fill)
 
 
 class TestMonteCarlo:
@@ -240,15 +251,7 @@ class TestMonteCarlo:
                 _worker_count(100, 4)
 
     def test_degenerate_trials_skipped_and_counted(self, monkeypatch):
-        import hybridrelay.channel as channel_mod
-
-        orig = channel_mod.sample_realization
-
-        def mostly_alive(config, trial, drop=None):
-            real = orig(config, trial, drop=drop)
-            return _dead_realization(real) if trial == 7 else real
-
-        monkeypatch.setattr(channel_mod, "sample_realization", mostly_alive)
+        _kill_trials(monkeypatch, lambda trial: trial == 7)
         point = monte_carlo_rate(SMALL, 300)
         assert point.n_degenerate == 1
         assert point.n_trials == 299
@@ -274,15 +277,7 @@ class TestMonteCarlo:
                                    rtol=1e-12)
 
     def test_too_many_degenerate_trials_abort(self, monkeypatch):
-        import hybridrelay.channel as channel_mod
-
-        orig = channel_mod.sample_realization
-
-        def often_dead(config, trial, drop=None):
-            real = orig(config, trial, drop=drop)
-            return _dead_realization(real) if trial < 5 else real
-
-        monkeypatch.setattr(channel_mod, "sample_realization", often_dead)
+        _kill_trials(monkeypatch, lambda trial: trial < 5)
         with pytest.raises(RuntimeError, match="degenerate"):
             monte_carlo_rate(SMALL, 100)
 
