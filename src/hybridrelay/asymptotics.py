@@ -1,9 +1,19 @@
 """Closed-form large-array limits of the per-pair SINR and sum rate.
 
-Three power-scaling regimes are covered: both sides scaled down with the
-array (case 1), source power scaled with fixed relay power (case 2), and
-relay power scaled with fixed source power (case 3).  Quantized phase
-stages enter through powers of sinc(delta) = sin(delta)/delta.
+One law covers the three power-scaling regimes.  With both powers scaled
+down with the array as E/N (case 1), pair k of the r active pairs has
+
+    1/SINR_k = vR / ((pi/4) Eu eta1k c^2)
+               + vD S21 / ((pi/4) Er eta1k^2 eta2k^2 c^2)
+               + vR vD S11 / ((pi/4)^2 Eu Er eta1k^2 eta2k^2 c^4)
+
+with S21 = sum_i eta1i^2 eta2i, S11 = sum_i eta1i eta2i, and quantized
+phase stages entering through c = sinc(delta) = sin(delta)/delta.  Cases 2
+and 3 are its one-sided limits: the side with fixed power has unbounded
+energy, so every term that its energy divides drops out.  Case 2 (relay
+power fixed) leaves SINR_k = (pi/4) Eu eta1k c^2 / vR, case 3 (source power
+fixed) SINR_k = (pi/4) Er eta1k^2 eta2k^2 c^2 / (vD S21).  A zero energy
+gives SINR 0.  Every rate sums its SINRs through metrics._sum_rates.
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .metrics import _sum_rates
+
 QUARTER_PI = math.pi / 4.0  # squared mean of the unit-power fading magnitude
 
 
@@ -22,10 +34,11 @@ class AsymptoticInputs:
     """Everything the closed forms need, already in linear units.
 
     Energies e_user/e_relay are the fixed products N * p_user / N * p_relay
-    of the scaled regimes; the fixed side's power drops out of every limit.
-    Each law validates that the energies it needs are present.  r is the number of active pairs,
-    min(rx chains, tx chains, pairs); delta is the phase quantization
-    half-step, 0 for continuous phases.
+    of the scaled sides.  An absent energy (None) marks a side with fixed
+    power: its energy is unbounded and its power drops out of the limit.
+    Each law validates that the energies it needs are present.  r is the
+    number of active pairs, min(rx chains, tx chains, pairs); delta is the
+    phase quantization half-step, 0 for continuous phases.
     """
 
     eta1: np.ndarray
@@ -58,94 +71,57 @@ class AsymptoticInputs:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 
-def _sinc(delta: float) -> float:
-    return float(np.sinc(delta / np.pi))
+def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
+    """Limit SINRs of the r active pairs, from the module's law.
 
-
-def _require(inputs: AsymptoticInputs, *names: str) -> list:
-    values = []
-    for name in names:
-        value = getattr(inputs, name)
-        if value is None:
+    `scaled` names the energies of the scaled sides ("e_user", "e_relay"),
+    each of which must be given; the other side's energy is unbounded.
+    """
+    for name in scaled:
+        if getattr(inputs, name) is None:
             raise ValueError(f"this power regime requires {name}")
-        values.append(value)
-    return values
-
-
-def _check_pair(inputs: AsymptoticInputs, k: int) -> None:
-    if not 0 <= k < inputs.r:
-        raise ValueError(f"pair index must be in [0, {inputs.r}), got {k}")
-
-
-def _gain_sums(inputs: AsymptoticInputs) -> tuple:
-    e1 = inputs.eta1[: inputs.r]
-    e2 = inputs.eta2[: inputs.r]
-    return float(np.sum(e1 ** 2 * e2)), float(np.sum(e1 * e2))
+    e_user = inputs.e_user if "e_user" in scaled else None
+    e_relay = inputs.e_relay if "e_relay" in scaled else None
+    e1, e2 = inputs.eta1[: inputs.r], inputs.eta2[: inputs.r]
+    vr, vd = inputs.var_relay_noise, inputs.var_dest_noise
+    gain = QUARTER_PI * float(np.sinc(inputs.delta / np.pi)) ** 2
+    hop1 = gain * e1                    # per unit Eu
+    relayed = gain * e1 ** 2 * e2 ** 2  # per unit Er
+    inverse = np.zeros(inputs.r)
+    with np.errstate(divide="ignore"):  # a zero energy makes 1/SINR infinite
+        if e_user is not None:
+            inverse += vr / (hop1 * e_user)
+        if e_relay is not None:
+            inverse += vd * np.sum(e1 ** 2 * e2) / (relayed * e_relay)
+        if e_user is not None and e_relay is not None:
+            inverse += vr * vd * np.sum(e1 * e2) / (gain * e_user * relayed * e_relay)
+    return 1.0 / inverse
 
 
 def sinr_case1(inputs: AsymptoticInputs, k: int) -> float:
-    """Limit SINR of pair k when both powers scale as e/N.
-
-    Numerator carries c^8, the two single-noise denominator terms c^6, and
-    the noise-noise term c^4 (c = sinc(delta); all 1 when delta = 0):
-
-        (pi/4)^2 Eu Er eta1k^2 eta2k^2 c^8
-        -------------------------------------------------------------------
-        (pi/4) Er vR eta1k eta2k^2 c^6 + (pi/4) Eu vD S21 c^6 + vR vD S11 c^4
-
-    with S21 = sum_i eta1i^2 eta2i and S11 = sum_i eta1i eta2i over the r
-    active pairs.
-    """
-    e_user, e_relay = _require(inputs, "e_user", "e_relay")
-    _check_pair(inputs, k)
-    c = _sinc(inputs.delta)
-    s21, s11 = _gain_sums(inputs)
-    e1, e2 = inputs.eta1[k], inputs.eta2[k]
-    vr, vd = inputs.var_relay_noise, inputs.var_dest_noise
-    num = QUARTER_PI ** 2 * e_user * e_relay * e1 ** 2 * e2 ** 2 * c ** 8
-    den = (
-        QUARTER_PI * e_relay * vr * e1 * e2 ** 2 * c ** 6
-        + QUARTER_PI * e_user * vd * s21 * c ** 6
-        + vr * vd * s11 * c ** 4
-    )
-    if num == 0.0:
-        return 0.0
-    return num / den
+    """Limit SINR of pair k when both powers scale as e/N (the module's law)."""
+    sinrs = _limit_sinrs(inputs, "e_user", "e_relay")
+    if not 0 <= k < inputs.r:
+        raise ValueError(f"pair index must be in [0, {inputs.r}), got {k}")
+    return float(sinrs[k])
 
 
 def rate_case1(inputs: AsymptoticInputs) -> float:
     """Limit sum rate when both powers scale down with the array."""
-    total = sum(
-        math.log2(1.0 + sinr_case1(inputs, k)) for k in range(inputs.r)
-    )
-    return 0.5 * total
+    return float(_sum_rates(_limit_sinrs(inputs, "e_user", "e_relay")))
 
 
 def rate_case2(inputs: AsymptoticInputs) -> float:
     """Limit sum rate with p_user = e_user / N and fixed relay power.
 
-    Per pair: 0.5 * log2(1 + (pi/4) Eu eta1k sinc^2(delta) / var_nR).
-    The relay power drops out entirely.
+    The relay power drops out entirely, and e_relay is not read.
     """
-    (e_user,) = _require(inputs, "e_user")
-    c2 = _sinc(inputs.delta) ** 2
-    kernel = QUARTER_PI * e_user * inputs.eta1[: inputs.r] * c2
-    return float(0.5 * np.sum(np.log2(1.0 + kernel / inputs.var_relay_noise)))
+    return float(_sum_rates(_limit_sinrs(inputs, "e_user")))
 
 
 def rate_case3(inputs: AsymptoticInputs) -> float:
     """Limit sum rate with p_relay = e_relay / N and fixed source power.
 
-    Per pair: 0.5 * log2(1 + (pi/4) Er eta1k^2 eta2k^2 sinc^2(delta)
-                              / (var_nD * S21)).
-    The source power drops out entirely.
+    The source power drops out entirely, and e_user is not read.
     """
-    (e_relay,) = _require(inputs, "e_relay")
-    c2 = _sinc(inputs.delta) ** 2
-    s21, _ = _gain_sums(inputs)
-    e1 = inputs.eta1[: inputs.r]
-    e2 = inputs.eta2[: inputs.r]
-    kernel = QUARTER_PI * e_relay * e1 ** 2 * e2 ** 2 * c2
-    return float(
-        0.5 * np.sum(np.log2(1.0 + kernel / (inputs.var_dest_noise * s21)))
-    )
+    return float(_sum_rates(_limit_sinrs(inputs, "e_relay")))

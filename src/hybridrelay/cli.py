@@ -28,7 +28,17 @@ from .metrics import _env_thread_cap, monte_carlo_rates
 
 log = logging.getLogger("hybridrelay.cli")
 
-CASES = ("case1", "case2", "case3", "fixed_power")
+# Each power regime: (user-side key, relay-side key, closed-form law or
+# None).  An e*_db key is an energy E, spread over the array as E/N; a
+# p*_db key is a power, used as is.  The law is named and looked up in
+# asymptotics at each call, so a wrapper installed there sees the call.
+_REGIMES = {
+    "case1": ("eu_db", "er_db", "rate_case1"),
+    "case2": ("eu_db", "pr_db", "rate_case2"),
+    "case3": ("pu_db", "er_db", "rate_case3"),
+    "fixed_power": ("pu_db", "pr_db", None),
+}
+CASES = tuple(_REGIMES)
 MODES = ("asymptote",) + metrics.MODES
 DROP_POLICIES = ("redraw_per_trial", "fixed_drop")
 
@@ -40,14 +50,6 @@ LEMMA_COLUMNS = (
     "metric", "N", "beta", "seed", "diag_deviation", "offdiag_deviation",
     "diag_mean", "bound", "passed",
 )
-
-# Energies each power regime must be given (kebab-case = the CLI flags).
-_REQUIRED_ENERGY = {
-    "case1": ("eu-db", "er-db"),
-    "case2": ("eu-db", "pr-db"),
-    "case3": ("pu-db", "er-db"),
-    "fixed_power": ("pu-db", "pr-db"),
-}
 
 _CASE_ALIASES = {
     "1": "case1", "2": "case2", "3": "case3", "fixed": "fixed_power",
@@ -109,17 +111,12 @@ class SweepSpec:
             raise UsageError("trials must be at least 2")
         if self.drop_policy not in DROP_POLICIES:
             raise UsageError(f"drop_policy must be one of {DROP_POLICIES}")
-        missing = [
-            flag
-            for flag in _REQUIRED_ENERGY[self.case]
-            if getattr(self, flag.replace("-", "_")) is None
-        ]
+        user, relay, law = _REGIMES[self.case]
+        missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
         if missing:
-            raise UsageError(
-                f"{self.case} requires settings: {', '.join(missing)}"
-            )
-        if self.case == "fixed_power" and "asymptote" in self.modes:
-            raise UsageError("fixed_power has no closed-form asymptote")
+            raise UsageError(f"{self.case} requires settings: {', '.join(missing)}")
+        if law is None and "asymptote" in self.modes:
+            raise UsageError(f"{self.case} has no closed-form asymptote")
 
 
 def _beta_key(beta: Optional[int]) -> int:
@@ -127,14 +124,12 @@ def _beta_key(beta: Optional[int]) -> int:
 
 
 def _cell_powers(spec: SweepSpec, n: int) -> Tuple[float, float]:
-    """Per-cell linear (p_user, p_relay) under the case's scaling law."""
-    if spec.case == "case1":
-        return db_to_linear(spec.eu_db) / n, db_to_linear(spec.er_db) / n
-    if spec.case == "case2":
-        return db_to_linear(spec.eu_db) / n, db_to_linear(spec.pr_db)
-    if spec.case == "case3":
-        return db_to_linear(spec.pu_db), db_to_linear(spec.er_db) / n
-    return db_to_linear(spec.pu_db), db_to_linear(spec.pr_db)
+    """Per-cell linear (p_user, p_relay): an energy spreads as E/N."""
+    user, relay, _ = _REGIMES[spec.case]
+    return tuple(
+        db_to_linear(getattr(spec, key)) / (n if key.startswith("e") else 1)
+        for key in (user, relay)
+    )
 
 
 def _asymptote_rate(
@@ -143,9 +138,17 @@ def _asymptote_rate(
     eta: Tuple[np.ndarray, np.ndarray],
     config: SystemConfig,
 ) -> Optional[float]:
-    """Closed-form limit rate of the cell, None where no law applies."""
-    if spec.case == "fixed_power":
+    """Closed-form limit rate of the cell, None where no law applies.
+
+    Only the regime's energies reach the law; a fixed-power side has none.
+    """
+    user, relay, law = _REGIMES[spec.case]
+    if law is None:
         return None
+    e_user, e_relay = (
+        db_to_linear(getattr(spec, key)) if key.startswith("e") else None
+        for key in (user, relay)
+    )
     delta = QuantizationSpec(beta).step if beta is not None else 0.0
     inputs = asymptotics.AsymptoticInputs(
         eta1=eta[0],
@@ -153,15 +156,11 @@ def _asymptote_rate(
         r=min(config.n_rx_chains, config.n_tx_chains, config.n_pairs),
         var_relay_noise=config.var_relay_noise,
         var_dest_noise=config.var_dest_noise,
-        e_user=db_to_linear(spec.eu_db) if spec.eu_db is not None else None,
-        e_relay=db_to_linear(spec.er_db) if spec.er_db is not None else None,
+        e_user=e_user,
+        e_relay=e_relay,
         delta=delta,
     )
-    if spec.case == "case1":
-        return asymptotics.rate_case1(inputs)
-    if spec.case == "case2":
-        return asymptotics.rate_case2(inputs)
-    return asymptotics.rate_case3(inputs)
+    return getattr(asymptotics, law)(inputs)
 
 
 def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
@@ -169,7 +168,8 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
 
     Asymptote rows bypass sampling entirely and are computed on the
     canonical benchmark drop, which is what the fixed-drop policy pins the
-    Monte-Carlo runs to as well; they do not move with trials or seed.
+    Monte-Carlo runs to as well; they do not move with trials, seed or N,
+    so each beta's limit is evaluated once.
     Full-digital cells have no phase quantizer, so they are run once per N
     and tagged with beta = cont.  All Monte-Carlo cells of one N share one
     engine call, so each trial's fading is drawn once per N; the first
@@ -183,6 +183,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
         variants.append(("full_digital", None))
     if "hybrid" in spec.modes:
         variants.extend(("hybrid", beta) for beta in betas)
+    limits = {beta: _asymptote_rate(spec, beta, bench_drop, config) for beta in betas}
     rows = []
     for n in spec.n_values:
         p_user, p_relay = _cell_powers(spec, n)
@@ -196,8 +197,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
         if "full_digital" in spec.modes:
             point = points["full_digital", None]
             rows.append(_result_row(spec, n, None, "full_digital", point, None))
-        for beta in betas:
-            asym = _asymptote_rate(spec, beta, bench_drop, config)
+        for beta, asym in limits.items():
             if "asymptote" in spec.modes:
                 rows.append({
                     "case": spec.case, "N": n, "beta": beta,
@@ -360,6 +360,21 @@ def _parse_case(value: str) -> str:
     return name
 
 
+# The settings parse_config reads through a parser: lists and aliases.
+_PARSERS = {
+    "case": _parse_case,
+    "n_values": lambda text: _parse_int_list(text, "n"),
+    "beta_values": _parse_beta_list,
+    "modes": _parse_modes,
+}
+
+
+def _parsed(key: str, value):
+    """A setting's value as parse_config reads it."""
+    parse = _PARSERS.get(key)
+    return value if parse is None else parse(value)
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
     """Overlay command-line flags onto the optional JSON settings file."""
     settings: dict = {}
@@ -382,7 +397,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is None:
             continue
-        if key in settings and settings[key] != value:
+        # Compared as parsed, so "2" repeats "case2"; the file's value must
+        # parse even where a flag overrides it, as for every other key.
+        if key in settings and _parsed(key, settings[key]) != _parsed(key, value):
             log.warning(
                 "flag overrides config file: %s = %r (file had %r)",
                 key, value, settings[key],
@@ -408,13 +425,8 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
         raise UsageError("missing required setting: case")
     if "n_values" not in settings:
         raise UsageError("missing required setting: n (antenna counts)")
-    spec = SweepSpec(**{
-        **_given(SweepSpec, settings),
-        "case": _parse_case(settings["case"]),
-        "n_values": _parse_int_list(settings["n_values"], "n"),
-        "beta_values": _parse_beta_list(settings.get("beta_values", "cont")),
-        "modes": _parse_modes(settings.get("modes", "hybrid")),
-    })
+    given = _given(SweepSpec, {"beta_values": "cont", "modes": "hybrid", **settings})
+    spec = SweepSpec(**{key: _parsed(key, value) for key, value in given.items()})
     try:
         config = SystemConfig(n_antennas=max(spec.n_values), **_given(SystemConfig, settings))
         # Every cell must fit the chain counts, including the smallest array.

@@ -89,9 +89,10 @@ def build_analog(
     if quant is not None:
         index = _codeword_index(np.angle(gs), quant)
         size = 2 ** quant.bits
+        # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
         if size > index.size:  # a table larger than the stage itself
+            index = np.mod(index, size)
             return np.swapaxes(_conj_codeword(index, quant, n), -1, -2)
-        # angle() lies in [-pi, pi]; negative indices wrap through the mask.
         index = index.astype(np.intp) & (size - 1)
         return np.swapaxes(_conj_codeword(np.arange(size), quant, n)[index], -1, -2)
     mag = np.abs(gs)

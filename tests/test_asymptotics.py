@@ -128,6 +128,38 @@ class TestRegimeReductions:
         assert rates[-1] < rate_case2(unit_inputs(e_user=EU))
 
 
+class TestZeroEnergy:
+    """No energy on a scaled side: nothing gets through, and no
+    floating-point warning is raised (pytest turns one into an error)."""
+
+    @pytest.mark.parametrize("law,energies", [
+        (rate_case1, dict(e_user=0.0, e_relay=EU)),
+        (rate_case1, dict(e_user=EU, e_relay=0.0)),
+        (rate_case1, dict(e_user=0.0, e_relay=0.0)),
+        (rate_case2, dict(e_user=0.0)),
+        (rate_case3, dict(e_relay=0.0)),
+    ])
+    def test_rate_is_zero(self, law, energies):
+        assert law(unit_inputs(**energies)) == 0.0
+
+    @pytest.mark.parametrize("energies", [
+        dict(e_user=0.0, e_relay=EU),
+        dict(e_user=EU, e_relay=0.0),
+        dict(e_user=0.0, e_relay=0.0),
+    ])
+    def test_sinr_is_zero(self, energies):
+        assert sinr_case1(unit_inputs(**energies), 3) == 0.0
+
+    def test_fixed_side_energy_not_read(self):
+        # The fixed-power side's energy is unbounded whatever is passed.
+        assert rate_case2(unit_inputs(e_user=EU, e_relay=0.0)) == rate_case2(
+            unit_inputs(e_user=EU)
+        )
+        assert rate_case3(unit_inputs(e_user=0.0, e_relay=EU)) == rate_case3(
+            unit_inputs(e_relay=EU)
+        )
+
+
 class TestValidation:
     def test_missing_energy_named(self):
         with pytest.raises(ValueError, match="e_user"):

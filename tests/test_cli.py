@@ -6,7 +6,18 @@ import logging
 
 import pytest
 
-from hybridrelay import channel, cli, metrics
+from hybridrelay import (
+    AsymptoticInputs,
+    QuantizationSpec,
+    SystemConfig,
+    canonical_drop,
+    channel,
+    cli,
+    metrics,
+    rate_case1,
+    rate_case2,
+    rate_case3,
+)
 from hybridrelay.cli import (
     CSV_COLUMNS,
     LEMMA_COLUMNS,
@@ -107,6 +118,52 @@ class TestSimulate:
         assert main(args + ["--seed", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("case,flags,law,energies", [
+        ("1", ["--eu-db", "13", "--er-db", "7"], rate_case1,
+         dict(e_user=db_to_linear(13.0), e_relay=db_to_linear(7.0))),
+        ("2", ["--eu-db", "13", "--pr-db", "7"], rate_case2,
+         dict(e_user=db_to_linear(13.0))),
+        ("3", ["--pu-db", "13", "--er-db", "7"], rate_case3,
+         dict(e_relay=db_to_linear(7.0))),
+    ], ids=["case1", "case2", "case3"])
+    def test_asymptote_row_is_the_public_law(
+        self, tmp_path, case, flags, law, energies
+    ):
+        # The limit of each regime, on the canonical drop of the largest
+        # array, with r = min(K_r, K_t, K) = 2 active pairs and only the
+        # regime's energies: a fixed-power side has none.
+        out = tmp_path / "rates.csv"
+        argv = ["simulate", "--case", case, "--n", "8,64", "--beta", "cont,2",
+                "--modes", "asym", "--out", str(out)] + SMALL_ARGS + [
+                "--n-tx-chains", "2", "--var-relay-noise", "0.8",
+                "--var-dest-noise", "1.3"] + flags
+        assert main(argv) == 0
+        eta1, eta2 = canonical_drop(SystemConfig(
+            n_antennas=64, n_pairs=3, n_rx_chains=3, n_tx_chains=2
+        ))
+        _, body = read_csv(out)
+        assert len(body) == 4
+        for row in body:
+            beta = row["beta"]
+            delta = 0.0 if beta == "cont" else QuantizationSpec(int(beta)).step
+            expected = law(AsymptoticInputs(
+                eta1=eta1, eta2=eta2, r=2, var_relay_noise=0.8,
+                var_dest_noise=1.3, delta=delta, **energies,
+            ))
+            assert row["mean_rate_bps_hz"] == "%.10g" % expected
+
+    @pytest.mark.parametrize("case,flags,unused", [
+        ("2", ["--eu-db", "13", "--pr-db", "7"], ["--er-db", "5"]),
+        ("3", ["--pu-db", "13", "--er-db", "7"], ["--eu-db", "5"]),
+    ], ids=["case2", "case3"])
+    def test_unused_energy_flag_changes_no_byte(self, tmp_path, case, flags, unused):
+        argv = ["simulate", "--case", case, "--n", "8,16", "--beta", "cont,1",
+                "--modes", "hybrid,full,asym"] + SMALL_ARGS + flags
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + unused + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_output_identical_for_any_worker_count(self, tmp_path, monkeypatch):
         # Blocks of one or two trials, so every cell reaches the thread pool.
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 11)
@@ -155,6 +212,39 @@ class TestSimulate:
         assert any("overrides" in rec.message for rec in caplog.records)
         _, body = read_csv(out)
         assert all(r["trials"] == "6" for r in body)
+
+    def test_flag_spelling_the_file_value_does_not_warn(self, tmp_path, caplog):
+        # "2" is case2, "8, 16" is [8, 16] and full_digital is full: the
+        # flags repeat the file, so nothing is overridden.
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "case": "case2", "n_values": [8, 16], "modes": ["full"],
+        }))
+        argv = ["simulate", "--config", str(cfg), "--case", "2",
+                "--modes", "full_digital", "--eu-db", "13", "--pr-db", "13",
+                "--out", str(tmp_path / "rates.csv")] + SMALL_ARGS
+
+        def overrides(n_flag):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hybridrelay.cli"):
+                assert main(argv + ["--n", n_flag]) == 0
+            return [r.message for r in caplog.records if "overrides" in r.message]
+
+        assert overrides("8, 16") == []
+        changed = overrides("8,32")
+        assert len(changed) == 1 and "n_values" in changed[0]
+
+    def test_overridden_file_value_must_still_parse(self, tmp_path, capsys):
+        # As for every other key, a file value is checked even where a
+        # flag overrides it.
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"case": "case9", "n_values": [8]}))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--case", "2",
+                     "--eu-db", "13", "--pr-db", "13", "--out", str(out)]
+                    + SMALL_ARGS) == 2
+        assert "unknown case 'case9'" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("settings,flags", [

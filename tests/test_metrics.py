@@ -76,12 +76,14 @@ class TestSinr:
             sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
 
     @pytest.mark.parametrize("config", [
-        SMALL, replace(SMALL, quant_bits=2),
+        SMALL, replace(SMALL, quant_bits=2), replace(SMALL, quant_bits=6),
         replace(SMALL, n_rx_chains=2, n_tx_chains=1),
-    ], ids=["continuous", "two-bit", "fewer-chains"])
+    ], ids=["continuous", "two-bit", "six-bit", "fewer-chains"])
     @pytest.mark.parametrize("mode", metrics.MODES)
     def test_equals_engine_row_bitwise(self, config, mode):
         # SMALL's 12 trials fit one block, so row t of the block is trial t.
+        # At six bits one trial's stage (8 x 3 phases) is smaller than the
+        # 64-entry codeword table, while the block's is larger.
         table = _block_sinrs(config, 0, 12, [(mode, config.quant_bits)], None)[0]
         for t in range(12):
             np.testing.assert_array_equal(
@@ -200,7 +202,7 @@ class TestMonteCarlo:
         assert point.n_trials == 30
 
     @pytest.mark.parametrize("mode,bits", [
-        ("hybrid", None), ("hybrid", 2), ("full_digital", None),
+        ("hybrid", None), ("hybrid", 2), ("hybrid", 6), ("full_digital", None),
     ])
     def test_trial_rows_bitwise_independent_of_blocking(self, monkeypatch, mode, bits):
         # A trial's SINR row must not depend on which block it was stacked
