@@ -51,16 +51,12 @@ LEMMA_COLUMNS = (
     "diag_mean", "bound", "passed",
 )
 
+# The short spellings; every canonical name also stands for itself.
 _CASE_ALIASES = {
+    **dict(zip(CASES, CASES)),
     "1": "case1", "2": "case2", "3": "case3", "fixed": "fixed_power",
-    "case1": "case1", "case2": "case2", "case3": "case3",
-    "fixed_power": "fixed_power",
 }
-_MODE_ALIASES = {
-    "hybrid": "hybrid",
-    "full": "full_digital", "full_digital": "full_digital",
-    "asym": "asymptote", "asymptote": "asymptote",
-}
+_MODE_ALIASES = {**dict(zip(MODES, MODES)), "full": "full_digital", "asym": "asymptote"}
 
 class UsageError(ValueError):
     """Bad invocation: wrong flags, file keys, or value combinations."""
@@ -68,6 +64,28 @@ class UsageError(ValueError):
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
+
+
+def _check_lists(
+    n_values: Sequence[int], beta_values: Sequence[Optional[int]]
+) -> None:
+    """The antenna-list and beta-list rules that both subcommands share."""
+    if not n_values:
+        raise UsageError("n_values must not be empty")
+    if any(n < 1 for n in n_values):
+        raise UsageError("antenna counts must be positive")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise UsageError("n_values must be strictly ascending")
+    if not beta_values:
+        raise UsageError("beta_values must not be empty")
+    if len(set(beta_values)) < len(beta_values):
+        raise UsageError("beta_values must not repeat")
+    try:
+        for beta in beta_values:
+            if beta is not None:
+                QuantizationSpec(beta)
+    except ValueError as exc:
+        raise UsageError(f"beta_values: {exc}")
 
 
 @dataclass(frozen=True)
@@ -92,16 +110,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.case not in CASES:
             raise UsageError(f"case must be one of {CASES}, got {self.case!r}")
-        if not self.n_values:
-            raise UsageError("n_values must not be empty")
-        if any(n < 1 for n in self.n_values):
-            raise UsageError("antenna counts must be positive")
-        if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
-            raise UsageError("n_values must be strictly ascending")
-        if not self.beta_values:
-            raise UsageError("beta_values must not be empty")
-        if any(b is not None and b < 1 for b in self.beta_values):
-            raise UsageError("beta values must be positive integers or 'cont'")
+        _check_lists(self.n_values, self.beta_values)
         if not self.modes:
             raise UsageError("modes must not be empty")
         unknown = [m for m in self.modes if m not in MODES]
@@ -177,47 +186,38 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     """
     bench_drop = canonical_drop(config)
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
-    betas = tuple(dict.fromkeys(spec.beta_values))
     variants = []
     if "full_digital" in spec.modes:
         variants.append(("full_digital", None))
     if "hybrid" in spec.modes:
-        variants.extend(("hybrid", beta) for beta in betas)
-    limits = {beta: _asymptote_rate(spec, beta, bench_drop, config) for beta in betas}
+        variants.extend(("hybrid", beta) for beta in spec.beta_values)
+    limits = {b: _asymptote_rate(spec, b, bench_drop, config) for b in spec.beta_values}
     rows = []
     for n in spec.n_values:
         p_user, p_relay = _cell_powers(spec, n)
         base = dataclasses.replace(
             config, n_antennas=n, p_user=p_user, p_relay=p_relay
         )
-        points = {}
+        points = []
         if variants:
-            results = monte_carlo_rates(base, spec.trials, variants, drop=mc_drop)
-            points = dict(zip(variants, results))
-        if "full_digital" in spec.modes:
-            point = points["full_digital", None]
-            rows.append(_result_row(spec, n, None, "full_digital", point, None))
-        for beta, asym in limits.items():
-            if "asymptote" in spec.modes:
-                rows.append({
-                    "case": spec.case, "N": n, "beta": beta,
-                    "mode": "asymptote", "mean_rate_bps_hz": asym,
-                    "std_err": 0.0, "trials": 0, "asymptote_rate": asym,
-                    "degenerate_trials": 0,
-                })
-            if "hybrid" in spec.modes:
-                point = points["hybrid", beta]
-                rows.append(_result_row(spec, n, beta, "hybrid", point, asym))
+            points = monte_carlo_rates(base, spec.trials, variants, drop=mc_drop)
+        for (mode, beta), p in zip(variants, points):
+            limit = limits[beta] if mode == "hybrid" else None
+            rows.append(_row(spec, n, mode, beta, limit, p.mean_rate,
+                             p.std_error, p.n_trials, p.n_degenerate))
+        if "asymptote" in spec.modes:
+            rows.extend(_row(spec, n, "asymptote", beta, limit, limit)
+                        for beta, limit in limits.items())
     rows.sort(key=lambda r: (r["case"], r["N"], _beta_key(r["beta"]), r["mode"]))
     return rows
 
 
-def _result_row(spec, n, beta, mode, point, asym) -> dict:
+def _row(spec, n, mode, beta, limit, mean, std_err=0.0, trials=0, degenerate=0) -> dict:
+    """One CSV row; the defaults are an asymptote row's, whose mean is its limit."""
     return {
         "case": spec.case, "N": n, "beta": beta, "mode": mode,
-        "mean_rate_bps_hz": point.mean_rate, "std_err": point.std_error,
-        "trials": point.n_trials, "asymptote_rate": asym,
-        "degenerate_trials": point.n_degenerate,
+        "mean_rate_bps_hz": mean, "std_err": std_err, "trials": trials,
+        "asymptote_rate": limit, "degenerate_trials": degenerate,
     }
 
 
@@ -321,12 +321,12 @@ def _file_value(key: str, value):
     raise UsageError(f"bad value for config key {key}: {json.dumps(value)}")
 
 
-def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
+def _parse_int_list(text: str) -> Tuple[int, ...]:
     items = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         return tuple(int(tok) for tok in items)
     except ValueError:
-        raise UsageError(f"{what} must be a comma-separated list of integers")
+        raise UsageError("n must be a comma-separated list of integers")
 
 
 def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
@@ -340,7 +340,7 @@ def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
                 out.append(int(tok))
             except ValueError:
                 raise UsageError(f"bad beta value {tok!r}; use integers or 'cont'")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_modes(text: str) -> Tuple[str, ...]:
@@ -363,7 +363,7 @@ def _parse_case(value: str) -> str:
 # The settings parse_config reads through a parser: lists and aliases.
 _PARSERS = {
     "case": _parse_case,
-    "n_values": lambda text: _parse_int_list(text, "n"),
+    "n_values": _parse_int_list,
     "beta_values": _parse_beta_list,
     "modes": _parse_modes,
 }
@@ -459,12 +459,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    sizes = _parse_int_list(args.n, "n")
-    if not sizes:
-        raise UsageError("n must list positive antenna counts")
+    sizes = _parsed("n_values", args.n_values)
+    betas = _parsed("beta_values", args.beta_values)
+    _check_lists(sizes, betas)
     if args.seeds < 1:
         raise UsageError("seeds must be positive")
-    betas = _parse_beta_list(args.beta)
     flags = {key: getattr(args, key) for key in _LEMMA_KEYS}
     # The lemmas measure one side; its chain count stands for both.
     flags["n_tx_chains"] = flags["n_rx_chains"]
@@ -473,9 +472,6 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
             n_antennas=min(sizes),
             **{key: value for key, value in flags.items() if value is not None},
         )
-        for beta in betas:
-            if beta is not None:
-                QuantizationSpec(beta)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -557,16 +553,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Writes per-seed deviations of F F^H from the identity "
                     "and of F H from its scaled identity limit.",
     )
-    ver.add_argument("--n", required=True,
-                     help="comma-separated antenna counts")
+    _add_setting(ver, "n_values", "--n", required=True,
+                 help="comma-separated antenna counts, ascending")
     ver.add_argument("--seeds", type=int, default=50,
                      help="number of seeds per size (default 50)")
-    ver.add_argument("--beta", default="cont",
-                     help="comma-separated bits and/or 'cont' (default cont)")
-    ver.add_argument("--out", required=True, help="output CSV path")
+    _add_setting(ver, "beta_values", "--beta",
+                 help="comma-separated bits and/or 'cont' (default cont)")
+    _add_setting(ver, "out", required=True, help="output CSV path")
     _add_system_flags(ver, _LEMMA_KEYS,
                       seed="first seed of the family (default 0)")
-    ver.set_defaults(func=_cmd_verify_lemmas)
+    ver.set_defaults(func=_cmd_verify_lemmas, beta_values="cont")
     for command in (sim, ver):
         command.add_argument("-v", "--verbose", action="store_true",
                              help="also print INFO lines on stderr")

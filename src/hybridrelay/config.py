@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .hybrid import QuantizationSpec
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -45,8 +47,8 @@ class SystemConfig:
             raise ValueError("transmit powers must be non-negative")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
             raise ValueError("noise variances must be positive")
-        if self.quant_bits is not None and self.quant_bits < 1:
-            raise ValueError("quant_bits must be a positive integer or None")
+        if self.quant_bits is not None:
+            QuantizationSpec(self.quant_bits)
         if not 0 < self.guard_radius_m < self.cell_radius_m:
             raise ValueError("require 0 < guard_radius_m < cell_radius_m")
         if self.pathloss_exp < 0:

@@ -8,6 +8,7 @@ and every SINR (metrics._gram_sinrs) reduce to the Grams of the two hops.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -25,8 +26,9 @@ class QuantizationSpec:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError("bits must be a positive integer")
+        # step divides by 2**bits, which leaves the float range at 1024.
+        if not (isinstance(self.bits, numbers.Integral) and 1 <= self.bits <= 1023):
+            raise ValueError("quant_bits must be a positive integer up to 1023")
 
     @property
     def step(self) -> float:

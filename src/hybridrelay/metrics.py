@@ -166,12 +166,11 @@ def _env_thread_cap() -> Optional[int]:
     return cap
 
 
-def _worker_count(n_blocks: int, max_workers: Optional[int]) -> int:
-    limit = max_workers if max_workers is not None else os.cpu_count() or 1
+def _worker_count(n_blocks: int) -> int:
+    """Pool size: min(CPU count, SIM_THREADS when set, number of blocks)."""
     cap = _env_thread_cap()
-    if cap is not None:
-        limit = min(limit, cap)
-    return max(1, min(limit, n_blocks))
+    limit = os.cpu_count() or 1
+    return max(1, min(limit, cap or limit, n_blocks))
 
 
 def _rate_point(sinr_table: np.ndarray) -> RatePoint:
@@ -207,7 +206,6 @@ def monte_carlo_rates(
     n_trials: int,
     variants: Sequence[Variant],
     drop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    max_workers: Optional[int] = None,
 ) -> List[RatePoint]:
     """Average spectral efficiency of several processing variants on shared draws.
 
@@ -220,8 +218,9 @@ def monte_carlo_rates(
     (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
     Grams together; a trial's SINRs do not depend on the block it lands in
     or on the other variants of the call.  A thread pool runs the blocks
-    only when there is more than one, with at most `max_workers` (default:
-    the CPU count) workers, capped by the SIM_THREADS environment variable.
+    with min(CPU count, SIM_THREADS, number of blocks) workers, the
+    SIM_THREADS environment variable counting only when set; a call with
+    one worker, such as one that fits in a single block, runs serially.
     Each variant's reduction runs in ascending trial order, so the result
     is bit-identical for any worker count and equals a separate
     `monte_carlo_rate` call per variant.  `drop`, when given, is validated
@@ -241,8 +240,8 @@ def monte_carlo_rates(
     for mode, bits in variants:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if bits is not None and bits < 1:
-            raise ValueError("quant_bits must be a positive integer or None")
+        if bits is not None:
+            hybrid.QuantizationSpec(bits)
     if drop is not None:
         drop = channel._validated_drop(drop, config.n_pairs)
 
@@ -253,12 +252,12 @@ def monte_carlo_rates(
 
     block = _block_trials(config)
     bounds = [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
-    workers = _worker_count(len(bounds), max_workers)
+    workers = _worker_count(len(bounds))
     if workers == 1:
         for lo, hi in bounds:
             run_block(lo, hi)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
                 future.result()
     return [_rate_point(table) for table in sinr_table]
@@ -269,7 +268,6 @@ def monte_carlo_rate(
     n_trials: int,
     mode: str = "hybrid",
     drop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    max_workers: Optional[int] = None,
 ) -> RatePoint:
     """Average spectral efficiency of one processing mode over seeded trials.
 
@@ -277,6 +275,4 @@ def monte_carlo_rate(
     config.quant_bits, full_digital ignores it.  Degenerate draws are
     skipped and counted, and the run aborts if they exceed 1% of n_trials.
     """
-    return monte_carlo_rates(
-        config, n_trials, [(mode, config.quant_bits)], drop, max_workers
-    )[0]
+    return monte_carlo_rates(config, n_trials, [(mode, config.quant_bits)], drop)[0]

@@ -180,6 +180,18 @@ class TestSimulate:
         assert run_simulate(tmp_path / "rates.csv", ["--modes", "hybrid,full"]) == 0
         assert len(calls) == 2 * 6  # len(n_values) x trials
 
+    def test_largest_beta_runs(self, tmp_path):
+        # 1023 bits is the finest codebook whose step is a float; its rows
+        # read as continuous phases do.
+        out = tmp_path / "rates.csv"
+        assert run_simulate(out, ["--beta", "cont,1023", "--modes", "hybrid,asym"]) == 0
+        _, body = read_csv(out)
+        rate = {(r["N"], r["beta"], r["mode"]): float(r["mean_rate_bps_hz"]) for r in body}
+        assert len(rate) == 2 * 2 * 2
+        for (n, beta, mode), value in rate.items():
+            if beta == "1023":
+                assert value == pytest.approx(rate[n, "cont", mode], rel=1e-9)
+
     def test_dat_companion(self, tmp_path):
         out, dat = tmp_path / "rates.csv", tmp_path / "rates.dat"
         run_simulate(out, ["--modes", "full", "--dat", str(dat)])
@@ -305,6 +317,16 @@ class TestSimulateErrors:
         assert calls == []
         assert not out.exists()
 
+    def test_beta_beyond_float_range_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--beta", "cont,1024"]) == 2
+        assert "beta_values: quant_bits" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_missing_energy_is_named(self, tmp_path, capsys):
         argv = ["simulate", "--case", "2", "--n", "8", "--pr-db", "13",
                 "--out", str(tmp_path / "x.csv")] + SMALL_ARGS
@@ -421,8 +443,9 @@ class TestVerifyLemmas:
         ["--n-pairs", "0", "--n-rx-chains", "0"],
         ["--beta", "0"],
         ["--seed", "-1"],
+        ["--beta", "cont,1024"],
     ], ids=["zero-chains", "negative-chains", "zero-pairs", "zero-bits",
-            "negative-seed"])
+            "negative-seed", "bits-beyond-float-range"])
     def test_bad_input_fails_before_any_draw(self, tmp_path, monkeypatch, flags):
         draws = []
         monkeypatch.setattr(cli, "sample_small_scale",
@@ -432,6 +455,36 @@ class TestVerifyLemmas:
                      "--out", str(out)] + flags) == 2
         assert draws == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["16,16", "100,16"], ids=["repeated", "descending"])
+    def test_n_list_follows_simulate_rules(self, tmp_path, capsys, monkeypatch, sizes):
+        draws = []
+        monkeypatch.setattr(cli, "sample_small_scale",
+                            lambda *args: draws.append(args))
+        out = tmp_path / "x.csv"
+        assert main(["verify-lemmas", "--n", sizes, "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert "n_values must be strictly ascending" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    def test_repeated_beta_written_once(self, tmp_path):
+        out = tmp_path / "lemmas.csv"
+        assert main(["verify-lemmas", "--n", "16", "--seeds", "1", "--n-pairs", "3",
+                     "--n-rx-chains", "3", "--beta", "cont,cont,2",
+                     "--out", str(out)]) == 0
+        _, body = read_csv(out)
+        keys = [(r["metric"], r["N"], r["beta"], r["seed"]) for r in body]
+        assert len(keys) == len(set(keys)) == 4
+
+    def test_largest_beta_runs(self, tmp_path):
+        out = tmp_path / "lemmas.csv"
+        assert main(["verify-lemmas", "--n", "16", "--seeds", "2", "--n-pairs", "3",
+                     "--n-rx-chains", "3", "--beta", "cont,1023",
+                     "--out", str(out)]) == 0
+        _, body = read_csv(out)
+        assert sum(r["beta"] == "1023" for r in body) == 4
+        assert all(r["passed"] == "true" for r in body)
 
     def test_required_flags(self):
         with pytest.raises(SystemExit):
@@ -492,6 +545,7 @@ class TestSweepSpecValidation:
         (dict(drop_policy="sticky"), "drop_policy"),
         (dict(eu_db=None), "eu-db"),
         (dict(case="case9"), "case"),
+        (dict(beta_values=(2, None, 2)), "repeat"),
     ])
     def test_rejections(self, kw, fragment):
         with pytest.raises(UsageError, match=fragment):

@@ -44,6 +44,17 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="positive"):
             QuantizationSpec(0)
 
+    @pytest.mark.parametrize("bits", [1024, 2.5], ids=["beyond-float-range", "fraction"])
+    def test_bits_outside_1_to_1023_rejected(self, bits):
+        # step divides by 2**bits, and 2**1024 is beyond the float range; a
+        # fractional bit count has no codeword table.  The codebook and the
+        # scenario reject both before any use.
+        with pytest.raises(ValueError, match="1023"):
+            QuantizationSpec(bits)
+        with pytest.raises(ValueError, match="quant_bits"):
+            SystemConfig(n_antennas=16, quant_bits=bits)
+        assert QuantizationSpec(1023).step == math.pi / 2.0 ** 1023
+
     @settings(max_examples=300, deadline=None)
     @given(
         bits=st.integers(min_value=1, max_value=8),

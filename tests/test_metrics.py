@@ -1,5 +1,6 @@
 """SINR evaluation and the Monte-Carlo engine."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,12 @@ def trials_per_block(monkeypatch, config, trials):
     trial_bytes = 2 * config.n_antennas * config.n_pairs * 16
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", trials * trial_bytes)
     assert _block_trials(config) == trials
+
+
+def pool_workers(monkeypatch, workers):
+    """Give the engine's pool `workers` threads, whatever the host's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("SIM_THREADS", str(workers))
 
 
 class TestSinr:
@@ -194,7 +201,8 @@ class TestMonteCarlo:
         # short, and the blocks go through the thread pool.
         config, mode, drop = ENGINE_CASES[case]
         trials_per_block(monkeypatch, config, 7)
-        point = monte_carlo_rate(config, 30, mode, drop=drop, max_workers=3)
+        pool_workers(monkeypatch, 3)
+        point = monte_carlo_rate(config, 30, mode, drop=drop)
         mean, se, sinrs = oracles.mc_reference(config, 30, mode=mode, drop=drop)
         assert point.mean_rate == pytest.approx(mean, rel=1e-12)
         assert point.std_error == pytest.approx(se, rel=1e-12)
@@ -225,8 +233,10 @@ class TestMonteCarlo:
 
     def test_worker_count_invariance_is_bitwise(self, monkeypatch):
         trials_per_block(monkeypatch, SMALL, 5)  # seven blocks for the pool
-        a = monte_carlo_rate(SMALL, 32, max_workers=1)
-        b = monte_carlo_rate(SMALL, 32, max_workers=5)
+        pool_workers(monkeypatch, 1)
+        a = monte_carlo_rate(SMALL, 32)
+        pool_workers(monkeypatch, 5)
+        b = monte_carlo_rate(SMALL, 32)
         assert a.mean_rate == b.mean_rate
         assert a.std_error == b.std_error
         np.testing.assert_array_equal(a.per_pair_mean_sinr, b.per_pair_mean_sinr)
@@ -240,17 +250,23 @@ class TestMonteCarlo:
         assert a.mean_rate == b.mean_rate
 
     def test_worker_count_clamping(self, monkeypatch):
+        # min(CPU count, SIM_THREADS when set, number of blocks).
         monkeypatch.delenv("SIM_THREADS", raising=False)
-        assert _worker_count(100, 4) == 4
-        assert _worker_count(2, 8) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(100) == 4
+        assert _worker_count(2) == 2
         monkeypatch.setenv("SIM_THREADS", "3")
-        assert _worker_count(100, 8) == 3
+        assert _worker_count(100) == 3
+        monkeypatch.setenv("SIM_THREADS", "8")
+        assert _worker_count(100) == 4
         monkeypatch.setenv("SIM_THREADS", "")
-        assert _worker_count(100, 4) == 4
+        assert _worker_count(100) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(100) == 1
         for bad in ("not-a-number", "0", "-1"):
             monkeypatch.setenv("SIM_THREADS", bad)
             with pytest.raises(ValueError, match="SIM_THREADS"):
-                _worker_count(100, 4)
+                _worker_count(100)
 
     def test_degenerate_trials_skipped_and_counted(self, monkeypatch):
         _kill_trials(monkeypatch, lambda trial: trial == 7)
@@ -296,6 +312,13 @@ class TestMonteCarlo:
             monte_carlo_rates(SMALL, 10, [("hybrid", None), ("analog_only", None)])
         with pytest.raises(ValueError, match="quant_bits"):
             monte_carlo_rates(SMALL, 10, [("hybrid", 0)])
+
+    def test_bits_beyond_float_range_fail_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="quant_bits"):
+            monte_carlo_rates(SMALL, 4, [("hybrid", None), ("hybrid", 1024)])
+        assert draws == []
 
 
 def assert_same_point(a, b):
