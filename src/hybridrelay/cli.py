@@ -24,7 +24,7 @@ from . import asymptotics, diagnostics, metrics
 from .channel import canonical_drop, lemma_rng, sample_small_scale
 from .config import SystemConfig
 from .hybrid import QuantizationSpec
-from .metrics import _env_thread_cap, monte_carlo_rates
+from .metrics import _block_bounds, _env_thread_cap, _sweep_rates
 
 log = logging.getLogger("hybridrelay.cli")
 
@@ -180,9 +180,12 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     Monte-Carlo runs to as well; they do not move with trials, seed or N,
     so each beta's limit is evaluated once.
     Full-digital cells have no phase quantizer, so they are run once per N
-    and tagged with beta = cont.  All Monte-Carlo cells of one N share one
-    engine call, so each trial's fading is drawn once per N; the first
-    failing cell, in the order full digital then hybrid by beta, raises.
+    and tagged with beta = cont.  All Monte-Carlo cells of one N share
+    their draws, so each trial's fading is drawn once per N, and the
+    blocks of every N share one thread pool.  The first failing cell, in
+    the order N, then full digital, then hybrid by beta, raises once every
+    block of the run has run, so a failure at a small N costs the whole
+    large-N part first.
     """
     bench_drop = canonical_drop(config)
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
@@ -192,19 +195,27 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     if "hybrid" in spec.modes:
         variants.extend(("hybrid", beta) for beta in spec.beta_values)
     limits = {b: _asymptote_rate(spec, b, bench_drop, config) for b in spec.beta_values}
-    rows = []
+    bases = []
     for n in spec.n_values:
         p_user, p_relay = _cell_powers(spec, n)
-        base = dataclasses.replace(
+        bases.append(dataclasses.replace(
             config, n_antennas=n, p_user=p_user, p_relay=p_relay
-        )
-        points = []
-        if variants:
-            points = monte_carlo_rates(base, spec.trials, variants, drop=mc_drop)
-        for (mode, beta), p in zip(variants, points):
+        ))
+    points = (_sweep_rates(bases, spec.trials, variants, drop=mc_drop)
+              if variants else [[] for _ in bases])
+    rows = []
+    for base, cell_points in zip(bases, points):
+        n = base.n_antennas
+        degenerate = []
+        for (mode, beta), p in zip(variants, cell_points):
             limit = limits[beta] if mode == "hybrid" else None
             rows.append(_row(spec, n, mode, beta, limit, p.mean_rate,
                              p.std_error, p.n_trials, p.n_degenerate))
+            label = mode if mode == "full_digital" else f"{mode}({_render_beta(beta)})"
+            degenerate.append(f"{label}={p.n_degenerate}")
+        if variants:
+            log.info("N=%d: trials=%d blocks=%d degenerate: %s", n, spec.trials,
+                     len(_block_bounds(base, spec.trials)), " ".join(degenerate))
         if "asymptote" in spec.modes:
             rows.extend(_row(spec, n, "asymptote", beta, limit, limit)
                         for beta, limit in limits.items())
@@ -233,14 +244,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _render_beta(beta: Optional[int]) -> str:
+    return "cont" if beta is None else str(beta)
+
+
 def _render_row(row: dict, columns: Sequence[str]) -> List[str]:
-    out = []
-    for col in columns:
-        value = row[col]
-        if col == "beta":
-            value = "cont" if value is None else value
-        out.append(_format_cell(value))
-    return out
+    return [
+        _render_beta(row[col]) if col == "beta" else _format_cell(row[col])
+        for col in columns
+    ]
 
 
 def emit_csv(rows: List[dict], path: str, columns: Sequence[str] = CSV_COLUMNS) -> None:
@@ -321,18 +333,26 @@ def _file_value(key: str, value):
     raise UsageError(f"bad value for config key {key}: {json.dumps(value)}")
 
 
+def _items(key: str, text: str) -> List[str]:
+    """The comma-separated items of a list setting, stripped; none may be empty."""
+    items = [tok.strip() for tok in text.split(",")]
+    if not all(items):
+        raise UsageError(f"{key} must not have an empty item, got {text!r}")
+    return items
+
+
 def _parse_int_list(text: str) -> Tuple[int, ...]:
-    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    items = _items("n_values", text)
     try:
         return tuple(int(tok) for tok in items)
     except ValueError:
-        raise UsageError("n must be a comma-separated list of integers")
+        raise UsageError("n_values must be a comma-separated list of integers")
 
 
 def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
     out = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
+    for tok in _items("beta_values", text):
+        tok = tok.lower()
         if tok in ("cont", "continuous"):
             out.append(None)
         else:
@@ -345,8 +365,8 @@ def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
 
 def _parse_modes(text: str) -> Tuple[str, ...]:
     out = []
-    for tok in text.split(","):
-        name = _MODE_ALIASES.get(tok.strip().lower())
+    for tok in _items("modes", text):
+        name = _MODE_ALIASES.get(tok.lower())
         if name is None:
             raise UsageError(f"unknown mode {tok!r}")
         out.append(name)

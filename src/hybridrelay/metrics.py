@@ -5,6 +5,8 @@ Both run one K x K Gram kernel (_variant_sinrs) on a stack of draws.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -79,6 +81,12 @@ def _block_trials(config: SystemConfig) -> int:
     return max(1, _BLOCK_BYTES // trial_bytes)
 
 
+def _block_bounds(config: SystemConfig, n_trials: int) -> List[Tuple[int, int]]:
+    """The (lo, hi) trial ranges of a config's blocks, in trial order."""
+    block = _block_trials(config)
+    return [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
+
+
 def _variant_sinrs(
     g1: np.ndarray,
     g2: np.ndarray,
@@ -93,8 +101,8 @@ def _variant_sinrs(
         quant = hybrid.QuantizationSpec(bits) if bits is not None else None
         f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
         f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
-        hop1 = hybrid._hop_grams(f1 @ g1, f1)
-        hop2 = hybrid._hop_grams(f2 @ g2, f2)
+        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1)
+        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2)
     alpha_sq = hybrid._alpha_squared(
         hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
     )
@@ -201,6 +209,64 @@ def _rate_point(sinr_table: np.ndarray) -> RatePoint:
     )
 
 
+def _sweep_rates(
+    configs: Sequence[SystemConfig],
+    n_trials: int,
+    variants: Sequence[Variant],
+    drop: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> List[List[RatePoint]]:
+    """`monte_carlo_rates` of several array sizes on one thread pool.
+
+    `configs` differ in array size and powers only.  Each config's trials
+    are cut into its own blocks, exactly as a separate call would cut them,
+    and every (config, block) job goes to one pool, largest array first:
+    a worker free at the end of one array size takes the next size's
+    blocks, and the costliest blocks do not come last.  A config's SINR
+    table is assembled in trial order, reduced and dropped once its last
+    block is in.  Returns one RatePoint list per config, in order.  The
+    first failing config, in the given order, raises with the message of
+    its first failing variant, but only after every block of every config
+    has run: a failing config is known only once its whole table is in,
+    and the smallest array, first in a sweep, runs last.
+    """
+    if n_trials < 2:
+        raise ValueError("n_trials must be at least 2")
+    variants = list(variants)
+    if not variants:
+        raise ValueError("variants must not be empty")
+    for mode, bits in variants:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if bits is not None:
+            hybrid.QuantizationSpec(bits)
+    if drop is not None:
+        drop = channel._validated_drop(drop, configs[0].n_pairs)
+
+    order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
+    jobs = [(c, lo, hi) for c in order for lo, hi in _block_bounds(configs[c], n_trials)]
+
+    def run_block(job: Tuple[int, int, int]) -> np.ndarray:
+        c, lo, hi = job
+        return _block_sinrs(configs[c], lo, hi, variants, drop)
+
+    points: list = [None] * len(configs)
+    workers = _worker_count(len(jobs))
+    # One worker runs the blocks in this thread: a pool costs small runs time.
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        blocks = pool.map(run_block, jobs) if pool else map(run_block, jobs)
+        for c, done in itertools.groupby(zip(jobs, blocks), key=lambda jb: jb[0][0]):
+            table = np.concatenate([block for _, block in done], axis=1)
+            try:
+                points[c] = [_rate_point(t) for t in table]
+            except RuntimeError as exc:
+                points[c] = exc
+    for p in points:
+        if isinstance(p, RuntimeError):
+            raise p
+    return points
+
+
 def monte_carlo_rates(
     config: SystemConfig,
     n_trials: int,
@@ -217,10 +283,16 @@ def monte_carlo_rates(
     once for all variants.  Trials run in blocks of about 1 MB of fading
     (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
     Grams together; a trial's SINRs do not depend on the block it lands in
-    or on the other variants of the call.  A thread pool runs the blocks
-    with min(CPU count, SIM_THREADS, number of blocks) workers, the
-    SIM_THREADS environment variable counting only when set; a call with
+    or on the other variants of the call.  A thread pool runs the blocks;
+    a simulate run puts the blocks of all its array sizes on one pool
+    (the one-config call of a private engine entry).  The pool has
+    min(CPU count, SIM_THREADS, total number of blocks) workers, the
+    SIM_THREADS environment variable counting only when set; a run with
     one worker, such as one that fits in a single block, runs serially.
+    np.matmul holds the GIL for its whole call, so in a one-trial block
+    (N K > 16384) the products over the array dimension N (F G of both
+    hops, F F^H, and G^H G for full digital) run through np.dot, which
+    releases it, and the workers overlap there too.
     Each variant's reduction runs in ascending trial order, so the result
     is bit-identical for any worker count and equals a separate
     `monte_carlo_rate` call per variant.  `drop`, when given, is validated
@@ -232,35 +304,7 @@ def monte_carlo_rates(
     variant, in the given order, whose degenerate draws exceed 1% of
     n_trials aborts the call.  Returns one RatePoint per variant, in order.
     """
-    if n_trials < 2:
-        raise ValueError("n_trials must be at least 2")
-    variants = list(variants)
-    if not variants:
-        raise ValueError("variants must not be empty")
-    for mode, bits in variants:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if bits is not None:
-            hybrid.QuantizationSpec(bits)
-    if drop is not None:
-        drop = channel._validated_drop(drop, config.n_pairs)
-
-    sinr_table = np.empty((len(variants), n_trials, config.n_pairs))
-
-    def run_block(lo: int, hi: int) -> None:
-        sinr_table[:, lo:hi] = _block_sinrs(config, lo, hi, variants, drop)
-
-    block = _block_trials(config)
-    bounds = [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
-    workers = _worker_count(len(bounds))
-    if workers == 1:
-        for lo, hi in bounds:
-            run_block(lo, hi)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
-                future.result()
-    return [_rate_point(table) for table in sinr_table]
+    return _sweep_rates([config], n_trials, variants, drop)[0]
 
 
 def monte_carlo_rate(

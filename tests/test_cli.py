@@ -3,7 +3,13 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybridrelay import (
@@ -29,6 +35,8 @@ from hybridrelay.cli import (
     _parse_modes,
     db_to_linear,
     main,
+    parse_config,
+    run_sweep,
 )
 
 SMALL_ARGS = [
@@ -180,6 +188,78 @@ class TestSimulate:
         assert run_simulate(tmp_path / "rates.csv", ["--modes", "hybrid,full"]) == 0
         assert len(calls) == 2 * 6  # len(n_values) x trials
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("drop_policy", ["redraw_per_trial", "fixed_drop"])
+    def test_one_pool_equals_separate_calls_per_array_size(
+        self, monkeypatch, threads, drop_policy
+    ):
+        # Blocks of one to three trials, so the pool interleaves array sizes.
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 12)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("SIM_THREADS", threads)
+        config, spec = parse_config({
+            "case": "2", "n_values": "8,16,24", "beta_values": "cont,1",
+            "modes": "hybrid,full", "eu_db": 13.0, "pr_db": 13.0, "n_pairs": 3,
+            "n_rx_chains": 3, "n_tx_chains": 3, "trials": 7, "seed": 5,
+            "drop_policy": drop_policy,
+        })
+        rows = run_sweep(spec, config)
+        drop = canonical_drop(config) if drop_policy == "fixed_drop" else None
+        variants = [("full_digital", None), ("hybrid", None), ("hybrid", 1)]
+        expected = []
+        for n in spec.n_values:
+            p_user, p_relay = _cell_powers(spec, n)
+            base = replace(config, n_antennas=n, p_user=p_user, p_relay=p_relay)
+            points = metrics.monte_carlo_rates(base, spec.trials, variants, drop=drop)
+            expected += [
+                (n, beta, mode, p.mean_rate, p.std_error, p.n_trials, p.n_degenerate)
+                for (mode, beta), p in zip(variants, points)
+            ]
+        got = [
+            (r["N"], r["beta"], r["mode"], r["mean_rate_bps_hz"], r["std_err"],
+             r["trials"], r["degenerate_trials"])
+            for r in rows
+        ]
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+
+    def test_first_failing_array_size_in_order_raises(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # N = 8 loses one of its six trials and N = 16 two; the pool runs
+        # N = 16 first, and N = 8 still names the failure.
+        orig = metrics._variant_sinrs
+
+        def lossy(g1, g2, mode, bits, config):
+            out = orig(g1, g2, mode, bits, config)
+            out[:{8: 1, 16: 2}[config.n_antennas]] = np.nan
+            return out
+
+        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
+        out = tmp_path / "rates.csv"
+        assert run_simulate(out, ["--modes", "hybrid,full"]) == 1
+        assert capsys.readouterr().err == (
+            "failure: 1 of 6 trials degenerate (> 1%); configuration unusable\n"
+        )
+        assert not out.exists()
+
+    def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # At this shape the raw SINRs under one OpenBLAS thread and under
+        # its default differ in the last bits; the 10-digit CSV must not,
+        # with two pool workers calling a threaded BLAS at once.
+        argv = [sys.executable, "-m", "hybridrelay.cli", "simulate", "--case", "2",
+                "--n", "8192", "--beta", "cont,2", "--modes", "hybrid,full,asym",
+                "--eu-db", "13", "--pr-db", "13", "--n-pairs", "3",
+                "--n-rx-chains", "2", "--n-tx-chains", "1", "--trials", "4"]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("SIM_THREADS", "OPENBLAS_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        serial = dict(env, SIM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        paths = tmp_path / "serial.csv", tmp_path / "default.csv"
+        for path, run_env in zip(paths, (serial, env)):
+            subprocess.run(argv + ["--out", str(path)], env=run_env, check=True,
+                           timeout=300)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_largest_beta_runs(self, tmp_path):
         # 1023 bits is the finest codebook whose step is a float; its rows
         # read as continuous phases do.
@@ -201,12 +281,21 @@ class TestSimulate:
         # Blank cells (no closed form for a full-digital row) become nan.
         assert lines[1].split()[CSV_COLUMNS.index("asymptote_rate")] == "nan"
 
-    def test_verbose_prints_info_lines(self, tmp_path, capsys):
+    def test_verbose_prints_info_lines(self, tmp_path, capsys, monkeypatch):
+        # One line per array size, in N order, then one per output file.
+        # Blocks of two trials at N = 8 and of one at N = 16.
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 11)
         quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
-        assert run_simulate(quiet, []) == 0
+        modes = ["--modes", "full,hybrid"]
+        assert run_simulate(quiet, modes) == 0
         assert capsys.readouterr().err == ""
-        assert run_simulate(loud, ["-v"]) == 0
-        assert capsys.readouterr().err == f"INFO wrote 4 rows to {loud}\n"
+        assert run_simulate(loud, modes + ["-v"]) == 0
+        degenerate = "full_digital=0 hybrid(cont)=0 hybrid(1)=0"
+        assert capsys.readouterr().err == (
+            f"INFO N=8: trials=6 blocks=3 degenerate: {degenerate}\n"
+            f"INFO N=16: trials=6 blocks=6 degenerate: {degenerate}\n"
+            f"INFO wrote 6 rows to {loud}\n"
+        )
         assert quiet.read_bytes() == loud.read_bytes()
 
     def test_config_file_with_flag_override_warns(self, tmp_path, caplog):
@@ -340,6 +429,22 @@ class TestSimulateErrors:
         assert main(argv) == 2
         assert "asymptote" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,text,key", [
+        ("--n", "8,,16", "n_values"),
+        ("--n", "8,16,", "n_values"),
+        ("--beta", "cont,,1", "beta_values"),
+        ("--modes", "hybrid,,full", "modes"),
+    ])
+    def test_empty_list_item_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, flag, text, key
+    ):
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, [flag, text]) == 2
+        assert f"error: {key} must not have an empty item" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_bad_beta_token(self, tmp_path):
         argv = ["simulate", "--case", "2", "--n", "8", "--beta", "fine",
                 "--eu-db", "13", "--pr-db", "13",
@@ -465,6 +570,17 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--n", sizes, "--seeds", "1",
                      "--out", str(out)]) == 2
         assert "n_values must be strictly ascending" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    def test_empty_n_item_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(cli, "sample_small_scale",
+                            lambda *args: draws.append(args))
+        out = tmp_path / "x.csv"
+        assert main(["verify-lemmas", "--n", "16,,32", "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert "n_values must not have an empty item" in capsys.readouterr().err
         assert draws == []
         assert not out.exists()
 

@@ -232,6 +232,25 @@ class TestFullDigital:
         assert power == pytest.approx(2.1, rel=1e-10)
 
 
+class TestDot:
+    """hybrid._dot is a @ b bit for bit, through np.dot (one slice) and @."""
+
+    @pytest.mark.parametrize("stack", [1, 3, 50])
+    @pytest.mark.parametrize("k,k_r,k_t", [(10, 10, 10), (4, 3, 4), (3, 2, 1)])
+    def test_equals_matmul_bitwise(self, rng, stack, k, k_r, k_t):
+        # K_t = 1 gives (1, N) @ (N, K) and (1, N) @ (N, 1): BLAS's gemv
+        # and dot paths instead of gemm.
+        n = 64
+        for chains in (k_r, k_t):
+            g = (rng.standard_normal((stack, n, k))
+                 + 1j * rng.standard_normal((stack, n, k)))
+            f = build_analog(g, chains)
+            g_h = np.conj(np.swapaxes(g, -1, -2))
+            f_h = np.swapaxes(np.conj(f), -1, -2)
+            for a, b in [(f, g), (f, f_h), (g_h, g)]:
+                assert_same_bits(hybrid._dot(a, b), a @ b)
+
+
 class TestSincPenalty:
     def test_continuous_is_unity(self):
         assert sinc_penalty(None) == 1.0
