@@ -1,8 +1,8 @@
 """Rate analysis for multipair AF relaying with hybrid MRC/MRT processing.
 
-Monte-Carlo spectral-efficiency estimates, closed-form large-array limits
-under three power-scaling regimes, and convergence diagnostics for the
-analog beamforming stage.
+Monte-Carlo spectral-efficiency estimates and sweeps over the array size,
+closed-form large-array limits under three power-scaling regimes, and
+convergence diagnostics for the analog beamforming stage.
 """
 
 from .asymptotics import (
@@ -31,8 +31,10 @@ from .hybrid import (
 )
 from .metrics import (
     RatePoint,
+    SweepSpec,
     monte_carlo_rate,
     monte_carlo_rates,
+    run_sweep,
     sinrs,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "DegenerateChannelError",
     "QuantizationSpec",
     "RatePoint",
+    "SweepSpec",
     "SystemConfig",
     "build_analog",
     "canonical_drop",
@@ -55,6 +58,7 @@ __all__ = [
     "rate_case1",
     "rate_case2",
     "rate_case3",
+    "run_sweep",
     "sample_large_scale",
     "sample_realization",
     "sample_small_scale",

@@ -13,7 +13,8 @@ and 3 are its one-sided limits: the side with fixed power has unbounded
 energy, so every term that its energy divides drops out.  Case 2 (relay
 power fixed) leaves SINR_k = (pi/4) Eu eta1k c^2 / vR, case 3 (source power
 fixed) SINR_k = (pi/4) Er eta1k^2 eta2k^2 c^2 / (vD S21).  A zero energy
-gives SINR 0.  Every rate sums its SINRs through metrics._sum_rates.
+gives SINR 0.  Every rate, here and in the Monte-Carlo engine, sums its
+SINRs through _sum_rates.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import _sum_rates
-
 QUARTER_PI = math.pi / 4.0  # squared mean of the unit-power fading magnitude
+
+
+def _sum_rates(sinrs: np.ndarray) -> np.ndarray:
+    """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) of each SINR row."""
+    return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Batch front-end: scenario parsing, sweep execution, CSV/DAT output.
+"""Batch front-end: settings parsing, CSV/DAT output.
 
-All dB-to-linear conversion happens here; the library below works in linear
-units only.  Output rows are written single-threaded, ordered by
-(case, N, beta, mode), so a given (config, spec) pair always produces
-byte-identical files regardless of worker count.
+Flags and config files become the inputs of metrics.run_sweep (simulate)
+and diagnostics.lemma_rows (verify-lemmas), whose rows are written in the
+order returned.  The library raises ValueError for a bad setting before it
+draws anything, and main maps that to exit 2.
 """
 
 from __future__ import annotations
@@ -13,223 +13,29 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 import typing
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import asymptotics, diagnostics, metrics
-from .channel import canonical_drop, lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec
-from .metrics import _block_bounds, _env_thread_cap, _sweep_rates
+from .diagnostics import LEMMA_COLUMNS, lemma_rows
+from .metrics import (
+    CASES, CSV_COLUMNS, SWEEP_MODES, SweepSpec, render_beta, run_sweep,
+)
 
 log = logging.getLogger("hybridrelay.cli")
-
-# Each power regime: (user-side key, relay-side key, closed-form law or
-# None).  An e*_db key is an energy E, spread over the array as E/N; a
-# p*_db key is a power, used as is.  The law is named and looked up in
-# asymptotics at each call, so a wrapper installed there sees the call.
-_REGIMES = {
-    "case1": ("eu_db", "er_db", "rate_case1"),
-    "case2": ("eu_db", "pr_db", "rate_case2"),
-    "case3": ("pu_db", "er_db", "rate_case3"),
-    "fixed_power": ("pu_db", "pr_db", None),
-}
-CASES = tuple(_REGIMES)
-MODES = ("asymptote",) + metrics.MODES
-DROP_POLICIES = ("redraw_per_trial", "fixed_drop")
-
-CSV_COLUMNS = (
-    "case", "N", "beta", "mode", "mean_rate_bps_hz", "std_err",
-    "trials", "asymptote_rate", "degenerate_trials",
-)
-LEMMA_COLUMNS = (
-    "metric", "N", "beta", "seed", "diag_deviation", "offdiag_deviation",
-    "diag_mean", "bound", "passed",
-)
 
 # The short spellings; every canonical name also stands for itself.
 _CASE_ALIASES = {
     **dict(zip(CASES, CASES)),
     "1": "case1", "2": "case2", "3": "case3", "fixed": "fixed_power",
 }
-_MODE_ALIASES = {**dict(zip(MODES, MODES)), "full": "full_digital", "asym": "asymptote"}
-
-class UsageError(ValueError):
-    """Bad invocation: wrong flags, file keys, or value combinations."""
-
-
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
-def _check_lists(
-    n_values: Sequence[int], beta_values: Sequence[Optional[int]]
-) -> None:
-    """The antenna-list and beta-list rules that both subcommands share."""
-    if not n_values:
-        raise UsageError("n_values must not be empty")
-    if any(n < 1 for n in n_values):
-        raise UsageError("antenna counts must be positive")
-    if any(a >= b for a, b in zip(n_values, n_values[1:])):
-        raise UsageError("n_values must be strictly ascending")
-    if not beta_values:
-        raise UsageError("beta_values must not be empty")
-    if len(set(beta_values)) < len(beta_values):
-        raise UsageError("beta_values must not repeat")
-    try:
-        for beta in beta_values:
-            if beta is not None:
-                QuantizationSpec(beta)
-    except ValueError as exc:
-        raise UsageError(f"beta_values: {exc}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One batch of simulation cells.
-
-    beta_values uses None for continuous phases.  Energies are stored in dB
-    exactly as given; conversion happens when the per-cell powers are built.
-    """
-
-    case: str
-    n_values: Tuple[int, ...]
-    beta_values: Tuple[Optional[int], ...]
-    modes: Tuple[str, ...]
-    trials: int = 1000
-    eu_db: Optional[float] = None
-    er_db: Optional[float] = None
-    pu_db: Optional[float] = None
-    pr_db: Optional[float] = None
-    drop_policy: str = "redraw_per_trial"
-
-    def __post_init__(self) -> None:
-        if self.case not in CASES:
-            raise UsageError(f"case must be one of {CASES}, got {self.case!r}")
-        _check_lists(self.n_values, self.beta_values)
-        if not self.modes:
-            raise UsageError("modes must not be empty")
-        unknown = [m for m in self.modes if m not in MODES]
-        if unknown:
-            raise UsageError(f"unknown modes: {', '.join(unknown)}")
-        if self.trials < 2:
-            raise UsageError("trials must be at least 2")
-        if self.drop_policy not in DROP_POLICIES:
-            raise UsageError(f"drop_policy must be one of {DROP_POLICIES}")
-        user, relay, law = _REGIMES[self.case]
-        missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
-        if missing:
-            raise UsageError(f"{self.case} requires settings: {', '.join(missing)}")
-        if law is None and "asymptote" in self.modes:
-            raise UsageError(f"{self.case} has no closed-form asymptote")
-
-
-def _beta_key(beta: Optional[int]) -> int:
-    return -1 if beta is None else beta
-
-
-def _cell_powers(spec: SweepSpec, n: int) -> Tuple[float, float]:
-    """Per-cell linear (p_user, p_relay): an energy spreads as E/N."""
-    user, relay, _ = _REGIMES[spec.case]
-    return tuple(
-        db_to_linear(getattr(spec, key)) / (n if key.startswith("e") else 1)
-        for key in (user, relay)
-    )
-
-
-def _asymptote_rate(
-    spec: SweepSpec,
-    beta: Optional[int],
-    eta: Tuple[np.ndarray, np.ndarray],
-    config: SystemConfig,
-) -> Optional[float]:
-    """Closed-form limit rate of the cell, None where no law applies.
-
-    Only the regime's energies reach the law; a fixed-power side has none.
-    """
-    user, relay, law = _REGIMES[spec.case]
-    if law is None:
-        return None
-    e_user, e_relay = (
-        db_to_linear(getattr(spec, key)) if key.startswith("e") else None
-        for key in (user, relay)
-    )
-    delta = QuantizationSpec(beta).step if beta is not None else 0.0
-    inputs = asymptotics.AsymptoticInputs(
-        eta1=eta[0],
-        eta2=eta[1],
-        r=min(config.n_rx_chains, config.n_tx_chains, config.n_pairs),
-        var_relay_noise=config.var_relay_noise,
-        var_dest_noise=config.var_dest_noise,
-        e_user=e_user,
-        e_relay=e_relay,
-        delta=delta,
-    )
-    return getattr(asymptotics, law)(inputs)
-
-
-def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
-    """Execute every cell of the sweep and return ordered result rows.
-
-    Asymptote rows bypass sampling entirely and are computed on the
-    canonical benchmark drop, which is what the fixed-drop policy pins the
-    Monte-Carlo runs to as well; they do not move with trials, seed or N,
-    so each beta's limit is evaluated once.
-    Full-digital cells have no phase quantizer, so they are run once per N
-    and tagged with beta = cont.  All Monte-Carlo cells of one N share
-    their draws, so each trial's fading is drawn once per N, and the
-    blocks of every N share one thread pool.  The first failing cell, in
-    the order N, then full digital, then hybrid by beta, raises once every
-    block of the run has run, so a failure at a small N costs the whole
-    large-N part first.
-    """
-    bench_drop = canonical_drop(config)
-    mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
-    variants = []
-    if "full_digital" in spec.modes:
-        variants.append(("full_digital", None))
-    if "hybrid" in spec.modes:
-        variants.extend(("hybrid", beta) for beta in spec.beta_values)
-    limits = {b: _asymptote_rate(spec, b, bench_drop, config) for b in spec.beta_values}
-    bases = []
-    for n in spec.n_values:
-        p_user, p_relay = _cell_powers(spec, n)
-        bases.append(dataclasses.replace(
-            config, n_antennas=n, p_user=p_user, p_relay=p_relay
-        ))
-    points = (_sweep_rates(bases, spec.trials, variants, drop=mc_drop)
-              if variants else [[] for _ in bases])
-    rows = []
-    for base, cell_points in zip(bases, points):
-        n = base.n_antennas
-        degenerate = []
-        for (mode, beta), p in zip(variants, cell_points):
-            limit = limits[beta] if mode == "hybrid" else None
-            rows.append(_row(spec, n, mode, beta, limit, p.mean_rate,
-                             p.std_error, p.n_trials, p.n_degenerate))
-            label = mode if mode == "full_digital" else f"{mode}({_render_beta(beta)})"
-            degenerate.append(f"{label}={p.n_degenerate}")
-        if variants:
-            log.info("N=%d: trials=%d blocks=%d degenerate: %s", n, spec.trials,
-                     len(_block_bounds(base, spec.trials)), " ".join(degenerate))
-        if "asymptote" in spec.modes:
-            rows.extend(_row(spec, n, "asymptote", beta, limit, limit)
-                        for beta, limit in limits.items())
-    rows.sort(key=lambda r: (r["case"], r["N"], _beta_key(r["beta"]), r["mode"]))
-    return rows
-
-
-def _row(spec, n, mode, beta, limit, mean, std_err=0.0, trials=0, degenerate=0) -> dict:
-    """One CSV row; the defaults are an asymptote row's, whose mean is its limit."""
-    return {
-        "case": spec.case, "N": n, "beta": beta, "mode": mode,
-        "mean_rate_bps_hz": mean, "std_err": std_err, "trials": trials,
-        "asymptote_rate": limit, "degenerate_trials": degenerate,
-    }
+_MODE_ALIASES = {
+    **dict(zip(SWEEP_MODES, SWEEP_MODES)), "full": "full_digital", "asym": "asymptote",
+}
 
 
 def _format_cell(value) -> str:
@@ -244,13 +50,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render_beta(beta: Optional[int]) -> str:
-    return "cont" if beta is None else str(beta)
-
-
 def _render_row(row: dict, columns: Sequence[str]) -> List[str]:
     return [
-        _render_beta(row[col]) if col == "beta" else _format_cell(row[col])
+        render_beta(row[col]) if col == "beta" else _format_cell(row[col])
         for col in columns
     ]
 
@@ -286,7 +88,6 @@ _SYSTEM_HINTS = {
     key: hint for key, hint in typing.get_type_hints(SystemConfig).items()
     if key not in _CELL_KEYS
 }
-_SYSTEM_KEYS = tuple(_SYSTEM_HINTS)
 # Type hint of every settings key, in flag order: the scenario keys, the
 # sweep fields, and the two output paths.  A flag's dest is its key.
 _KEY_HINTS = {
@@ -330,14 +131,14 @@ def _file_value(key: str, value):
             return _flag_type(key)(",".join(map(str, items)))
         except ValueError:
             pass
-    raise UsageError(f"bad value for config key {key}: {json.dumps(value)}")
+    raise ValueError(f"bad value for config key {key}: {json.dumps(value)}")
 
 
 def _items(key: str, text: str) -> List[str]:
     """The comma-separated items of a list setting, stripped; none may be empty."""
     items = [tok.strip() for tok in text.split(",")]
     if not all(items):
-        raise UsageError(f"{key} must not have an empty item, got {text!r}")
+        raise ValueError(f"{key} must not have an empty item, got {text!r}")
     return items
 
 
@@ -346,7 +147,7 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in items)
     except ValueError:
-        raise UsageError("n_values must be a comma-separated list of integers")
+        raise ValueError("n_values must be a comma-separated list of integers")
 
 
 def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
@@ -359,25 +160,25 @@ def _parse_beta_list(text: str) -> Tuple[Optional[int], ...]:
             try:
                 out.append(int(tok))
             except ValueError:
-                raise UsageError(f"bad beta value {tok!r}; use integers or 'cont'")
+                raise ValueError(f"bad beta value {tok!r}; use integers or 'cont'")
     return tuple(dict.fromkeys(out))
+
+
+def _alias(aliases: dict, what: str, tok: str) -> str:
+    name = aliases.get(tok.strip().lower())
+    if name is None:
+        raise ValueError(f"unknown {what} {tok!r}")
+    return name
 
 
 def _parse_modes(text: str) -> Tuple[str, ...]:
-    out = []
-    for tok in _items("modes", text):
-        name = _MODE_ALIASES.get(tok.lower())
-        if name is None:
-            raise UsageError(f"unknown mode {tok!r}")
-        out.append(name)
-    return tuple(dict.fromkeys(out))
+    return tuple(dict.fromkeys(
+        _alias(_MODE_ALIASES, "mode", tok) for tok in _items("modes", text)
+    ))
 
 
 def _parse_case(value: str) -> str:
-    name = _CASE_ALIASES.get(value.strip().lower())
-    if name is None:
-        raise UsageError(f"unknown case {value!r}")
-    return name
+    return _alias(_CASE_ALIASES, "case", value)
 
 
 # The settings parse_config reads through a parser: lists and aliases.
@@ -403,14 +204,14 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}")
+            raise ValueError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}")
+            raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a flat JSON object")
+            raise ValueError("config file must hold a flat JSON object")
         unknown = sorted(set(loaded) - set(_KEY_HINTS))
         if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         settings = {key: _file_value(key, value) for key, value in loaded.items()}
 
     for key in _KEY_HINTS:
@@ -439,20 +240,15 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
     """Build the scenario and sweep objects from merged settings.
 
     Unset keys fall back to the library defaults; missing required values
-    and unknown keys raise UsageError naming the offenders.
+    and unknown keys raise ValueError naming the offenders.
     """
     if "case" not in settings:
-        raise UsageError("missing required setting: case")
+        raise ValueError("missing required setting: case")
     if "n_values" not in settings:
-        raise UsageError("missing required setting: n (antenna counts)")
+        raise ValueError("missing required setting: n (antenna counts)")
     given = _given(SweepSpec, {"beta_values": "cont", "modes": "hybrid", **settings})
     spec = SweepSpec(**{key: _parsed(key, value) for key, value in given.items()})
-    try:
-        config = SystemConfig(n_antennas=max(spec.n_values), **_given(SystemConfig, settings))
-        # Every cell must fit the chain counts, including the smallest array.
-        dataclasses.replace(config, n_antennas=min(spec.n_values))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = SystemConfig(n_antennas=max(spec.n_values), **_given(SystemConfig, settings))
     return config, spec
 
 
@@ -463,48 +259,27 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     config, spec = parse_config(settings)
-    out = settings.get("out")
+    out, dat = settings.get("out"), settings.get("dat")
     if not out:
-        raise UsageError("missing required setting: out (output CSV path)")
-    try:
-        _env_thread_cap()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("missing required setting: out (output CSV path)")
+    if dat and os.path.realpath(dat) == os.path.realpath(out):
+        raise ValueError(f"dat and out name the same file: {out}")
     rows = run_sweep(spec, config)
     emit_csv(rows, out)
-    if settings.get("dat"):
-        emit_dat(rows, settings["dat"])
+    if dat:
+        emit_dat(rows, dat)
     log.info("wrote %d rows to %s", len(rows), out)
     return 0
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    sizes = _parsed("n_values", args.n_values)
-    betas = _parsed("beta_values", args.beta_values)
-    _check_lists(sizes, betas)
-    if args.seeds < 1:
-        raise UsageError("seeds must be positive")
     flags = {key: getattr(args, key) for key in _LEMMA_KEYS}
     # The lemmas measure one side; its chain count stands for both.
     flags["n_tx_chains"] = flags["n_rx_chains"]
-    try:
-        config = SystemConfig(
-            n_antennas=min(sizes),
-            **{key: value for key, value in flags.items() if value is not None},
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-    rows = []
-    for n in sizes:
-        for seed in range(config.seed, config.seed + args.seeds):
-            h = sample_small_scale(n, config.n_pairs, lemma_rng(seed, n))
-            for beta in betas:
-                rows.extend(
-                    {**row, "N": n, "beta": beta, "seed": seed}
-                    for row in diagnostics.lemma_checks(h, config.n_rx_chains, beta)
-                )
-    rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
+    rows = lemma_rows(
+        _parsed("n_values", args.n_values), _parsed("beta_values", args.beta_values),
+        args.seeds, **{key: value for key, value in flags.items() if value is not None},
+    )
     emit_csv(rows, args.out, LEMMA_COLUMNS)
     log.info("wrote %d rows to %s", len(rows), args.out)
     return 0
@@ -520,13 +295,6 @@ def _add_setting(
         flag, dest=key, type=_flag_type(key), default=None,
         metavar=flag[2:].replace("-", "_").upper(), **kwargs,
     )
-
-
-def _add_system_flags(
-    parser: argparse.ArgumentParser, keys: Sequence[str] = _SYSTEM_KEYS, **helps: str
-) -> None:
-    for key in keys:
-        _add_setting(parser, key, help=helps.get(key))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -564,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      const="fixed_drop", default=None,
                      help="pin the benchmark user placement for all trials "
                           "(default: redraw the placement every trial)")
-    _add_system_flags(sim)
+    for key in _SYSTEM_HINTS:
+        _add_setting(sim, key)
     sim.set_defaults(func=_cmd_simulate)
 
     ver = sub.add_parser(
@@ -580,8 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_setting(ver, "beta_values", "--beta",
                  help="comma-separated bits and/or 'cont' (default cont)")
     _add_setting(ver, "out", required=True, help="output CSV path")
-    _add_system_flags(ver, _LEMMA_KEYS,
-                      seed="first seed of the family (default 0)")
+    for key in _LEMMA_KEYS:
+        _add_setting(ver, key, help="first seed of the family (default 0)"
+                     if key == "seed" else None)
     ver.set_defaults(func=_cmd_verify_lemmas, beta_values="cont")
     for command in (sim, ver):
         command.add_argument("-v", "--verbose", action="store_true",
@@ -605,10 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     package_log.addHandler(handler)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     finally:

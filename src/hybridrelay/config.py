@@ -12,8 +12,8 @@ from .hybrid import QuantizationSpec
 class SystemConfig:
     """All parameters of one relaying scenario.
 
-    Powers and noise variances are linear quantities. dB values are
-    converted at the command-line boundary and never stored here.
+    Powers and noise variances are linear quantities. dB values live in a
+    SweepSpec, whose cells run_sweep converts; none is stored here.
     """
 
     n_antennas: int                   # relay antennas per array (N)

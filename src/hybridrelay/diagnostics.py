@@ -4,20 +4,29 @@ Two instruments:
   * orthonormality of the analog combiner rows (F F^H against the identity),
   * alignment of F with the raw fading (F H against a scaled identity).
 Both shrink like 1/sqrt(N) and are reported against a 5/sqrt(N) envelope.
+lemma_rows measures both over a family of draws: the verify-lemmas table.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .channel import lemma_rng, sample_small_scale
+from .config import SystemConfig
 from .hybrid import QuantizationSpec, build_analog, sinc_penalty
+from .metrics import _beta_key, _check_lists
 
 # Row norms of the analog stage are exact by construction; only float
 # accumulation separates them from 1.
 DIAG_TOL = 1e-12
+
+LEMMA_COLUMNS = (
+    "metric", "N", "beta", "seed", "diag_deviation", "offdiag_deviation",
+    "diag_mean", "bound", "passed",
+)
 
 
 def orthonormality_parts(f: np.ndarray) -> Tuple[float, float]:
@@ -85,3 +94,33 @@ def lemma_checks(
         "bound": bound,
         "passed": max(fh_diag, fh_off) <= bound,
     }
+
+
+def lemma_rows(
+    n_values: Sequence[int],
+    beta_values: Sequence[Optional[int]],
+    n_seeds: int,
+    **scenario,
+) -> List[dict]:
+    """Both checks of every (N, seed, beta), keyed by LEMMA_COLUMNS.
+
+    `scenario` holds SystemConfig fields; n_pairs, n_rx_chains and the
+    first seed are read.  The lists follow a sweep's rules, and every check
+    raises ValueError before the first draw.  Each (N, seed) draw is
+    measured at every beta.  Rows are sorted by (metric, N, beta, seed).
+    """
+    _check_lists(n_values, beta_values)
+    if n_seeds < 1:
+        raise ValueError("seeds must be positive")
+    config = SystemConfig(n_antennas=min(n_values), **scenario)
+    rows = []
+    for n in n_values:
+        for seed in range(config.seed, config.seed + n_seeds):
+            h = sample_small_scale(n, config.n_pairs, lemma_rng(seed, n))
+            for beta in beta_values:
+                rows.extend(
+                    {**row, "N": n, "beta": beta, "seed": seed}
+                    for row in lemma_checks(h, config.n_rx_chains, beta)
+                )
+    rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
+    return rows

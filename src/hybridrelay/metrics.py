@@ -1,12 +1,16 @@
-"""Exact per-pair SINRs of one realization and the Monte-Carlo sum-rate engine.
+"""Exact per-pair SINRs of one realization, the Monte-Carlo sum-rate engine,
+and run_sweep, the library's one sweep over array sizes.
 
-Both run one K x K Gram kernel (_variant_sinrs) on a stack of draws.
+SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
+draws; the engine's block, pool and SIM_THREADS rules live here only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -14,9 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import channel, hybrid
-from .channel import ChannelRealization
+from . import asymptotics, channel, hybrid
+from .asymptotics import _sum_rates
+from .channel import ChannelRealization, canonical_drop
 from .config import SystemConfig
+
+log = logging.getLogger(__name__)
 
 MODES = ("hybrid", "full_digital")
 
@@ -70,21 +77,10 @@ def _gram_sinrs(
     )
 
 
-def _sum_rates(sinrs: np.ndarray) -> np.ndarray:
-    """Half-duplex sum rate 0.5 * sum_k log2(1 + SINR_k) of each SINR row."""
-    return 0.5 * np.sum(np.log2(1.0 + sinrs), axis=-1)
-
-
 def _block_trials(config: SystemConfig) -> int:
     """Trials per block: about _BLOCK_BYTES of fading (two N x K hops each)."""
     trial_bytes = 2 * config.n_antennas * config.n_pairs * np.dtype(complex).itemsize
     return max(1, _BLOCK_BYTES // trial_bytes)
-
-
-def _block_bounds(config: SystemConfig, n_trials: int) -> List[Tuple[int, int]]:
-    """The (lo, hi) trial ranges of a config's blocks, in trial order."""
-    block = _block_trials(config)
-    return [(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
 
 
 def _variant_sinrs(
@@ -227,7 +223,9 @@ def _sweep_rates(
     first failing config, in the given order, raises with the message of
     its first failing variant, but only after every block of every config
     has run: a failing config is known only once its whole table is in,
-    and the smallest array, first in a sweep, runs last.
+    and the smallest array, first in a sweep, runs last.  A run that
+    succeeds logs one INFO line per config, in order, with its trials,
+    its blocks and the degenerate draws of each variant.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be at least 2")
@@ -242,8 +240,11 @@ def _sweep_rates(
     if drop is not None:
         drop = channel._validated_drop(drop, configs[0].n_pairs)
 
+    # The (lo, hi) trial ranges of each config's blocks, in trial order.
+    bounds = [[(lo, min(lo + block, n_trials)) for lo in range(0, n_trials, block)]
+              for block in map(_block_trials, configs)]
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
-    jobs = [(c, lo, hi) for c in order for lo, hi in _block_bounds(configs[c], n_trials)]
+    jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
 
     def run_block(job: Tuple[int, int, int]) -> np.ndarray:
         c, lo, hi = job
@@ -264,6 +265,12 @@ def _sweep_rates(
     for p in points:
         if isinstance(p, RuntimeError):
             raise p
+    labels = [mode if mode == "full_digital" else f"{mode}({render_beta(bits)})"
+              for mode, bits in variants]
+    for config, ranges, cell in zip(configs, bounds, points):
+        degenerate = (f"{label}={p.n_degenerate}" for label, p in zip(labels, cell))
+        log.info("N=%d: trials=%d blocks=%d degenerate: %s", config.n_antennas,
+                 n_trials, len(ranges), " ".join(degenerate))
     return points
 
 
@@ -283,16 +290,10 @@ def monte_carlo_rates(
     once for all variants.  Trials run in blocks of about 1 MB of fading
     (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
     Grams together; a trial's SINRs do not depend on the block it lands in
-    or on the other variants of the call.  A thread pool runs the blocks;
-    a simulate run puts the blocks of all its array sizes on one pool
-    (the one-config call of a private engine entry).  The pool has
-    min(CPU count, SIM_THREADS, total number of blocks) workers, the
-    SIM_THREADS environment variable counting only when set; a run with
-    one worker, such as one that fits in a single block, runs serially.
-    np.matmul holds the GIL for its whole call, so in a one-trial block
-    (N K > 16384) the products over the array dimension N (F G of both
-    hops, F F^H, and G^H G for full digital) run through np.dot, which
-    releases it, and the workers overlap there too.
+    or on the other variants of the call.  A thread pool of
+    min(CPU count, SIM_THREADS when set, number of blocks) workers runs the
+    blocks, overlapping where numpy releases the GIL (see hybrid._dot); it
+    is run_sweep's pool for a single array size.
     Each variant's reduction runs in ascending trial order, so the result
     is bit-identical for any worker count and equals a separate
     `monte_carlo_rate` call per variant.  `drop`, when given, is validated
@@ -320,3 +321,185 @@ def monte_carlo_rate(
     skipped and counted, and the run aborts if they exceed 1% of n_trials.
     """
     return monte_carlo_rates(config, n_trials, [(mode, config.quant_bits)], drop)[0]
+
+
+# Each power regime: (user-side key, relay-side key, closed-form law or
+# None).  An e*_db key is an energy E, spread over the array as E/N; a
+# p*_db key is a power, used as is.  The law is named and looked up in
+# asymptotics at each call, so a wrapper installed there sees the call.
+_REGIMES = {
+    "case1": ("eu_db", "er_db", "rate_case1"),
+    "case2": ("eu_db", "pr_db", "rate_case2"),
+    "case3": ("pu_db", "er_db", "rate_case3"),
+    "fixed_power": ("pu_db", "pr_db", None),
+}
+CASES = tuple(_REGIMES)
+SWEEP_MODES = ("asymptote",) + MODES
+DROP_POLICIES = ("redraw_per_trial", "fixed_drop")
+
+CSV_COLUMNS = (
+    "case", "N", "beta", "mode", "mean_rate_bps_hz", "std_err",
+    "trials", "asymptote_rate", "degenerate_trials",
+)
+
+
+def db_to_linear(x_db: float) -> float:
+    return 10.0 ** (x_db / 10.0)
+
+
+def render_beta(beta: Optional[int]) -> str:
+    """How a phase resolution is written: its bit count, or cont for None."""
+    return "cont" if beta is None else str(beta)
+
+
+def _beta_key(beta: Optional[int]) -> int:
+    return -1 if beta is None else beta
+
+
+def _check_lists(
+    n_values: Sequence[int], beta_values: Sequence[Optional[int]]
+) -> None:
+    """The antenna-list and beta-list rules of a sweep and of the lemma table."""
+    if not n_values:
+        raise ValueError("n_values must not be empty")
+    if any(n < 1 for n in n_values):
+        raise ValueError("antenna counts must be positive")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly ascending")
+    if not beta_values:
+        raise ValueError("beta_values must not be empty")
+    if len(set(beta_values)) < len(beta_values):
+        raise ValueError("beta_values must not repeat")
+    try:
+        for beta in beta_values:
+            if beta is not None:
+                hybrid.QuantizationSpec(beta)
+    except ValueError as exc:
+        raise ValueError(f"beta_values: {exc}")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One batch of simulation cells, checked on construction.
+
+    beta_values uses None for continuous phases.  Energies are stored in dB
+    exactly as given; conversion happens when the per-cell powers are built.
+    """
+
+    case: str
+    n_values: Tuple[int, ...]
+    beta_values: Tuple[Optional[int], ...]
+    modes: Tuple[str, ...]
+    trials: int = 1000
+    eu_db: Optional[float] = None
+    er_db: Optional[float] = None
+    pu_db: Optional[float] = None
+    pr_db: Optional[float] = None
+    drop_policy: str = "redraw_per_trial"
+
+    def __post_init__(self) -> None:
+        if self.case not in CASES:
+            raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
+        _check_lists(self.n_values, self.beta_values)
+        if not self.modes:
+            raise ValueError("modes must not be empty")
+        unknown = [m for m in self.modes if m not in SWEEP_MODES]
+        if unknown:
+            raise ValueError(f"unknown modes: {', '.join(unknown)}")
+        if self.trials < 2:
+            raise ValueError("trials must be at least 2")
+        if self.drop_policy not in DROP_POLICIES:
+            raise ValueError(f"drop_policy must be one of {DROP_POLICIES}")
+        user, relay, law = _REGIMES[self.case]
+        missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"{self.case} requires settings: {', '.join(missing)}")
+        if law is None and "asymptote" in self.modes:
+            raise ValueError(f"{self.case} has no closed-form asymptote")
+
+
+def _cell_powers(spec: SweepSpec, n: int) -> Tuple[float, float]:
+    """Per-cell linear (p_user, p_relay): an energy spreads as E/N."""
+    user, relay, _ = _REGIMES[spec.case]
+    return tuple(
+        db_to_linear(getattr(spec, key)) / (n if key.startswith("e") else 1)
+        for key in (user, relay)
+    )
+
+
+def _asymptote_rate(
+    spec: SweepSpec,
+    beta: Optional[int],
+    eta: Tuple[np.ndarray, np.ndarray],
+    config: SystemConfig,
+) -> Optional[float]:
+    """Closed-form limit rate of the cell, None where no law applies.
+
+    Only the regime's energies reach the law; a fixed-power side has none.
+    """
+    user, relay, law = _REGIMES[spec.case]
+    if law is None:
+        return None
+    e_user, e_relay = (
+        db_to_linear(getattr(spec, key)) if key.startswith("e") else None
+        for key in (user, relay)
+    )
+    delta = hybrid.QuantizationSpec(beta).step if beta is not None else 0.0
+    return getattr(asymptotics, law)(asymptotics.AsymptoticInputs(
+        *eta, r=min(config.n_rx_chains, config.n_tx_chains, config.n_pairs),
+        var_relay_noise=config.var_relay_noise, var_dest_noise=config.var_dest_noise,
+        e_user=e_user, e_relay=e_relay, delta=delta,
+    ))
+
+
+def _row(spec, n, mode, beta, limit, mean, std_err=0.0, trials=0, degenerate=0) -> dict:
+    """One row; the defaults are an asymptote row's, whose mean is its limit."""
+    values = (spec.case, n, beta, mode, mean, std_err, trials, limit, degenerate)
+    return dict(zip(CSV_COLUMNS, values))
+
+
+def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
+    """Run every cell of the sweep and return its rows, keyed by CSV_COLUMNS.
+
+    `config` is the scenario; each cell sets its array size, powers and
+    phase bits.  Every check raises ValueError before the first draw: the
+    chains must fit the smallest array, and a set SIM_THREADS must be a
+    positive integer.  Asymptote rows are closed forms on the canonical
+    benchmark drop, which the fixed-drop policy pins the Monte-Carlo runs
+    to as well; they do not move with trials, seed or N, so each beta's
+    limit is evaluated once.  Full-digital cells have no phase quantizer,
+    so they run once per N, tagged with beta None.  All Monte-Carlo cells
+    of one N share their draws, and the blocks of every N share one thread
+    pool.  The first failing cell, in the order N, then full digital, then
+    hybrid by beta, raises RuntimeError once every block of the run has
+    run, so a failure at a small N costs the whole large-N part first.
+    Rows are sorted by (case, N, beta, mode), continuous phases first.
+    """
+    bases = []
+    for n in spec.n_values:
+        p_user, p_relay = _cell_powers(spec, n)
+        bases.append(dataclasses.replace(
+            config, n_antennas=n, p_user=p_user, p_relay=p_relay
+        ))
+    _env_thread_cap()  # an asymptote-only run starts no pool, yet is checked
+    bench_drop = canonical_drop(config)
+    mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
+    variants = []
+    if "full_digital" in spec.modes:
+        variants.append(("full_digital", None))
+    if "hybrid" in spec.modes:
+        variants.extend(("hybrid", beta) for beta in spec.beta_values)
+    limits = {b: _asymptote_rate(spec, b, bench_drop, config) for b in spec.beta_values}
+    points = (_sweep_rates(bases, spec.trials, variants, drop=mc_drop)
+              if variants else [[] for _ in bases])
+    rows = []
+    for n, cell_points in zip(spec.n_values, points):
+        for (mode, beta), p in zip(variants, cell_points):
+            limit = limits[beta] if mode == "hybrid" else None
+            rows.append(_row(spec, n, mode, beta, limit, p.mean_rate,
+                             p.std_error, p.n_trials, p.n_degenerate))
+        if "asymptote" in spec.modes:
+            rows.extend(_row(spec, n, "asymptote", beta, limit, limit)
+                        for beta, limit in limits.items())
+    rows.sort(key=lambda r: (r["case"], r["N"], _beta_key(r["beta"]), r["mode"]))
+    return rows

@@ -1,5 +1,6 @@
 """Command-line front-end: parsing, sweep output, error mapping."""
 
+import argparse
 import csv
 import json
 import logging
@@ -15,29 +16,20 @@ import pytest
 from hybridrelay import (
     AsymptoticInputs,
     QuantizationSpec,
+    SweepSpec,
     SystemConfig,
     canonical_drop,
     channel,
     cli,
+    diagnostics,
     metrics,
     rate_case1,
     rate_case2,
     rate_case3,
 )
-from hybridrelay.cli import (
-    CSV_COLUMNS,
-    LEMMA_COLUMNS,
-    SweepSpec,
-    UsageError,
-    _cell_powers,
-    _parse_beta_list,
-    _parse_case,
-    _parse_modes,
-    db_to_linear,
-    main,
-    parse_config,
-    run_sweep,
-)
+from hybridrelay.cli import _parse_beta_list, _parse_case, _parse_modes, main
+from hybridrelay.diagnostics import LEMMA_COLUMNS
+from hybridrelay.metrics import CSV_COLUMNS, db_to_linear, render_beta
 
 SMALL_ARGS = [
     "--n-pairs", "3", "--n-rx-chains", "3", "--n-tx-chains", "3",
@@ -191,36 +183,46 @@ class TestSimulate:
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("drop_policy", ["redraw_per_trial", "fixed_drop"])
     def test_one_pool_equals_separate_calls_per_array_size(
-        self, monkeypatch, threads, drop_policy
+        self, tmp_path, monkeypatch, threads, drop_policy
     ):
-        # Blocks of one to three trials, so the pool interleaves array sizes.
+        # The written CSV, not only run_sweep's rows: blocks of one to three
+        # trials, so the pool interleaves array sizes.
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 12)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("SIM_THREADS", threads)
-        config, spec = parse_config({
-            "case": "2", "n_values": "8,16,24", "beta_values": "cont,1",
-            "modes": "hybrid,full", "eu_db": 13.0, "pr_db": 13.0, "n_pairs": 3,
-            "n_rx_chains": 3, "n_tx_chains": 3, "trials": 7, "seed": 5,
-            "drop_policy": drop_policy,
-        })
-        rows = run_sweep(spec, config)
+        out = tmp_path / "rates.csv"
+        argv = ["simulate", "--case", "2", "--n", "8,16,24", "--beta", "cont,1",
+                "--modes", "hybrid,full", "--eu-db", "13", "--pr-db", "13",
+                "--n-pairs", "3", "--n-rx-chains", "3", "--n-tx-chains", "3",
+                "--trials", "7", "--seed", "5", "--out", str(out)]
+        if drop_policy == "fixed_drop":
+            argv.append("--fixed-drop")
+        assert main(argv) == 0
+        spec = SweepSpec(
+            case="case2", n_values=(8, 16, 24), beta_values=(None, 1),
+            modes=("hybrid", "full_digital"), eu_db=13.0, pr_db=13.0, trials=7,
+        )
+        config = SystemConfig(n_antennas=24, n_pairs=3, n_rx_chains=3,
+                              n_tx_chains=3, seed=5)
         drop = canonical_drop(config) if drop_policy == "fixed_drop" else None
         variants = [("full_digital", None), ("hybrid", None), ("hybrid", 1)]
         expected = []
         for n in spec.n_values:
-            p_user, p_relay = _cell_powers(spec, n)
+            p_user, p_relay = metrics._cell_powers(spec, n)
             base = replace(config, n_antennas=n, p_user=p_user, p_relay=p_relay)
             points = metrics.monte_carlo_rates(base, spec.trials, variants, drop=drop)
             expected += [
-                (n, beta, mode, p.mean_rate, p.std_error, p.n_trials, p.n_degenerate)
+                (str(n), render_beta(beta), mode, "%.10g" % p.mean_rate,
+                 "%.10g" % p.std_error, str(p.n_trials), str(p.n_degenerate))
                 for (mode, beta), p in zip(variants, points)
             ]
+        _, body = read_csv(out)
         got = [
             (r["N"], r["beta"], r["mode"], r["mean_rate_bps_hz"], r["std_err"],
              r["trials"], r["degenerate_trials"])
-            for r in rows
+            for r in body
         ]
-        assert sorted(got, key=repr) == sorted(expected, key=repr)
+        assert sorted(got) == sorted(expected)
 
     def test_first_failing_array_size_in_order_raises(
         self, tmp_path, capsys, monkeypatch
@@ -487,11 +489,56 @@ class TestSimulateErrors:
     def test_invalid_sim_threads_fails_before_any_cell(
         self, tmp_path, capsys, monkeypatch, threads
     ):
+        # An asymptote-only run starts no pool, and is checked all the same.
         calls = count_draws(monkeypatch)
         monkeypatch.setenv("SIM_THREADS", threads)
         out = tmp_path / "x.csv"
-        assert run_simulate(out, ["--modes", "hybrid,full"]) == 2
-        assert "SIM_THREADS" in capsys.readouterr().err
+        for modes in ("hybrid,full", "asym"):
+            assert run_simulate(out, ["--modes", modes]) == 2
+            assert "SIM_THREADS" in capsys.readouterr().err
+            assert calls == []
+            assert not out.exists()
+
+    @pytest.mark.parametrize("dat", ["rates.csv", "./rates.csv"])
+    def test_dat_naming_out_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, dat
+    ):
+        # The DAT table used to overwrite the CSV it was written after.
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "rates.csv"
+        monkeypatch.chdir(tmp_path)
+        assert run_simulate(out, ["--dat", dat]) == 2
+        assert "error: dat and out name the same file" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,settings,fragment", [
+        ([], {"n_values": []}, "n_values"),
+        (["--n", "16,16"], {}, "ascending"),
+        (["--n", "0"], {}, "positive"),
+        (["--beta", "0"], {}, "beta"),
+        (["--modes", "hybrid,analog"], {}, "unknown mode"),
+        (["--trials", "1"], {}, "trials"),
+        ([], {"drop_policy": "sticky"}, "drop_policy"),
+        (["--case", "9"], {}, "case"),
+    ], ids=["no-n", "repeated-n", "zero-n", "zero-bits", "unknown-mode",
+            "one-trial", "drop-policy", "unknown-case"])
+    def test_sweep_spec_rejection_exits_2(
+        self, tmp_path, capsys, monkeypatch, flags, settings, fragment
+    ):
+        # Each rule of TestSweepSpecValidation reached through simulate; a
+        # missing energy is test_missing_energy_is_named.  A repeated beta
+        # cannot be reached: the front end runs a repeated value once.
+        calls = count_draws(monkeypatch)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "case": "case2", "n_values": [8, 16], "eu_db": 13, "pr_db": 13,
+            **settings,
+        }))
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + SMALL_ARGS + flags) == 2
+        assert fragment in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -553,7 +600,7 @@ class TestVerifyLemmas:
             "negative-seed", "bits-beyond-float-range"])
     def test_bad_input_fails_before_any_draw(self, tmp_path, monkeypatch, flags):
         draws = []
-        monkeypatch.setattr(cli, "sample_small_scale",
+        monkeypatch.setattr(diagnostics, "sample_small_scale",
                             lambda *args: draws.append(args))
         out = tmp_path / "x.csv"
         assert main(["verify-lemmas", "--n", "100", "--seeds", "2",
@@ -564,7 +611,7 @@ class TestVerifyLemmas:
     @pytest.mark.parametrize("sizes", ["16,16", "100,16"], ids=["repeated", "descending"])
     def test_n_list_follows_simulate_rules(self, tmp_path, capsys, monkeypatch, sizes):
         draws = []
-        monkeypatch.setattr(cli, "sample_small_scale",
+        monkeypatch.setattr(diagnostics, "sample_small_scale",
                             lambda *args: draws.append(args))
         out = tmp_path / "x.csv"
         assert main(["verify-lemmas", "--n", sizes, "--seeds", "1",
@@ -575,7 +622,7 @@ class TestVerifyLemmas:
 
     def test_empty_n_item_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
         draws = []
-        monkeypatch.setattr(cli, "sample_small_scale",
+        monkeypatch.setattr(diagnostics, "sample_small_scale",
                             lambda *args: draws.append(args))
         out = tmp_path / "x.csv"
         assert main(["verify-lemmas", "--n", "16,,32", "--seeds", "1",
@@ -607,6 +654,97 @@ class TestVerifyLemmas:
             main(["verify-lemmas", "--seeds", "1"])
 
 
+# Every action of both subcommands as (option strings, dest, metavar, type,
+# default, help).  The flags and their types are derived from SweepSpec's and
+# SystemConfig's fields, so moving or editing those must leave this as is.
+FLAGS = {
+    'simulate': [
+        (('-h', '--help'), 'help', None, None,
+         '==SUPPRESS==', 'show this help message and exit'),
+        (('--config',), 'config', None, None,
+         None, 'JSON settings file; explicit flags override it'),
+        (('--case',), 'case', 'CASE', 'str',
+         None, 'power regime: 1|2|3|fixed'),
+        (('--n',), 'n_values', 'N', 'str',
+         None, 'comma-separated antenna counts, ascending'),
+        (('--beta',), 'beta_values', 'BETA', 'str',
+         None, "comma-separated phase-shifter bits and/or 'cont'"),
+        (('--modes',), 'modes', 'MODES', 'str',
+         None, 'comma-separated subset of hybrid,full,asym'),
+        (('--trials',), 'trials', 'TRIALS', 'int',
+         None, None),
+        (('--eu-db',), 'eu_db', 'EU_DB', 'float',
+         None, 'user energy N*p_user in dB (scaled regimes)'),
+        (('--er-db',), 'er_db', 'ER_DB', 'float',
+         None, 'relay energy N*p_relay in dB (scaled regimes)'),
+        (('--pu-db',), 'pu_db', 'PU_DB', 'float',
+         None, 'fixed user power in dB'),
+        (('--pr-db',), 'pr_db', 'PR_DB', 'float',
+         None, 'fixed relay power in dB'),
+        (('--out',), 'out', 'OUT', 'str',
+         None, 'output CSV path'),
+        (('--dat',), 'dat', 'DAT', 'str',
+         None, 'optional whitespace-separated companion table'),
+        (('--fixed-drop',), 'drop_policy', None, None,
+         None, 'pin the benchmark user placement for all trials (default: redraw the placement every trial)'),
+        (('--n-pairs',), 'n_pairs', 'N_PAIRS', 'int',
+         None, None),
+        (('--n-rx-chains',), 'n_rx_chains', 'N_RX_CHAINS', 'int',
+         None, None),
+        (('--n-tx-chains',), 'n_tx_chains', 'N_TX_CHAINS', 'int',
+         None, None),
+        (('--var-relay-noise',), 'var_relay_noise', 'VAR_RELAY_NOISE', 'float',
+         None, None),
+        (('--var-dest-noise',), 'var_dest_noise', 'VAR_DEST_NOISE', 'float',
+         None, None),
+        (('--cell-radius-m',), 'cell_radius_m', 'CELL_RADIUS_M', 'float',
+         None, None),
+        (('--guard-radius-m',), 'guard_radius_m', 'GUARD_RADIUS_M', 'float',
+         None, None),
+        (('--pathloss-exp',), 'pathloss_exp', 'PATHLOSS_EXP', 'float',
+         None, None),
+        (('--shadow-std-db',), 'shadow_std_db', 'SHADOW_STD_DB', 'float',
+         None, None),
+        (('--seed',), 'seed', 'SEED', 'int',
+         None, None),
+        (('-v', '--verbose'), 'verbose', None, None,
+         False, 'also print INFO lines on stderr'),
+    ],
+    'verify-lemmas': [
+        (('-h', '--help'), 'help', None, None,
+         '==SUPPRESS==', 'show this help message and exit'),
+        (('--n',), 'n_values', 'N', 'str',
+         None, 'comma-separated antenna counts, ascending'),
+        (('--seeds',), 'seeds', None, 'int',
+         50, 'number of seeds per size (default 50)'),
+        (('--beta',), 'beta_values', 'BETA', 'str',
+         'cont', "comma-separated bits and/or 'cont' (default cont)"),
+        (('--out',), 'out', 'OUT', 'str',
+         None, 'output CSV path'),
+        (('--n-pairs',), 'n_pairs', 'N_PAIRS', 'int',
+         None, None),
+        (('--n-rx-chains',), 'n_rx_chains', 'N_RX_CHAINS', 'int',
+         None, None),
+        (('--seed',), 'seed', 'SEED', 'int',
+         None, 'first seed of the family (default 0)'),
+        (('-v', '--verbose'), 'verbose', None, None,
+         False, 'also print INFO lines on stderr'),
+    ],
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, expected in FLAGS.items():
+        got = [
+            (tuple(a.option_strings), a.dest, a.metavar,
+             None if a.type is None else a.type.__name__, a.default, a.help)
+            for a in sub.choices[command]._actions
+        ]
+        assert got == expected, command
+
+
 class TestHelpers:
     def test_db_to_linear_frozen(self):
         assert db_to_linear(13.0) == pytest.approx(19.952623149688797, rel=1e-15)
@@ -615,30 +753,19 @@ class TestHelpers:
     def test_case_aliases(self):
         assert _parse_case("1") == "case1"
         assert _parse_case("FIXED") == "fixed_power"
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             _parse_case("7")
 
     def test_mode_aliases_dedupe_in_order(self):
         assert _parse_modes("full,asym,full") == ("full_digital", "asymptote")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             _parse_modes("hybrid,analog")
 
     def test_beta_list(self):
         assert _parse_beta_list("cont,2,1") == (None, 2, 1)
         assert _parse_beta_list("CONTINUOUS") == (None,)
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             _parse_beta_list("1.5")
-
-    def test_cell_powers_follow_each_scaling_law(self):
-        def spec(case, **kw):
-            return SweepSpec(case=case, n_values=(10,), beta_values=(None,),
-                             modes=("hybrid",), **kw)
-
-        # 10 dB -> 10x, 20 dB -> 100x; N = 10 divides the scaled sides.
-        assert _cell_powers(spec("case1", eu_db=10, er_db=20), 10) == (1.0, 10.0)
-        assert _cell_powers(spec("case2", eu_db=10, pr_db=20), 10) == (1.0, 100.0)
-        assert _cell_powers(spec("case3", pu_db=10, er_db=20), 10) == (10.0, 10.0)
-        assert _cell_powers(spec("fixed_power", pu_db=10, pr_db=20), 10) == (10.0, 100.0)
 
 
 class TestSweepSpecValidation:
@@ -664,5 +791,5 @@ class TestSweepSpecValidation:
         (dict(beta_values=(2, None, 2)), "repeat"),
     ])
     def test_rejections(self, kw, fragment):
-        with pytest.raises(UsageError, match=fragment):
+        with pytest.raises(ValueError, match=fragment):
             self.good(**kw)

@@ -20,6 +20,7 @@ def test_quick_start_runs(capsys):
     out = capsys.readouterr().out
     assert "large-array limit:" in out
     assert "full-digital SINRs:" in out
+    assert "sweep rows: 8" in out
 
 
 def test_cli_examples_parse():

@@ -12,15 +12,18 @@ import oracles
 from conftest import make_channels
 from hybridrelay import (
     DegenerateChannelError,
+    SweepSpec,
     SystemConfig,
+    canonical_drop,
     monte_carlo_rate,
     monte_carlo_rates,
+    run_sweep,
     sample_realization,
     sinrs,
 )
 from hybridrelay import channel, metrics
 from hybridrelay.channel import ChannelRealization
-from hybridrelay.metrics import _block_sinrs, _block_trials, _worker_count
+from hybridrelay.metrics import _block_sinrs, _block_trials, _cell_powers, _worker_count
 
 SMALL = SystemConfig(
     n_antennas=8, n_pairs=3, n_rx_chains=3, n_tx_chains=3, seed=21
@@ -369,3 +372,51 @@ class TestSharedDraw:
             )
         with pytest.raises(RuntimeError, match="^10 of 100"):
             monte_carlo_rates(SMALL, 100, [("hybrid", 2), ("hybrid", 1)])
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("drop_policy", ["redraw_per_trial", "fixed_drop"])
+    def test_one_pool_equals_separate_calls_per_array_size(
+        self, monkeypatch, threads, drop_policy
+    ):
+        # Blocks of one to three trials, so the pool interleaves array sizes.
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 12)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("SIM_THREADS", threads)
+        spec = SweepSpec(
+            case="case2", n_values=(8, 16, 24), beta_values=(None, 1),
+            modes=("hybrid", "full_digital"), eu_db=13.0, pr_db=13.0, trials=7,
+            drop_policy=drop_policy,
+        )
+        config = SystemConfig(n_antennas=24, n_pairs=3, n_rx_chains=3,
+                              n_tx_chains=3, seed=5)
+        rows = run_sweep(spec, config)
+        drop = canonical_drop(config) if drop_policy == "fixed_drop" else None
+        variants = [("full_digital", None), ("hybrid", None), ("hybrid", 1)]
+        expected = []
+        for n in spec.n_values:
+            p_user, p_relay = _cell_powers(spec, n)
+            base = replace(config, n_antennas=n, p_user=p_user, p_relay=p_relay)
+            points = metrics.monte_carlo_rates(base, spec.trials, variants, drop=drop)
+            expected += [
+                (n, beta, mode, p.mean_rate, p.std_error, p.n_trials, p.n_degenerate)
+                for (mode, beta), p in zip(variants, points)
+            ]
+        got = [
+            (r["N"], r["beta"], r["mode"], r["mean_rate_bps_hz"], r["std_err"],
+             r["trials"], r["degenerate_trials"])
+            for r in rows
+        ]
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+
+    def test_cell_powers_follow_each_scaling_law(self):
+        def spec(case, **kw):
+            return SweepSpec(case=case, n_values=(10,), beta_values=(None,),
+                             modes=("hybrid",), **kw)
+
+        # 10 dB -> 10x, 20 dB -> 100x; N = 10 divides the scaled sides.
+        assert _cell_powers(spec("case1", eu_db=10, er_db=20), 10) == (1.0, 10.0)
+        assert _cell_powers(spec("case2", eu_db=10, pr_db=20), 10) == (1.0, 100.0)
+        assert _cell_powers(spec("case3", pu_db=10, er_db=20), 10) == (10.0, 10.0)
+        assert _cell_powers(spec("fixed_power", pu_db=10, pr_db=20), 10) == (10.0, 100.0)
