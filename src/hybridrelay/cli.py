@@ -274,8 +274,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     flags = {key: getattr(args, key) for key in _LEMMA_KEYS}
-    # The lemmas measure one side; its chain count stands for both.
-    flags["n_tx_chains"] = flags["n_rx_chains"]
     rows = lemma_rows(
         _parsed("n_values", args.n_values), _parsed("beta_values", args.beta_values),
         args.seeds, **{key: value for key, value in flags.items() if value is not None},

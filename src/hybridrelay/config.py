@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,8 +13,8 @@ from .hybrid import QuantizationSpec
 class SystemConfig:
     """All parameters of one relaying scenario.
 
-    Powers and noise variances are linear quantities. dB values live in a
-    SweepSpec, whose cells run_sweep converts; none is stored here.
+    Powers and noise variances are finite linear quantities. dB values live
+    in a SweepSpec, whose cells run_sweep converts; none is stored here.
     """
 
     n_antennas: int                   # relay antennas per array (N)
@@ -47,6 +48,9 @@ class SystemConfig:
             raise ValueError("transmit powers must be non-negative")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
             raise ValueError("noise variances must be positive")
+        for name in ("p_user", "p_relay", "var_relay_noise", "var_dest_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.quant_bits is not None:
             QuantizationSpec(self.quant_bits)
         if not 0 < self.guard_radius_m < self.cell_radius_m:

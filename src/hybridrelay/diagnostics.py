@@ -29,28 +29,25 @@ LEMMA_COLUMNS = (
 )
 
 
-def orthonormality_parts(f: np.ndarray) -> Tuple[float, float]:
-    """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|)."""
+def orthonormality_parts(f: np.ndarray) -> Tuple[float, float, float]:
+    """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|, mean Re diag(F F^H))."""
     p = f @ f.conj().T
-    diag = np.abs(np.diagonal(p) - 1.0)
-    off = np.abs(p - np.diag(np.diagonal(p)))
-    return float(diag.max()), float(off.max())
+    d = np.diagonal(p)
+    off = np.abs(p - np.diag(d))
+    return float(np.abs(d - 1.0).max()), float(off.max()), float(d.real.mean())
 
 
 def fh_parts(
-    f: np.ndarray,
-    h: np.ndarray,
-    n: int,
-    quant: Optional[QuantizationSpec] = None,
+    f: np.ndarray, h: np.ndarray, quant: Optional[QuantizationSpec] = None
 ) -> Tuple[float, float, float]:
     """Deviation of F H / sqrt(N pi/4) from c * I, c = sinc(step) (1 unquantized).
 
-    The target identity covers the first r = min(chains, columns) diagonal
-    entries; everything else converges to zero.  Returns (max diagonal
-    deviation, max other-entry magnitude, mean real part of the diagonal).
+    h is N x K.  The target covers the first r = min(chains, K) diagonal
+    entries; all else converges to zero.  Returns (max diagonal deviation,
+    max other-entry magnitude, mean real part of the diagonal).
     """
     target = sinc_penalty(quant)
-    m = (f @ h) / math.sqrt(n * math.pi / 4.0)
+    m = (f @ h) / math.sqrt(h.shape[0] * math.pi / 4.0)
     r = min(m.shape)
     idx = np.arange(r)
     diag = m[idx, idx]
@@ -68,59 +65,57 @@ def lemma_checks(
 
     Builds the analog stage F from the first n_chains columns of h
     (continuous phases when bits is None) and returns the orthonormality
-    and the F H row, each keyed by metric, diag_deviation,
-    offdiag_deviation, diag_mean, bound and passed.  Both rows carry the
-    5/sqrt(N) bound.  F F^H passes when its diagonal matches 1 to DIAG_TOL
-    (each row is an exact average of N unit-magnitude entries) and its
-    off-diagonals, empirical means of N random unit phasors, stay within
-    the bound; F H passes when every deviation stays within the bound.
+    and the F H row, each keyed by metric, the three parts of
+    orthonormality_parts or fh_parts (diag_deviation, offdiag_deviation,
+    diag_mean), bound and passed.  Both rows carry the 5/sqrt(N) bound and
+    pass when the off-diagonal stays within it and the diagonal within
+    DIAG_TOL for F F^H (each row is an exact average of N unit-magnitude
+    entries) or within the bound for F H.
     """
-    n = h.shape[0]
     quant = QuantizationSpec(bits) if bits is not None else None
     f = build_analog(h, n_chains, quant)
-    bound = 5.0 / math.sqrt(n)
-    diag_dev, off_dev = orthonormality_parts(f)
-    orthonormality = {
-        "metric": "orthonormality", "diag_deviation": diag_dev,
-        "offdiag_deviation": off_dev,
-        "diag_mean": float(np.sum(np.abs(f) ** 2, axis=1).mean()),
-        "bound": bound,
-        "passed": diag_dev <= DIAG_TOL and off_dev <= bound,
-    }
-    fh_diag, fh_off, fh_mean = fh_parts(f, h, n, quant)
-    return orthonormality, {
-        "metric": "fh_convergence", "diag_deviation": fh_diag,
-        "offdiag_deviation": fh_off, "diag_mean": fh_mean,
-        "bound": bound,
-        "passed": max(fh_diag, fh_off) <= bound,
-    }
+    bound = 5.0 / math.sqrt(h.shape[0])
+    return tuple(
+        {"metric": metric, "diag_deviation": diag_dev, "offdiag_deviation": off_dev,
+         "diag_mean": diag_mean, "bound": bound,
+         "passed": diag_dev <= diag_tol and off_dev <= bound}
+        for metric, (diag_dev, off_dev, diag_mean), diag_tol in (
+            ("orthonormality", orthonormality_parts(f), DIAG_TOL),
+            ("fh_convergence", fh_parts(f, h, quant), bound),
+        )
+    )
 
 
 def lemma_rows(
     n_values: Sequence[int],
     beta_values: Sequence[Optional[int]],
     n_seeds: int,
-    **scenario,
+    n_pairs: int = SystemConfig.n_pairs,
+    n_rx_chains: int = SystemConfig.n_rx_chains,
+    seed: int = SystemConfig.seed,
 ) -> List[dict]:
     """Both checks of every (N, seed, beta), keyed by LEMMA_COLUMNS.
 
-    `scenario` holds SystemConfig fields; n_pairs, n_rx_chains and the
-    first seed are read.  The lists follow a sweep's rules, and every check
-    raises ValueError before the first draw.  Each (N, seed) draw is
-    measured at every beta.  Rows are sorted by (metric, N, beta, seed).
+    Seeds seed .. seed + n_seeds - 1 each draw an N x n_pairs fading matrix
+    for an analog stage of n_rx_chains chains.  The lists follow a sweep's
+    rules; the settings take SystemConfig's defaults and rules, and as the
+    lemmas measure one side, n_rx_chains stands for both.  Every check raises
+    ValueError before the first draw.  Each (N, seed) draw is measured at
+    every beta.  Rows are sorted by (metric, N, beta, seed).
     """
     _check_lists(n_values, beta_values)
     if n_seeds < 1:
         raise ValueError("seeds must be positive")
-    config = SystemConfig(n_antennas=min(n_values), **scenario)
+    SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,
+                 n_tx_chains=n_rx_chains, seed=seed)
     rows = []
     for n in n_values:
-        for seed in range(config.seed, config.seed + n_seeds):
-            h = sample_small_scale(n, config.n_pairs, lemma_rng(seed, n))
+        for draw_seed in range(seed, seed + n_seeds):
+            h = sample_small_scale(n, n_pairs, lemma_rng(draw_seed, n))
             for beta in beta_values:
                 rows.extend(
-                    {**row, "N": n, "beta": beta, "seed": seed}
-                    for row in lemma_checks(h, config.n_rx_chains, beta)
+                    {**row, "N": n, "beta": beta, "seed": draw_seed}
+                    for row in lemma_checks(h, n_rx_chains, beta)
                 )
     rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
     return rows

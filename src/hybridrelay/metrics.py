@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import itertools
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -383,7 +384,8 @@ class SweepSpec:
     """One batch of simulation cells, checked on construction.
 
     beta_values uses None for continuous phases.  Energies are stored in dB
-    exactly as given; conversion happens when the per-cell powers are built.
+    exactly as given; conversion happens when the per-cell powers are built,
+    and each of the regime's two settings must convert to a finite value.
     """
 
     case: str
@@ -414,6 +416,14 @@ class SweepSpec:
         missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.case} requires settings: {', '.join(missing)}")
+        for key in (user, relay):
+            value = getattr(self, key)
+            try:
+                finite = math.isfinite(db_to_linear(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{key} = {value!r} dB has no finite linear value")
         if law is None and "asymptote" in self.modes:
             raise ValueError(f"{self.case} has no closed-form asymptote")
 

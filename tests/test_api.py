@@ -96,3 +96,17 @@ def test_module_imports_are_acyclic():
         return seen
 
     assert [name for name in sorted(modules) if name in reachable(name)] == []
+
+
+def test_public_functions_take_no_var_keywords():
+    # An entry takes only the settings it reads; a ** parameter would accept
+    # any name, read or not.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        flagged += [
+            f"{path.stem}.{node.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.args.kwarg is not None
+        ]
+    assert flagged == []

@@ -155,7 +155,9 @@ class TestSimulate:
     @pytest.mark.parametrize("case,flags,unused", [
         ("2", ["--eu-db", "13", "--pr-db", "7"], ["--er-db", "5"]),
         ("3", ["--pu-db", "13", "--er-db", "7"], ["--eu-db", "5"]),
-    ], ids=["case2", "case3"])
+        ("2", ["--eu-db", "13", "--pr-db", "7"], ["--er-db", "4000"]),
+        ("3", ["--pu-db", "13", "--er-db", "7"], ["--eu-db", "nan"]),
+    ], ids=["case2", "case3", "case2-overflowing", "case3-nan"])
     def test_unused_energy_flag_changes_no_byte(self, tmp_path, case, flags, unused):
         argv = ["simulate", "--case", case, "--n", "8,16", "--beta", "cont,1",
                 "--modes", "hybrid,full,asym"] + SMALL_ARGS + flags
@@ -521,8 +523,16 @@ class TestSimulateErrors:
         (["--trials", "1"], {}, "trials"),
         ([], {"drop_policy": "sticky"}, "drop_policy"),
         (["--case", "9"], {}, "case"),
+        (["--eu-db", "4000"], {}, "eu_db"),
+        (["--pr-db", "3100"], {}, "pr_db"),
+        (["--pr-db", "inf"], {}, "pr_db"),
+        (["--pr-db", "nan"], {}, "pr_db"),
+        (["--case", "3", "--pu-db", "inf", "--er-db", "13"], {}, "pu_db"),
+        (["--case", "fixed", "--pu-db", "inf"], {}, "pu_db"),
     ], ids=["no-n", "repeated-n", "zero-n", "zero-bits", "unknown-mode",
-            "one-trial", "drop-policy", "unknown-case"])
+            "one-trial", "drop-policy", "unknown-case", "energy-overflow",
+            "power-overflow", "infinite-power", "nan-power", "case3-infinite-power",
+            "fixed-infinite-power"])
     def test_sweep_spec_rejection_exits_2(
         self, tmp_path, capsys, monkeypatch, flags, settings, fragment
     ):
@@ -539,6 +549,14 @@ class TestSimulateErrors:
         argv = ["simulate", "--config", str(cfg), "--out", str(out)]
         assert main(argv + SMALL_ARGS + flags) == 2
         assert fragment in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_infinite_noise_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--var-relay-noise", "inf"]) == 2
+        assert "var_relay_noise must be finite" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -789,7 +807,16 @@ class TestSweepSpecValidation:
         (dict(eu_db=None), "eu-db"),
         (dict(case="case9"), "case"),
         (dict(beta_values=(2, None, 2)), "repeat"),
+        (dict(eu_db=4000.0), "eu_db"),
+        (dict(pr_db=3100.0), "pr_db"),
+        (dict(pr_db=float("inf")), "pr_db"),
+        (dict(eu_db=float("nan")), "eu_db"),
+        (dict(case="case3", pu_db=float("inf"), er_db=13.0), "pu_db"),
+        (dict(case="fixed_power", pu_db=13.0, pr_db=float("nan")), "pr_db"),
     ])
     def test_rejections(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
             self.good(**kw)
+
+    def test_underflow_to_zero_power_accepted(self):
+        assert self.good(eu_db=-4000.0).eu_db == -4000.0

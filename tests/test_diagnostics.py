@@ -13,6 +13,7 @@ from hybridrelay.diagnostics import (
     DIAG_TOL,
     fh_parts,
     lemma_checks,
+    lemma_rows,
     orthonormality_parts,
 )
 from hybridrelay.hybrid import build_analog
@@ -35,7 +36,7 @@ class TestOrthonormality:
         # matter how small N is.
         for n in (16, 128, 1024):
             f, _, _ = analog_pair(n)
-            diag_dev, _ = orthonormality_parts(f)
+            diag_dev, _, _ = orthonormality_parts(f)
             assert diag_dev < 1e-12
 
     def test_off_diagonals_shrink_like_inverse_sqrt_n(self):
@@ -51,6 +52,12 @@ class TestOrthonormality:
         ratio = meds[0] / meds[2]
         assert 3.3 < ratio < 30.0
 
+    @pytest.mark.parametrize("bits", [None, 1, 2])
+    def test_diag_mean_is_mean_row_power(self, bits):
+        f, _, _ = analog_pair(256, bits=bits)
+        row_power = np.sum(np.abs(f) ** 2, axis=1).mean()
+        assert orthonormality_parts(f)[2] == pytest.approx(row_power, abs=1e-14)
+
     def test_report_passes_at_moderate_size(self):
         row, _ = lemma_checks(lemma_draw(256), 10, None)
         assert row["passed"] is True
@@ -61,7 +68,7 @@ class TestOrthonormality:
 class TestFhConvergence:
     def test_continuous_diagonal_approaches_unity(self):
         f, h, _ = analog_pair(20000)
-        _, _, diag_mean = fh_parts(f, h, 20000)
+        _, _, diag_mean = fh_parts(f, h)
         assert diag_mean == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
@@ -69,7 +76,7 @@ class TestFhConvergence:
         # Phase errors uniform on [-step, step) thin the coherent average
         # by exactly E[cos(err)] = sinc(step).
         f, h, quant = analog_pair(20000, bits=bits)
-        _, _, diag_mean = fh_parts(f, h, 20000, quant)
+        _, _, diag_mean = fh_parts(f, h, quant)
         assert diag_mean == pytest.approx(sinc_penalty(quant), rel=0.02)
 
     def test_deviation_decreases_with_n(self):
@@ -78,7 +85,7 @@ class TestFhConvergence:
             per_seed = []
             for seed in range(20):
                 f, h, _ = analog_pair(n, seed=seed)
-                diag_dev, off_dev, _ = fh_parts(f, h, n)
+                diag_dev, off_dev, _ = fh_parts(f, h)
                 per_seed.append(max(diag_dev, off_dev))
             devs.append(np.median(per_seed))
         assert devs[0] > devs[1] > devs[2]
@@ -89,7 +96,7 @@ class TestFhConvergence:
         assert row["metric"] == "fh_convergence"
         assert row["bound"] == pytest.approx(0.25)
         assert (row["diag_deviation"], row["offdiag_deviation"],
-                row["diag_mean"]) == fh_parts(f, h, 400)
+                row["diag_mean"]) == fh_parts(f, h)
         deviation = max(row["diag_deviation"], row["offdiag_deviation"])
         assert row["passed"] == (deviation <= row["bound"])
 
@@ -120,3 +127,16 @@ class TestSweep:
                     max(fh["diag_deviation"], fh["offdiag_deviation"])
                     <= fh["bound"]
                 )
+
+    def test_rows_take_one_chain_count_for_both_sides(self):
+        # Fewer chains than SystemConfig's default need no transmit-side setting.
+        rows = lemma_rows([64], [None], 2, n_pairs=3, n_rx_chains=3)
+        expected = [
+            {**row, "N": 64, "beta": None, "seed": seed}
+            for seed in (0, 1) for row in lemma_checks(lemma_draw(64, 3, seed), 3, None)
+        ]
+        assert rows == sorted(expected, key=lambda r: (r["metric"], r["seed"]))
+
+    def test_rows_take_only_the_settings_they_read(self):
+        with pytest.raises(TypeError):
+            lemma_rows([64], [None], 2, p_user=1.0)

@@ -316,6 +316,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="quant_bits"):
             monte_carlo_rates(SMALL, 10, [("hybrid", 0)])
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["p_user", "p_relay", "var_relay_noise",
+                                       "var_dest_noise"])
+    def test_non_finite_power_or_noise_rejected(self, field, value):
+        # Such a scenario used to draw every trial and then fail as degenerate.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(SMALL, **{field: value})
+
     def test_bits_beyond_float_range_fail_before_any_draw(self, monkeypatch):
         draws = []
         monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
