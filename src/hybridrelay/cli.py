@@ -246,8 +246,7 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
         raise ValueError("missing required setting: case")
     if "n_values" not in settings:
         raise ValueError("missing required setting: n (antenna counts)")
-    given = _given(SweepSpec, {"beta_values": "cont", "modes": "hybrid", **settings})
-    spec = SweepSpec(**{key: _parsed(key, value) for key, value in given.items()})
+    spec = SweepSpec(**{k: _parsed(k, v) for k, v in _given(SweepSpec, settings).items()})
     config = SystemConfig(n_antennas=max(spec.n_values), **_given(SystemConfig, settings))
     return config, spec
 

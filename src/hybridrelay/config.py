@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_antennas", "n_pairs", "n_rx_chains", "n_tx_chains", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")
         if self.n_pairs < 1:

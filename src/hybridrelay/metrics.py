@@ -7,11 +7,11 @@ draws; the engine's block, pool and SIM_THREADS rules live here only.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -106,6 +106,14 @@ def _variant_sinrs(
     return _gram_sinrs(hop1, hop2, alpha_sq, config)
 
 
+def _check_variant(mode: str, bits: Optional[int]) -> None:
+    """The rule of a processing variant: a known mode and valid phase bits."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if bits is not None:
+        hybrid.QuantizationSpec(bits)
+
+
 def sinrs(
     real: ChannelRealization, config: SystemConfig, mode: str = "hybrid"
 ) -> np.ndarray:
@@ -119,8 +127,7 @@ def sinrs(
     Raises DegenerateChannelError for a draw the engine would skip
     (undefined power normalization or a non-finite SINR).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_variant(mode, config.quant_bits)
     row = _variant_sinrs(
         real.g1[None], real.g2[None], mode, config.quant_bits, config
     )[0]
@@ -183,6 +190,8 @@ def _rate_point(sinr_table: np.ndarray) -> RatePoint:
 
     A trial enters the average only if every SINR in its row is finite;
     the rest are counted as degenerate, and more than 1% of them abort.
+    With the caller's n_trials >= 2, two rows always remain: below 100
+    trials none may be degenerate, and from 100 on at least 99 rows stay.
     """
     n_trials = sinr_table.shape[0]
     valid = np.isfinite(sinr_table).all(axis=1)
@@ -193,8 +202,6 @@ def _rate_point(sinr_table: np.ndarray) -> RatePoint:
             f"{_MAX_DEGENERATE_FRACTION:.0%}); configuration unusable"
         )
     kept = sinr_table[valid]
-    if kept.shape[0] < 2:
-        raise RuntimeError("fewer than two usable trials")
     rates = _sum_rates(kept)
     n_used = int(kept.shape[0])
     return RatePoint(
@@ -228,16 +235,15 @@ def _sweep_rates(
     succeeds logs one INFO line per config, in order, with its trials,
     its blocks and the degenerate draws of each variant.
     """
+    if not isinstance(n_trials, numbers.Integral):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 2:
         raise ValueError("n_trials must be at least 2")
     variants = list(variants)
     if not variants:
         raise ValueError("variants must not be empty")
     for mode, bits in variants:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if bits is not None:
-            hybrid.QuantizationSpec(bits)
+        _check_variant(mode, bits)
     if drop is not None:
         drop = channel._validated_drop(drop, configs[0].n_pairs)
 
@@ -247,17 +253,13 @@ def _sweep_rates(
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
     jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
 
-    def run_block(job: Tuple[int, int, int]) -> np.ndarray:
+    def run_block(job: Tuple[int, int, int]) -> Tuple[int, np.ndarray]:
         c, lo, hi = job
-        return _block_sinrs(configs[c], lo, hi, variants, drop)
+        return c, _block_sinrs(configs[c], lo, hi, variants, drop)
 
     points: list = [None] * len(configs)
-    workers = _worker_count(len(jobs))
-    # One worker runs the blocks in this thread: a pool costs small runs time.
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        blocks = pool.map(run_block, jobs) if pool else map(run_block, jobs)
-        for c, done in itertools.groupby(zip(jobs, blocks), key=lambda jb: jb[0][0]):
+    with ThreadPoolExecutor(_worker_count(len(jobs))) as pool:
+        for c, done in itertools.groupby(pool.map(run_block, jobs), key=lambda cb: cb[0]):
             table = np.concatenate([block for _, block in done], axis=1)
             try:
                 points[c] = [_rate_point(t) for t in table]
@@ -345,7 +347,11 @@ CSV_COLUMNS = (
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x/10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def render_beta(beta: Optional[int]) -> str:
@@ -390,8 +396,8 @@ class SweepSpec:
 
     case: str
     n_values: Tuple[int, ...]
-    beta_values: Tuple[Optional[int], ...]
-    modes: Tuple[str, ...]
+    beta_values: Tuple[Optional[int], ...] = (None,)
+    modes: Tuple[str, ...] = ("hybrid",)
     trials: int = 1000
     eu_db: Optional[float] = None
     er_db: Optional[float] = None
@@ -408,6 +414,8 @@ class SweepSpec:
         unknown = [m for m in self.modes if m not in SWEEP_MODES]
         if unknown:
             raise ValueError(f"unknown modes: {', '.join(unknown)}")
+        if not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 2:
             raise ValueError("trials must be at least 2")
         if self.drop_policy not in DROP_POLICIES:
@@ -416,25 +424,23 @@ class SweepSpec:
         missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.case} requires settings: {', '.join(missing)}")
-        for key in (user, relay):
-            value = getattr(self, key)
-            try:
-                finite = math.isfinite(db_to_linear(value))
-            except OverflowError:
-                finite = False
-            if not finite:
+        for key, (linear, _) in zip((user, relay), _levels(self)):
+            if not math.isfinite(linear):
+                value = getattr(self, key)
                 raise ValueError(f"{key} = {value!r} dB has no finite linear value")
         if law is None and "asymptote" in self.modes:
             raise ValueError(f"{self.case} has no closed-form asymptote")
 
 
+def _levels(spec: SweepSpec) -> Tuple[Tuple[float, bool], ...]:
+    """The regime's user and relay settings as (linear value, is an energy)."""
+    user, relay, _ = _REGIMES[spec.case]
+    return tuple((db_to_linear(getattr(spec, k)), k.startswith("e")) for k in (user, relay))
+
+
 def _cell_powers(spec: SweepSpec, n: int) -> Tuple[float, float]:
     """Per-cell linear (p_user, p_relay): an energy spreads as E/N."""
-    user, relay, _ = _REGIMES[spec.case]
-    return tuple(
-        db_to_linear(getattr(spec, key)) / (n if key.startswith("e") else 1)
-        for key in (user, relay)
-    )
+    return tuple(value / (n if energy else 1) for value, energy in _levels(spec))
 
 
 def _asymptote_rate(
@@ -447,13 +453,10 @@ def _asymptote_rate(
 
     Only the regime's energies reach the law; a fixed-power side has none.
     """
-    user, relay, law = _REGIMES[spec.case]
+    law = _REGIMES[spec.case][2]
     if law is None:
         return None
-    e_user, e_relay = (
-        db_to_linear(getattr(spec, key)) if key.startswith("e") else None
-        for key in (user, relay)
-    )
+    e_user, e_relay = (value if energy else None for value, energy in _levels(spec))
     delta = hybrid.QuantizationSpec(beta).step if beta is not None else 0.0
     return getattr(asymptotics, law)(asymptotics.AsymptoticInputs(
         *eta, r=min(config.n_rx_chains, config.n_tx_chains, config.n_pairs),
@@ -485,12 +488,9 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     run, so a failure at a small N costs the whole large-N part first.
     Rows are sorted by (case, N, beta, mode), continuous phases first.
     """
-    bases = []
-    for n in spec.n_values:
-        p_user, p_relay = _cell_powers(spec, n)
-        bases.append(dataclasses.replace(
-            config, n_antennas=n, p_user=p_user, p_relay=p_relay
-        ))
+    powers = [_cell_powers(spec, n) for n in spec.n_values]
+    bases = [dataclasses.replace(config, n_antennas=n, p_user=pu, p_relay=pr)
+             for n, (pu, pr) in zip(spec.n_values, powers)]
     _env_thread_cap()  # an asymptote-only run starts no pool, yet is checked
     bench_drop = canonical_drop(config)
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None

@@ -110,3 +110,24 @@ def test_public_functions_take_no_var_keywords():
             and node.args.kwarg is not None
         ]
     assert flagged == []
+
+
+def test_every_import_is_used():
+    # A name a module imports must be read in it; annotations count.
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    assert unused == []

@@ -192,6 +192,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             AsymptoticInputs(eta1=ONES, eta2=ONES, r=11)
 
+    @pytest.mark.parametrize("kw,fragment", [
+        (dict(eta1=np.ones((2, 10))), "1-D gain vectors"),
+        (dict(var_relay_noise=0.0), "noise variances must be positive"),
+        (dict(var_dest_noise=-1.0), "noise variances must be positive"),
+    ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise"])
+    def test_malformed_inputs_rejected(self, kw, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            unit_inputs(e_user=1.0, **kw)
+
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             unit_inputs(e_user=-1.0)

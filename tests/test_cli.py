@@ -183,9 +183,13 @@ class TestSimulate:
         assert len(calls) == 2 * 6  # len(n_values) x trials
 
     @pytest.mark.parametrize("threads", ["1", "3"])
-    @pytest.mark.parametrize("drop_policy", ["redraw_per_trial", "fixed_drop"])
+    @pytest.mark.parametrize("drop_policy,regime", [
+        ("redraw_per_trial", ["--case", "2", "--eu-db", "13", "--pr-db", "13"]),
+        ("fixed_drop", ["--case", "2", "--eu-db", "13", "--pr-db", "13"]),
+        ("redraw_per_trial", ["--case", "fixed", "--pu-db", "0", "--pr-db", "5"]),
+    ], ids=["redraw_per_trial", "fixed_drop", "fixed"])
     def test_one_pool_equals_separate_calls_per_array_size(
-        self, tmp_path, monkeypatch, threads, drop_policy
+        self, tmp_path, monkeypatch, threads, drop_policy, regime
     ):
         # The written CSV, not only run_sweep's rows: blocks of one to three
         # trials, so the pool interleaves array sizes.
@@ -193,16 +197,18 @@ class TestSimulate:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("SIM_THREADS", threads)
         out = tmp_path / "rates.csv"
-        argv = ["simulate", "--case", "2", "--n", "8,16,24", "--beta", "cont,1",
-                "--modes", "hybrid,full", "--eu-db", "13", "--pr-db", "13",
+        argv = ["simulate", "--n", "8,16,24", "--beta", "cont,1",
+                "--modes", "hybrid,full", *regime,
                 "--n-pairs", "3", "--n-rx-chains", "3", "--n-tx-chains", "3",
                 "--trials", "7", "--seed", "5", "--out", str(out)]
         if drop_policy == "fixed_drop":
             argv.append("--fixed-drop")
         assert main(argv) == 0
+        fixed = "fixed" in regime
         spec = SweepSpec(
-            case="case2", n_values=(8, 16, 24), beta_values=(None, 1),
-            modes=("hybrid", "full_digital"), eu_db=13.0, pr_db=13.0, trials=7,
+            case="fixed_power" if fixed else "case2", n_values=(8, 16, 24),
+            beta_values=(None, 1), modes=("hybrid", "full_digital"), trials=7,
+            **(dict(pu_db=0.0, pr_db=5.0) if fixed else dict(eu_db=13.0, pr_db=13.0)),
         )
         config = SystemConfig(n_antennas=24, n_pairs=3, n_rx_chains=3,
                               n_tx_chains=3, seed=5)
@@ -225,6 +231,8 @@ class TestSimulate:
             for r in body
         ]
         assert sorted(got) == sorted(expected)
+        if fixed:
+            assert {r["asymptote_rate"] for r in body} == {""}
 
     def test_first_failing_array_size_in_order_raises(
         self, tmp_path, capsys, monkeypatch
@@ -449,6 +457,31 @@ class TestSimulateErrors:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,flags,fragment", [
+        (None, [], "cannot read config file"),
+        ("{not json", [], "config file is not valid JSON"),
+        ("[8, 16]", [], "config file must hold a flat JSON object"),
+        ("{}", ["--n", "8"], "missing required setting: case"),
+        ("{}", ["--case", "2"], "missing required setting: n"),
+        ("{}", ["--case", "2", "--n", "8,x"],
+         "n_values must be a comma-separated list of integers"),
+    ], ids=["unreadable-file", "not-json", "not-object", "no-case", "no-n",
+            "non-integer-n"])
+    def test_bad_settings_fail_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, text, flags, fragment
+    ):
+        calls = count_draws(monkeypatch)
+        cfg = tmp_path / "sweep.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--config", str(cfg), "--eu-db", "13", "--pr-db", "13",
+                "--out", str(out)]
+        assert main(argv + SMALL_ARGS + flags) == 2
+        assert f"error: {fragment}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_bad_beta_token(self, tmp_path):
         argv = ["simulate", "--case", "2", "--n", "8", "--beta", "fine",
                 "--eu-db", "13", "--pr-db", "13",
@@ -614,8 +647,9 @@ class TestVerifyLemmas:
         ["--beta", "0"],
         ["--seed", "-1"],
         ["--beta", "cont,1024"],
+        ["--seeds", "0"],
     ], ids=["zero-chains", "negative-chains", "zero-pairs", "zero-bits",
-            "negative-seed", "bits-beyond-float-range"])
+            "negative-seed", "bits-beyond-float-range", "zero-seeds"])
     def test_bad_input_fails_before_any_draw(self, tmp_path, monkeypatch, flags):
         draws = []
         monkeypatch.setattr(diagnostics, "sample_small_scale",
@@ -813,10 +847,18 @@ class TestSweepSpecValidation:
         (dict(eu_db=float("nan")), "eu_db"),
         (dict(case="case3", pu_db=float("inf"), er_db=13.0), "pu_db"),
         (dict(case="fixed_power", pu_db=13.0, pr_db=float("nan")), "pr_db"),
+        (dict(beta_values=()), "beta_values must not be empty"),
+        (dict(modes=()), "modes must not be empty"),
+        (dict(trials=1e3), "trials must be an integer, got 1000.0"),
     ])
     def test_rejections(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
             self.good(**kw)
+
+    def test_defaults_are_continuous_hybrid(self):
+        spec = SweepSpec("case2", (64,), eu_db=13.0, pr_db=13.0)
+        assert spec.beta_values == (None,)
+        assert spec.modes == ("hybrid",)
 
     def test_underflow_to_zero_power_accepted(self):
         assert self.good(eu_db=-4000.0).eu_db == -4000.0

@@ -324,6 +324,34 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(SMALL, **{field: value})
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("n_antennas", 0, "n_antennas must be a positive integer"),
+        ("p_user", -1.0, "transmit powers must be non-negative"),
+        ("var_dest_noise", 0.0, "noise variances must be positive"),
+        ("guard_radius_m", 1000.0, "guard_radius_m < cell_radius_m"),
+        ("pathloss_exp", -0.1, "pathloss_exp must be non-negative"),
+        ("shadow_std_db", -1.0, "shadow_std_db must be non-negative"),
+    ])
+    def test_out_of_range_setting_rejected(self, field, value, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            replace(SMALL, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_antennas", 8.0), ("n_pairs", 3.0), ("n_rx_chains", 3.0),
+        ("n_tx_chains", 3.0), ("seed", 1.5),
+    ])
+    def test_non_integral_count_rejected(self, field, value):
+        # seed=1.5 used to pass and then fail at the first draw as a TypeError.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(SMALL, **{field: value})
+
+    def test_non_integral_trial_count_fails_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="n_trials must be an integer, got 1000.0"):
+            monte_carlo_rate(SMALL, 1e3)
+        assert draws == []
+
     def test_bits_beyond_float_range_fail_before_any_draw(self, monkeypatch):
         draws = []
         monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
@@ -382,20 +410,30 @@ class TestSharedDraw:
             monte_carlo_rates(SMALL, 100, [("hybrid", 2), ("hybrid", 1)])
 
 
+# (drop policy, regime settings) of the one-pool test, by test id; the
+# fixed-power regime has no closed form.
+POOL_INPUTS = {
+    "redraw_per_trial": ("redraw_per_trial", dict(case="case2", eu_db=13.0, pr_db=13.0)),
+    "fixed_drop": ("fixed_drop", dict(case="case2", eu_db=13.0, pr_db=13.0)),
+    "fixed": ("redraw_per_trial", dict(case="fixed_power", pu_db=0.0, pr_db=5.0)),
+}
+
+
 class TestRunSweep:
     @pytest.mark.parametrize("threads", ["1", "3"])
-    @pytest.mark.parametrize("drop_policy", ["redraw_per_trial", "fixed_drop"])
+    @pytest.mark.parametrize("inputs", list(POOL_INPUTS))
     def test_one_pool_equals_separate_calls_per_array_size(
-        self, monkeypatch, threads, drop_policy
+        self, monkeypatch, threads, inputs
     ):
         # Blocks of one to three trials, so the pool interleaves array sizes.
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 12)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("SIM_THREADS", threads)
+        drop_policy, regime = POOL_INPUTS[inputs]
         spec = SweepSpec(
-            case="case2", n_values=(8, 16, 24), beta_values=(None, 1),
-            modes=("hybrid", "full_digital"), eu_db=13.0, pr_db=13.0, trials=7,
-            drop_policy=drop_policy,
+            n_values=(8, 16, 24), beta_values=(None, 1),
+            modes=("hybrid", "full_digital"), trials=7,
+            drop_policy=drop_policy, **regime,
         )
         config = SystemConfig(n_antennas=24, n_pairs=3, n_rx_chains=3,
                               n_tx_chains=3, seed=5)
@@ -417,6 +455,8 @@ class TestRunSweep:
             for r in rows
         ]
         assert sorted(got, key=repr) == sorted(expected, key=repr)
+        if spec.case == "fixed_power":
+            assert all(r["asymptote_rate"] is None for r in rows)
 
     def test_cell_powers_follow_each_scaling_law(self):
         def spec(case, **kw):
