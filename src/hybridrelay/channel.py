@@ -77,6 +77,20 @@ def sample_small_scale(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return _complex_normals(rng.standard_normal((2, n, k)), np.empty((n, k), complex))
 
 
+def _gains(config: SystemConfig, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Large-scale gains from area quantiles u and shadowing normals z.
+
+    Elementwise, so one call serves one side of one trial or a whole block:
+    shadow * (r / r_guard)^(-nu), with the radius r from the inverse CDF
+    of the annulus area law and shadow = 10^(sigma_sh * z / 10).
+    """
+    lo = config.guard_radius_m ** 2
+    hi = config.cell_radius_m ** 2
+    r = np.sqrt(lo + u * (hi - lo))
+    shadow = 10.0 ** (config.shadow_std_db * z / 10.0)
+    return shadow * (r / config.guard_radius_m) ** (-config.pathloss_exp)
+
+
 def sample_large_scale(
     config: SystemConfig, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -86,19 +100,13 @@ def sample_large_scale(
     the cell radius (radius via inverse-CDF of the area law).  Shadowing is
     log-normal, 10^(sigma_sh * z / 10) with z standard normal.  The gain is
     shadow * (r / r_guard)^(-nu).  Source side is drawn before destination
-    side; the two are independent.
+    side, K area quantiles and then K shadowing normals each; the two sides
+    are independent.
     """
     k = config.n_pairs
-    lo = config.guard_radius_m ** 2
-    hi = config.cell_radius_m ** 2
-    out = []
-    for _ in range(2):
-        u = rng.random(k)
-        z = rng.standard_normal(k)
-        r = np.sqrt(lo + u * (hi - lo))
-        shadow = 10.0 ** (config.shadow_std_db * z / 10.0)
-        out.append(shadow * (r / config.guard_radius_m) ** (-config.pathloss_exp))
-    return out[0], out[1]
+    eta1 = _gains(config, rng.random(k), rng.standard_normal(k))
+    eta2 = _gains(config, rng.random(k), rng.standard_normal(k))
+    return eta1, eta2
 
 
 def canonical_drop(config: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -124,27 +132,45 @@ def _validated_drop(
     return eta1, eta2
 
 
-def _fill_trial(
+def _fill_block(
     config: SystemConfig,
-    trial: int,
+    lo: int,
+    hi: int,
     drop: Optional[Tuple[np.ndarray, np.ndarray]],
     g1: np.ndarray,
     g2: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw one trial's composite channels into the N x K arrays g1 and g2.
+    """Draw trials lo..hi-1 into the (hi - lo, N, K) channel stacks g1, g2.
 
-    The trial's stream gives, in order, the real and imaginary parts of the
+    Each trial's stream gives, in order, the real and imaginary parts of the
     source-side fading, those of the destination-side fading (one fill of
-    4 N K normals), then the large-scale gains unless `drop`, already
-    validated, pins them.  Returns the gains (eta1, eta2).
+    4 N K normals), then the large-scale draws of sample_large_scale unless
+    `drop`, already validated, pins the gains.  The per-trial loop makes
+    only these fills, into block buffers; the gain formula, the complex
+    assembly and the sqrt(eta) scaling then run once over the block, with
+    the bits of a trial-by-trial draw.  Returns the gains (eta1, eta2),
+    each (hi - lo, K).
     """
-    rng = trial_rng(config.seed, trial)
-    normals = rng.standard_normal((4, config.n_antennas, config.n_pairs))
-    etas = sample_large_scale(config, rng) if drop is None else drop
-    for g, hop, eta in zip((g1, g2), (normals[:2], normals[2:]), etas):
-        _complex_normals(hop, g)
-        g *= np.sqrt(eta)
-    return etas
+    b, k = hi - lo, config.n_pairs
+    normals = np.empty((b, 4, config.n_antennas, k))
+    # Area quantiles u and shadowing normals z, each (side, trial, pair),
+    # so the gain formula reads contiguous arrays.
+    u, z = np.empty((2, 2, b, k))
+    for i, trial in enumerate(range(lo, hi)):
+        rng = trial_rng(config.seed, trial)
+        rng.standard_normal(out=normals[i])
+        if drop is None:
+            for side in range(2):
+                rng.random(out=u[side, i])
+                rng.standard_normal(out=z[side, i])
+    if drop is None:
+        eta1, eta2 = _gains(config, u, z)
+    else:
+        eta1, eta2 = (np.tile(eta, (b, 1)) for eta in drop)
+    for g, hop, eta in zip((g1, g2), (normals[:, :2], normals[:, 2:]), (eta1, eta2)):
+        _complex_normals(hop.swapaxes(0, 1), g)
+        g *= np.sqrt(eta)[:, None]
+    return eta1, eta2
 
 
 def sample_realization(
@@ -154,15 +180,16 @@ def sample_realization(
 ) -> ChannelRealization:
     """Generate the channel state for one trial.
 
-    A pure function of (config.seed, trial), and the same bits as the
-    Monte-Carlo engine's draw of that trial.  Small-scale fading is drawn
-    before the large-scale gains, so passing an explicit `drop` pins the
-    user placement without disturbing the fading draw; paired comparisons
+    A pure function of (config.seed, trial): the one-trial block of the
+    Monte-Carlo engine's draw (_fill_block), so the same bits as the
+    engine's slice of that trial.  Small-scale fading is drawn before the
+    large-scale gains, so passing an explicit `drop` pins the user
+    placement without disturbing the fading draw; paired comparisons
     between processing variants stay aligned trial by trial.
     """
     if drop is not None:
         drop = _validated_drop(drop, config.n_pairs)
-    shape = (config.n_antennas, config.n_pairs)
+    shape = (1, config.n_antennas, config.n_pairs)
     g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    eta1, eta2 = _fill_trial(config, trial, drop, g1, g2)
-    return ChannelRealization(eta1=eta1, eta2=eta2, g1=g1, g2=g2)
+    eta1, eta2 = _fill_block(config, trial, trial + 1, drop, g1, g2)
+    return ChannelRealization(eta1=eta1[0], eta2=eta2[0], g1=g1[0], g2=g2[0])

@@ -10,6 +10,7 @@ lemma_rows measures both over a family of draws: the verify-lemmas table.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,6 +105,8 @@ def lemma_rows(
     every beta.  Rows are sorted by (metric, N, beta, seed).
     """
     _check_lists(n_values, beta_values)
+    if not isinstance(n_seeds, numbers.Integral):
+        raise ValueError(f"seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:
         raise ValueError("seeds must be positive")
     SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,

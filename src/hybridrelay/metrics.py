@@ -148,16 +148,16 @@ def _block_sinrs(
 ) -> np.ndarray:
     """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
 
-    Every trial is drawn once, on its own stream, straight into its slice
-    of the block's two (hi - lo, N, K) channel stacks; `drop`, when given,
-    must already be validated.  The stacks then go through the analog
-    stage, the Grams, alpha and the SINRs of one variant after another.
-    Degenerate draws give NaN rows.
+    The block is drawn once, by channel._fill_block, into two
+    (hi - lo, N, K) channel stacks: one stream per trial, with the bits
+    sample_realization returns for it.  `drop`, when given, must already
+    be validated.  The stacks then go through the analog stage, the Grams,
+    alpha and the SINRs of one variant after another.  Degenerate draws
+    give NaN rows.
     """
     shape = (hi - lo, config.n_antennas, config.n_pairs)
     g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for i, trial in enumerate(range(lo, hi)):
-        channel._fill_trial(config, trial, drop, g1[i], g2[i])
+    channel._fill_block(config, lo, hi, drop, g1, g2)
     out = np.empty((len(variants), hi - lo, config.n_pairs))
     for v, (mode, bits) in enumerate(variants):
         out[v] = _variant_sinrs(g1, g2, mode, bits, config)
@@ -288,12 +288,14 @@ def monte_carlo_rates(
     `variants` lists (mode, quant_bits) pairs; quant_bits (None for
     continuous phases) overrides config.quant_bits and is ignored in
     full_digital mode.  Each trial is a pure function of (config.seed,
-    trial index), drawn on its own stream straight into its block's
-    channel stacks (the bits sample_realization returns), and is drawn
-    once for all variants.  Trials run in blocks of about 1 MB of fading
-    (max(1, 2**20 // (2 N K 16)) trials), stacked and reduced to K x K
-    Grams together; a trial's SINRs do not depend on the block it lands in
-    or on the other variants of the call.  A thread pool of
+    trial index), drawn on its own stream (the bits sample_realization
+    returns), and is drawn once for all variants.  Trials run in blocks
+    of about 1 MB of fading (max(1, 2**20 // (2 N K 16)) trials).  A
+    block's loop only fills each trial's random numbers; the gains, the
+    complex fading and its scaling are then computed once per block, and
+    the block's stacks are reduced to K x K Grams together.  A trial's
+    SINRs do not depend on the block it lands in or on the other variants
+    of the call.  A thread pool of
     min(CPU count, SIM_THREADS when set, number of blocks) workers runs the
     blocks, overlapping where numpy releases the GIL (see hybrid._dot); it
     is run_sweep's pool for a single array size.
@@ -369,6 +371,9 @@ def _check_lists(
     """The antenna-list and beta-list rules of a sweep and of the lemma table."""
     if not n_values:
         raise ValueError("n_values must not be empty")
+    for n in n_values:
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n_values must be integers, got {n!r}")
     if any(n < 1 for n in n_values):
         raise ValueError("antenna counts must be positive")
     if any(a >= b for a, b in zip(n_values, n_values[1:])):

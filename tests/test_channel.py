@@ -234,21 +234,21 @@ class TestStreamLayout:
         cfg = SystemConfig(n_antennas=24, n_pairs=k, n_rx_chains=k,
                            n_tx_chains=k, seed=17)
         drop = (np.linspace(0.5, 2.0, k), np.linspace(3.0, 0.1, k)) if pinned else None
-        trials = (4, 5)
-        # Adjacent trials share one buffer per hop; both are filled before
-        # either is checked, so a write past a slice would show.
-        g1 = np.empty((2, 24, k), dtype=complex)
-        g2 = np.empty((2, 24, k), dtype=complex)
-        etas = [channel._fill_trial(cfg, t, drop, g1[i], g2[i])
-                for i, t in enumerate(trials)]
-        for i, trial in enumerate(trials):
-            want_g1, want_g2, eta1, eta2 = _straight_line_draw(cfg, trial, drop)
-            assert_same_bits(g1[i], want_g1)
-            assert_same_bits(g2[i], want_g2)
-            assert_same_bits(etas[i][0], eta1)
-            assert_same_bits(etas[i][1], eta2)
-            real = sample_realization(cfg, trial, drop=drop)
-            assert_same_bits(real.g1, g1[i])
-            assert_same_bits(real.g2, g2[i])
-            assert_same_bits(real.eta1, eta1)
-            assert_same_bits(real.eta2, eta2)
+        # Blocks of 1, 2 and 5 trials, none starting at trial 0.  Each block
+        # is filled whole before any trial is checked, so a write into the
+        # wrong slice would show.
+        for lo, hi in ((4, 5), (4, 6), (9, 14)):
+            g1 = np.empty((hi - lo, 24, k), dtype=complex)
+            g2 = np.empty((hi - lo, 24, k), dtype=complex)
+            etas = channel._fill_block(cfg, lo, hi, drop, g1, g2)
+            for i, trial in enumerate(range(lo, hi)):
+                want_g1, want_g2, eta1, eta2 = _straight_line_draw(cfg, trial, drop)
+                assert_same_bits(g1[i], want_g1)
+                assert_same_bits(g2[i], want_g2)
+                assert_same_bits(etas[0][i], eta1)
+                assert_same_bits(etas[1][i], eta2)
+                real = sample_realization(cfg, trial, drop=drop)
+                assert_same_bits(real.g1, g1[i])
+                assert_same_bits(real.g2, g2[i])
+                assert_same_bits(real.eta1, eta1)
+                assert_same_bits(real.eta2, eta2)

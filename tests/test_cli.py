@@ -47,13 +47,13 @@ def read_csv(path):
 def count_draws(monkeypatch):
     """Record the trial index of every channel draw from here on."""
     calls = []
-    orig = channel._fill_trial
+    orig = channel._fill_block
 
-    def counting(config, trial, *args):
-        calls.append(trial)
-        return orig(config, trial, *args)
+    def counting(config, lo, hi, *args):
+        calls.extend(range(lo, hi))
+        return orig(config, lo, hi, *args)
 
-    monkeypatch.setattr(channel, "_fill_trial", counting)
+    monkeypatch.setattr(channel, "_fill_block", counting)
     return calls
 
 
@@ -271,6 +271,17 @@ class TestSimulate:
             subprocess.run(argv + ["--out", str(path)], env=run_env, check=True,
                            timeout=300)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_small_n_sweep_matches_committed_reference(self, tmp_path):
+        # The benchmark's sweep-small-n invocation at its default seed: a
+        # change to the draw's bits fails here, not only in the benchmark.
+        out = tmp_path / "rates.csv"
+        assert main(["simulate", "--case", "2", "--n", "16,32,64,128",
+                     "--beta", "cont,1,2", "--modes", "hybrid,full,asym",
+                     "--eu-db", "13", "--pr-db", "13", "--trials", "50",
+                     "--seed", "0", "--out", str(out)]) == 0
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+        assert out.read_bytes() == (reference / "sweep-small-n.csv").read_bytes()
 
     def test_largest_beta_runs(self, tmp_path):
         # 1023 bits is the finest codebook whose step is a float; its rows
@@ -850,6 +861,7 @@ class TestSweepSpecValidation:
         (dict(beta_values=()), "beta_values must not be empty"),
         (dict(modes=()), "modes must not be empty"),
         (dict(trials=1e3), "trials must be an integer, got 1000.0"),
+        (dict(n_values=(8, 16.0)), "n_values must be integers, got 16.0"),
     ])
     def test_rejections(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -5,6 +5,7 @@ import pytest
 
 from hybridrelay import (
     QuantizationSpec,
+    diagnostics,
     lemma_rng,
     sample_small_scale,
     sinc_penalty,
@@ -136,6 +137,16 @@ class TestSweep:
             for seed in (0, 1) for row in lemma_checks(lemma_draw(64, 3, seed), 3, None)
         ]
         assert rows == sorted(expected, key=lambda r: (r["metric"], r["seed"]))
+
+    def test_non_integral_counts_fail_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(diagnostics, "sample_small_scale",
+                            lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="seeds must be an integer, got 2.5"):
+            lemma_rows([16], [None], 2.5, n_pairs=3, n_rx_chains=3)
+        with pytest.raises(ValueError, match="n_values must be integers, got 16.0"):
+            lemma_rows([16.0], [None], 2, n_pairs=3, n_rx_chains=3)
+        assert draws == []
 
     def test_rows_take_only_the_settings_they_read(self):
         with pytest.raises(TypeError):

@@ -167,15 +167,16 @@ def _dead_realization(real):
 
 def _kill_trials(monkeypatch, dead):
     """Zero the source-side channel of every engine draw whose trial is dead."""
-    orig = channel._fill_trial
+    orig = channel._fill_block
 
-    def fill(config, trial, drop, g1, g2):
-        etas = orig(config, trial, drop, g1, g2)
-        if dead(trial):
-            g1[...] = 0.0
+    def fill(config, lo, hi, drop, g1, g2):
+        etas = orig(config, lo, hi, drop, g1, g2)
+        for i, trial in enumerate(range(lo, hi)):
+            if dead(trial):
+                g1[i] = 0.0
         return etas
 
-    monkeypatch.setattr(channel, "_fill_trial", fill)
+    monkeypatch.setattr(channel, "_fill_block", fill)
 
 
 class TestMonteCarlo:
@@ -347,14 +348,14 @@ class TestMonteCarlo:
 
     def test_non_integral_trial_count_fails_before_any_draw(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
+        monkeypatch.setattr(channel, "_fill_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="n_trials must be an integer, got 1000.0"):
             monte_carlo_rate(SMALL, 1e3)
         assert draws == []
 
     def test_bits_beyond_float_range_fail_before_any_draw(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(channel, "_fill_trial", lambda *args: draws.append(args))
+        monkeypatch.setattr(channel, "_fill_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="quant_bits"):
             monte_carlo_rates(SMALL, 4, [("hybrid", None), ("hybrid", 1024)])
         assert draws == []
