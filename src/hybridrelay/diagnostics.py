@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec, build_analog, sinc_penalty
-from .metrics import _beta_key, _check_lists
+from .hybrid import QuantizationSpec, _dot, build_analog, sinc_penalty
+from .metrics import _beta_key, _check_lists, _env_thread_cap, _pool_map
 
 # Row norms of the analog stage are exact by construction; only float
 # accumulation separates them from 1.
@@ -32,7 +32,7 @@ LEMMA_COLUMNS = (
 
 def orthonormality_parts(f: np.ndarray) -> Tuple[float, float, float]:
     """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|, mean Re diag(F F^H))."""
-    p = f @ f.conj().T
+    p = _dot(f, f.conj().T)
     d = np.diagonal(p)
     off = np.abs(p - np.diag(d))
     return float(np.abs(d - 1.0).max()), float(off.max()), float(d.real.mean())
@@ -48,7 +48,7 @@ def fh_parts(
     max other-entry magnitude, mean real part of the diagonal).
     """
     target = sinc_penalty(quant)
-    m = (f @ h) / math.sqrt(h.shape[0] * math.pi / 4.0)
+    m = _dot(f, h) / math.sqrt(h.shape[0] * math.pi / 4.0)
     r = min(m.shape)
     idx = np.arange(r)
     diag = m[idx, idx]
@@ -100,9 +100,14 @@ def lemma_rows(
     Seeds seed .. seed + n_seeds - 1 each draw an N x n_pairs fading matrix
     for an analog stage of n_rx_chains chains.  The lists follow a sweep's
     rules; the settings take SystemConfig's defaults and rules, and as the
-    lemmas measure one side, n_rx_chains stands for both.  Every check raises
-    ValueError before the first draw.  Each (N, seed) draw is measured at
-    every beta.  Rows are sorted by (metric, N, beta, seed).
+    lemmas measure one side, n_rx_chains stands for both.  Every check,
+    SIM_THREADS's included, raises ValueError before the first draw.  Each
+    (N, seed) draw is one job, measured at every beta: its rows depend on
+    that pair only (lemma_rng).  The jobs run on the engine's pool
+    (metrics._pool_map) in the table's own order, N ascending, then seed,
+    so one draw per worker is live and the largest draws overlap only at
+    the end: largest first would hold them together for longer.  Rows are
+    sorted by (metric, N, beta, seed), the same for any worker count.
     """
     _check_lists(n_values, beta_values)
     if not isinstance(n_seeds, numbers.Integral):
@@ -111,14 +116,15 @@ def lemma_rows(
         raise ValueError("seeds must be positive")
     SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,
                  n_tx_chains=n_rx_chains, seed=seed)
-    rows = []
-    for n in n_values:
-        for draw_seed in range(seed, seed + n_seeds):
-            h = sample_small_scale(n, n_pairs, lemma_rng(draw_seed, n))
-            for beta in beta_values:
-                rows.extend(
-                    {**row, "N": n, "beta": beta, "seed": draw_seed}
-                    for row in lemma_checks(h, n_rx_chains, beta)
-                )
+    _env_thread_cap()
+
+    def draw_rows(job: Tuple[int, int]) -> List[dict]:
+        n, draw_seed = job
+        h = sample_small_scale(n, n_pairs, lemma_rng(draw_seed, n))
+        return [{**row, "N": n, "beta": beta, "seed": draw_seed}
+                for beta in beta_values for row in lemma_checks(h, n_rx_chains, beta)]
+
+    jobs = [(n, s) for n in n_values for s in range(seed, seed + n_seeds)]
+    rows = [row for done in _pool_map(draw_rows, jobs) for row in done]
     rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
     return rows

@@ -37,10 +37,18 @@ class QuantizationSpec:
 
 
 def _codeword_index(
-    phi: Union[float, np.ndarray], quant: QuantizationSpec
+    phi: Union[float, np.ndarray],
+    quant: QuantizationSpec,
+    out: Optional[np.ndarray] = None,
 ) -> Union[float, np.ndarray]:
-    """Index (as a float) of the codeword nearest to phi; ties go to the higher one."""
-    return np.floor(phi / (2.0 * quant.step) + 0.5)
+    """Index (as a float) of the codeword nearest to phi; ties go to the higher one.
+
+    `out`, when given, holds the result and may be phi itself: the index
+    is then built in place, with no temporary of phi's size.
+    """
+    index = np.divide(phi, 2.0 * quant.step, out=out)
+    index += 0.5
+    return np.floor(index, out=out)
 
 
 def quantize_phase(
@@ -89,13 +97,15 @@ def build_analog(
         )
     gs = g[..., :n_chains]
     if quant is not None:
-        index = _codeword_index(np.angle(gs), quant)
+        index = np.angle(gs)  # a fresh array, so the index is built in place
+        index = _codeword_index(index, quant, out=index)
         size = 2 ** quant.bits
         # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
         if size > index.size:  # a table larger than the stage itself
-            index = np.mod(index, size)
+            index = np.mod(index, size, out=index)
             return np.swapaxes(_conj_codeword(index, quant, n), -1, -2)
-        index = index.astype(np.intp) & (size - 1)
+        index = index.astype(np.intp)
+        index &= size - 1
         return np.swapaxes(_conj_codeword(np.arange(size), quant, n)[index], -1, -2)
     mag = np.abs(gs)
     # A zero or NaN minimum: phase 0 where g = 0, as angle(0) gives.
@@ -114,18 +124,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, bit for bit, for stacks (B, m, n) and (B, n, p) or 2-D a, b.
 
     np.matmul holds the GIL for its whole call, while np.dot releases it
-    while BLAS runs, so the engine's pool workers can overlap their
-    products only in np.dot.  A one-slice stack therefore goes through
-    np.dot; a longer stack, whose single @ call beats a Python loop over
-    its slices, and a 2-D pair (one realization, as the tests pass it)
-    go through @.  The engine's blocks hold about 1 MB of fading,
-    so a block is one trial when N K > 16384 (N >= 1639 at K = 10).
+    while BLAS runs, so pool workers (metrics._pool_map) can overlap their
+    products only in np.dot.  A 2-D pair (one lemma draw) and a one-slice
+    stack therefore go through np.dot; a longer stack, whose single @ call
+    beats a Python loop over its slices, goes through @.  The engine's
+    blocks hold about 1 MB of fading, so a block is one trial when
+    N K > 16384 (N >= 1639 at K = 10).
     Measured on 2 cores with one BLAS thread, two threads each repeating
     (1, 10, N) @ (1, N, 10) ran 1.40x (N = 2048) and 1.58x (N = 8192)
     faster through np.dot; one thread took 0.94-0.99x the time of @.  Used
     for the products whose inner dimension is N.
     """
-    if a.ndim == 3 and len(a) == 1:
+    if a.ndim == 2:
+        return np.dot(a, b)
+    if len(a) == 1:
         return np.dot(a[0], b[0])[None]
     return a @ b
 

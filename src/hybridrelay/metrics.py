@@ -2,7 +2,8 @@
 and run_sweep, the library's one sweep over array sizes.
 
 SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
-draws; the engine's block, pool and SIM_THREADS rules live here only.
+draws.  The engine's block rule, and the pool and SIM_THREADS rules that
+the lemma table shares (_pool_map), live here only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,11 +179,29 @@ def _env_thread_cap() -> Optional[int]:
     return cap
 
 
-def _worker_count(n_blocks: int) -> int:
-    """Pool size: min(CPU count, SIM_THREADS when set, number of blocks)."""
+def _worker_count(n_jobs: int) -> int:
+    """Pool size: min(CPU count, SIM_THREADS when set, number of jobs)."""
     cap = _env_thread_cap()
     limit = os.cpu_count() or 1
-    return max(1, min(limit, cap or limit, n_blocks))
+    return max(1, min(limit, cap or limit, n_jobs))
+
+
+def _pool_map(fn: Callable, jobs: Sequence) -> Iterator:
+    """Yield fn(job) for every job, in job order, on _worker_count(len(jobs)) threads.
+
+    The pool of the engine's blocks and of the lemma table's draws.  With
+    one worker the jobs run inline in the calling thread, one at a time as
+    the results are taken: a one-thread pool overlaps nothing and only adds
+    its hand-offs.  Otherwise every job is queued at once and the workers
+    overlap where numpy releases the GIL (hybrid._dot).  The worker count,
+    and so the SIM_THREADS check, is read before the first job runs.
+    """
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        yield from map(fn, jobs)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, jobs)
 
 
 def _rate_point(sinr_table: np.ndarray) -> RatePoint:
@@ -223,7 +242,7 @@ def _sweep_rates(
 
     `configs` differ in array size and powers only.  Each config's trials
     are cut into its own blocks, exactly as a separate call would cut them,
-    and every (config, block) job goes to one pool, largest array first:
+    and every (config, block) job goes to one _pool_map, largest array first:
     a worker free at the end of one array size takes the next size's
     blocks, and the costliest blocks do not come last.  A config's SINR
     table is assembled in trial order, reduced and dropped once its last
@@ -258,13 +277,12 @@ def _sweep_rates(
         return c, _block_sinrs(configs[c], lo, hi, variants, drop)
 
     points: list = [None] * len(configs)
-    with ThreadPoolExecutor(_worker_count(len(jobs))) as pool:
-        for c, done in itertools.groupby(pool.map(run_block, jobs), key=lambda cb: cb[0]):
-            table = np.concatenate([block for _, block in done], axis=1)
-            try:
-                points[c] = [_rate_point(t) for t in table]
-            except RuntimeError as exc:
-                points[c] = exc
+    for c, done in itertools.groupby(_pool_map(run_block, jobs), key=lambda cb: cb[0]):
+        table = np.concatenate([block for _, block in done], axis=1)
+        try:
+            points[c] = [_rate_point(t) for t in table]
+        except RuntimeError as exc:
+            points[c] = exc
     for p in points:
         if isinstance(p, RuntimeError):
             raise p
@@ -297,8 +315,9 @@ def monte_carlo_rates(
     SINRs do not depend on the block it lands in or on the other variants
     of the call.  A thread pool of
     min(CPU count, SIM_THREADS when set, number of blocks) workers runs the
-    blocks, overlapping where numpy releases the GIL (see hybrid._dot); it
-    is run_sweep's pool for a single array size.
+    blocks, overlapping where numpy releases the GIL (see hybrid._dot); one
+    worker runs them inline (_pool_map).  It is run_sweep's pool for a
+    single array size.
     Each variant's reduction runs in ascending trial order, so the result
     is bit-identical for any worker count and equals a separate
     `monte_carlo_rate` call per variant.  `drop`, when given, is validated

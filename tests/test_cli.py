@@ -645,6 +645,39 @@ class TestVerifyLemmas:
         assert capsys.readouterr().err == f"INFO wrote 4 rows to {loud}\n"
         assert quiet.read_bytes() == loud.read_bytes()
 
+    def test_csv_bytes_do_not_depend_on_threads(self, tmp_path):
+        # Each (N, seed) draw is one pool job; the bytes must not move with
+        # the pool size or with the OpenBLAS thread count.
+        argv = [sys.executable, "-m", "hybridrelay.cli", "verify-lemmas",
+                "--n", "64,1024,4096", "--beta", "cont,1,2,12", "--seeds", "3"]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("SIM_THREADS", "OPENBLAS_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        settings = [{}, {"SIM_THREADS": "1"}, {"SIM_THREADS": "2"},
+                    {"SIM_THREADS": "4"}, {"OPENBLAS_NUM_THREADS": "1"}]
+        outputs = []
+        for i, extra in enumerate(settings):
+            path = tmp_path / f"lemmas{i}.csv"
+            subprocess.run(argv + ["--out", str(path)], env={**env, **extra},
+                           check=True, timeout=300)
+            outputs.append(path.read_bytes())
+        assert outputs[1:] == outputs[:1] * 4
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+    def test_invalid_sim_threads_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        draws = []
+        monkeypatch.setattr(diagnostics, "sample_small_scale",
+                            lambda *args: draws.append(args))
+        monkeypatch.setenv("SIM_THREADS", threads)
+        out = tmp_path / "x.csv"
+        assert main(["verify-lemmas", "--n", "16", "--seeds", "2", "--n-pairs", "3",
+                     "--n-rx-chains", "3", "--out", str(out)]) == 2
+        assert "SIM_THREADS" in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
     def test_chains_must_fit(self, tmp_path):
         assert main(["verify-lemmas", "--n", "4", "--seeds", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2

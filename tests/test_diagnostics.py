@@ -1,5 +1,8 @@
 """Large-array convergence diagnostics for the analog stage."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,28 @@ class TestSweep:
             for seed in (0, 1) for row in lemma_checks(lemma_draw(64, 3, seed), 3, None)
         ]
         assert rows == sorted(expected, key=lambda r: (r["metric"], r["seed"]))
+
+    def test_rows_equal_for_one_and_two_workers(self, monkeypatch):
+        # Each (N, seed) draw is one pool job: one worker draws inline in
+        # the calling thread, two draw on the pool, and every value agrees.
+        orig, threads = diagnostics.sample_small_scale, []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return orig(*args)
+
+        monkeypatch.setattr(diagnostics, "sample_small_scale", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = [64, 1024, 4096], [None, 1, 2, 12], 3
+        monkeypatch.setenv("SIM_THREADS", "1")
+        serial = lemma_rows(*args)
+        assert threads == [threading.get_ident()] * 9
+        threads.clear()
+        monkeypatch.setenv("SIM_THREADS", "2")
+        pooled = lemma_rows(*args)
+        assert len(threads) == 9 and threading.get_ident() not in threads
+        assert len(serial) == 2 * 3 * 4 * 3
+        assert pooled == serial
 
     def test_non_integral_counts_fail_before_any_draw(self, monkeypatch):
         draws = []

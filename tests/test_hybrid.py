@@ -121,22 +121,27 @@ class TestBuildAnalog:
         bound = QuantizationSpec(bits).step / math.sqrt(24) + 1e-12
         assert np.max(np.abs(quant - cont)) <= bound
 
-    @pytest.mark.parametrize("bits", [None, 1, 2, 3])
+    @pytest.mark.parametrize("bits", [None, 1, 2, 3, 10, 11, 12, 13, 14])
     def test_matches_exp_of_snapped_phase(self, rng, bits):
         # The stage against its definition exp(-1j * snap(angle(g))) / sqrt(N),
         # on a stack of trials holding zeros and phases where codewords tie.
-        g = np.stack([make_channels(rng, 16, 4).g1 for _ in range(3)])
+        # A stage reads its codeword table when 2**bits is at most its size:
+        # the stack holds 12 288 phases and each trial 4 096, so bits 1-12
+        # read it for both, 13 for the stack only, and 14 for neither.
+        g = np.stack([make_channels(rng, 1024, 4).g1 for _ in range(3)])
         g[0, :9, 0] = [0, 1, 1 + 1j, 1j, -1 + 1j, -1, complex(-1, -0.0), -1 - 1j, -1j]
         g[1, 3, 2] = 0.0
+        before = g.copy()
         quant = QuantizationSpec(bits) if bits is not None else None
         phase = np.angle(g)
         if quant is not None:
             phase = quantize_phase(phase, quant)
-        want = np.swapaxes(np.exp(-1j * phase), -1, -2) / 4.0
+        want = np.swapaxes(np.exp(-1j * phase), -1, -2) / 32.0
         got = build_analog(g, 4, quant)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
         for trial in range(3):
             np.testing.assert_array_equal(got[trial], build_analog(g[trial], 4, quant))
+        assert_same_bits(g, before)  # the index is built in place, never on g
 
     @pytest.mark.parametrize("chains", [4, 6], ids=["fewer-chains", "all-chains"])
     def test_continuous_is_conj_over_scaled_magnitude(self, rng, chains):
@@ -233,17 +238,17 @@ class TestFullDigital:
 
 
 class TestDot:
-    """hybrid._dot is a @ b bit for bit, through np.dot (one slice) and @."""
+    """hybrid._dot is a @ b bit for bit, through np.dot (2-D, one slice) and @."""
 
-    @pytest.mark.parametrize("stack", [1, 3, 50])
+    @pytest.mark.parametrize("stack", [None, 1, 3, 50])
     @pytest.mark.parametrize("k,k_r,k_t", [(10, 10, 10), (4, 3, 4), (3, 2, 1)])
     def test_equals_matmul_bitwise(self, rng, stack, k, k_r, k_t):
         # K_t = 1 gives (1, N) @ (N, K) and (1, N) @ (N, 1): BLAS's gemv
-        # and dot paths instead of gemm.
+        # and dot paths instead of gemm.  A stack of None is one 2-D draw.
         n = 64
+        shape = (n, k) if stack is None else (stack, n, k)
         for chains in (k_r, k_t):
-            g = (rng.standard_normal((stack, n, k))
-                 + 1j * rng.standard_normal((stack, n, k)))
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             f = build_analog(g, chains)
             g_h = np.conj(np.swapaxes(g, -1, -2))
             f_h = np.swapaxes(np.conj(f), -1, -2)

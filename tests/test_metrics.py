@@ -1,6 +1,8 @@
 """SINR evaluation and the Monte-Carlo engine."""
 
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,13 @@ from hybridrelay import (
 )
 from hybridrelay import channel, metrics
 from hybridrelay.channel import ChannelRealization
-from hybridrelay.metrics import _block_sinrs, _block_trials, _cell_powers, _worker_count
+from hybridrelay.metrics import (
+    _block_sinrs,
+    _block_trials,
+    _cell_powers,
+    _pool_map,
+    _worker_count,
+)
 
 SMALL = SystemConfig(
     n_antennas=8, n_pairs=3, n_rx_chains=3, n_tx_chains=3, seed=21
@@ -271,6 +279,31 @@ class TestMonteCarlo:
             monkeypatch.setenv("SIM_THREADS", bad)
             with pytest.raises(ValueError, match="SIM_THREADS"):
                 _worker_count(100)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_map_yields_in_job_order(self, monkeypatch, workers):
+        # Early jobs sleep longest, so a pool finishes them out of order.
+        pool_workers(monkeypatch, workers)
+
+        def square(job):
+            time.sleep(0.002 * (8 - job))
+            return job * job
+
+        assert list(_pool_map(square, range(8))) == [j * j for j in range(8)]
+
+    def test_pool_map_runs_one_worker_inline(self, monkeypatch):
+        caller = threading.get_ident()
+        pool_workers(monkeypatch, 1)
+        assert set(_pool_map(lambda _: threading.get_ident(), range(4))) == {caller}
+        pool_workers(monkeypatch, 2)
+        assert caller not in set(_pool_map(lambda _: threading.get_ident(), range(4)))
+
+    def test_pool_map_checks_sim_threads_before_any_job(self, monkeypatch):
+        ran = []
+        monkeypatch.setenv("SIM_THREADS", "0")
+        with pytest.raises(ValueError, match="SIM_THREADS"):
+            next(_pool_map(ran.append, [1, 2]))
+        assert ran == []
 
     def test_degenerate_trials_skipped_and_counted(self, monkeypatch):
         _kill_trials(monkeypatch, lambda trial: trial == 7)
