@@ -18,7 +18,7 @@ import numpy as np
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
 from .hybrid import QuantizationSpec, _dot, build_analog, sinc_penalty
-from .metrics import _beta_key, _check_lists, _env_thread_cap, _pool_map
+from .metrics import _beta_key, _check_lists, _pool_map
 
 # Row norms of the analog stage are exact by construction; only float
 # accumulation separates them from 1.
@@ -100,12 +100,12 @@ def lemma_rows(
     Seeds seed .. seed + n_seeds - 1 each draw an N x n_pairs fading matrix
     for an analog stage of n_rx_chains chains.  The lists follow a sweep's
     rules; the settings take SystemConfig's defaults and rules, and as the
-    lemmas measure one side, n_rx_chains stands for both.  Every check,
-    SIM_THREADS's included, raises ValueError before the first draw.  Each
-    (N, seed) draw is one job, measured at every beta: its rows depend on
-    that pair only (lemma_rng).  The jobs run on the engine's pool
-    (metrics._pool_map) in the table's own order, N ascending, then seed,
-    so one draw per worker is live and the largest draws overlap only at
+    lemmas measure one side, n_rx_chains stands for both.  Every check raises
+    ValueError before the first draw: the engine's pool (metrics._pool_map)
+    checks SIM_THREADS before its first job.  Each (N, seed) draw is one job of
+    that pool, measured at every beta: its rows depend on that pair only
+    (lemma_rng).  The jobs run in the table's own order, N ascending, then
+    seed, so one draw per worker is live and the largest draws overlap only at
     the end: largest first would hold them together for longer.  Rows are
     sorted by (metric, N, beta, seed), the same for any worker count.
     """
@@ -116,7 +116,6 @@ def lemma_rows(
         raise ValueError("seeds must be positive")
     SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,
                  n_tx_chains=n_rx_chains, seed=seed)
-    _env_thread_cap()
 
     def draw_rows(job: Tuple[int, int]) -> List[dict]:
         n, draw_seed = job

@@ -77,16 +77,17 @@ def build_analog(
 
     Row i conjugate-matches the phases of channel column i at constant
     amplitude: entry (i, j) is exp(-1j * angle(g[j, i])) / sqrt(N), with
-    phase 0 where g[j, i] = 0.  No entry goes through exp, cos or sin:
-    continuous phases give conj(g) / (|g| sqrt(N)), and with `quant` set
-    the channel phase is snapped to the index of its nearest codeword
-    (quantize_phase's rule) and the entry is read from a table of the 2**bits
-    conjugate codewords.  `g` is N x K, or (..., N, K) for a stack of
-    trials, and the result is n_chains x N, or (..., n_chains, N): the
-    transposed view of an array built in g's own layout.  Only the
-    first n_chains columns of g are used; requesting more chains than
-    channel columns is an error because the remaining rows would have no
-    channel to match.
+    phase 0 where g[j, i] = 0.  Continuous phases give conj(g) / (|g| sqrt(N)),
+    with no exp, cos or sin.  With `quant` set the channel phase is snapped
+    to the index of its nearest codeword (quantize_phase's rule).  The entry
+    is then read from a table of the 2**bits conjugate codewords, unless the
+    table would hold more entries than the stage: then each entry is
+    computed directly as exp(-2j * step * index) / sqrt(N).  `g` is N x K,
+    or (..., N, K) for a stack of trials, and the result is n_chains x N,
+    or (..., n_chains, N): the transposed view of an array built in g's own
+    layout.  Only the first n_chains columns of g are used; requesting more
+    chains than channel columns is an error because the remaining rows
+    would have no channel to match.
     """
     g = np.asarray(g)
     n, k = g.shape[-2], g.shape[-1]

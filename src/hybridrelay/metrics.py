@@ -9,7 +9,6 @@ the lemma table shares (_pool_map), live here only.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
 import math
 import numbers
@@ -194,7 +193,9 @@ def _pool_map(fn: Callable, jobs: Sequence) -> Iterator:
     the results are taken: a one-thread pool overlaps nothing and only adds
     its hand-offs.  Otherwise every job is queued at once and the workers
     overlap where numpy releases the GIL (hybrid._dot).  The worker count,
-    and so the SIM_THREADS check, is read before the first job runs.
+    and so the SIM_THREADS check, is read before the first job runs.  Both
+    callers rely on that check; run_sweep also makes it up front, as an
+    asymptote-only run starts no pool.
     """
     workers = _worker_count(len(jobs))
     if workers == 1:
@@ -244,13 +245,14 @@ def _sweep_rates(
     are cut into its own blocks, exactly as a separate call would cut them,
     and every (config, block) job goes to one _pool_map, largest array first:
     a worker free at the end of one array size takes the next size's
-    blocks, and the costliest blocks do not come last.  A config's SINR
-    table is assembled in trial order, reduced and dropped once its last
-    block is in.  Returns one RatePoint list per config, in order.  The
-    first failing config, in the given order, raises with the message of
-    its first failing variant, but only after every block of every config
-    has run: a failing config is known only once its whole table is in,
-    and the smallest array, first in a sweep, runs last.  A run that
+    blocks, and the costliest blocks do not come last.  Each block fills
+    its trials' slice of its config's (V, n_trials, K) SINR table, and the
+    tables are reduced in the given order once every block has run.
+    Returns one RatePoint list per config, in order.  The first failing
+    config, in the given order, raises with the message of its first
+    failing variant, but only after every block of every config has run:
+    a failing config is known only once its whole table is in, and the
+    smallest array, first in a sweep, runs last.  A run that
     succeeds logs one INFO line per config, in order, with its trials,
     its blocks and the degenerate draws of each variant.
     """
@@ -272,20 +274,14 @@ def _sweep_rates(
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
     jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
 
-    def run_block(job: Tuple[int, int, int]) -> Tuple[int, np.ndarray]:
+    def run_block(job: Tuple[int, int, int]) -> np.ndarray:
         c, lo, hi = job
-        return c, _block_sinrs(configs[c], lo, hi, variants, drop)
+        return _block_sinrs(configs[c], lo, hi, variants, drop)
 
-    points: list = [None] * len(configs)
-    for c, done in itertools.groupby(_pool_map(run_block, jobs), key=lambda cb: cb[0]):
-        table = np.concatenate([block for _, block in done], axis=1)
-        try:
-            points[c] = [_rate_point(t) for t in table]
-        except RuntimeError as exc:
-            points[c] = exc
-    for p in points:
-        if isinstance(p, RuntimeError):
-            raise p
+    tables = [np.empty((len(variants), n_trials, config.n_pairs)) for config in configs]
+    for (c, lo, hi), block in zip(jobs, _pool_map(run_block, jobs)):
+        tables[c][:, lo:hi] = block
+    points = [[_rate_point(t) for t in table] for table in tables]
     labels = [mode if mode == "full_digital" else f"{mode}({render_beta(bits)})"
               for mode, bits in variants]
     for config, ranges, cell in zip(configs, bounds, points):

@@ -1,16 +1,19 @@
 """The package's public names and module boundaries: a name is added or
-dropped on purpose, and the command-line front end uses only public names."""
+dropped on purpose, the command-line front end uses only public names, and
+the benchmark calls only public names, with parameters they take."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import hybridrelay
+import hybridrelay.cli
 
 PACKAGE_DIR = Path(hybridrelay.__file__).resolve().parent
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
-# perfbench/checks.py calls AsymptoticInputs, SystemConfig, canonical_drop,
-# monte_carlo_rate and rate_case2.  SweepSpec and run_sweep are the one
-# sweep over array sizes, which the simulate command runs.
+# SweepSpec and run_sweep are the one sweep over array sizes, which the
+# simulate command runs.
 PUBLIC = [
     "AsymptoticInputs",
     "ChannelRealization",
@@ -43,6 +46,46 @@ def test_public_names_are_pinned():
     assert sorted(hybridrelay.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(hybridrelay, name), name
+
+
+def program_calls(tree):
+    """(attribute path, Call node or None) of each `program.a.b` in tree."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        names, inner = [], node
+        while isinstance(inner, ast.Attribute):
+            names.insert(0, inner.attr)
+            inner = inner.value
+        if names and isinstance(inner, ast.Name) and inner.id == "program":
+            yield names, calls.get(id(node))
+
+
+def test_benchmark_uses_public_names_with_their_signatures():
+    # The benchmark loads the package as `program` and calls it by name, so
+    # a dropped name or parameter would fail every benchmark run instead.
+    problems, seen = [], set()
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for names, call in program_calls(tree):
+            where = f"{path.name}: program.{'.'.join(names)}"
+            if names[0] not in hybridrelay.__all__ and names[0] != "cli":
+                problems.append(f"{where} is not public")
+                continue
+            target = hybridrelay
+            for name in names:
+                target = getattr(target, name, None)
+            if target is None:
+                problems.append(f"{where} does not exist")
+                continue
+            seen.add(".".join(names))
+            if call is not None:
+                try:
+                    inspect.signature(target).bind(
+                        *call.args, **{k.arg: None for k in call.keywords})
+                except TypeError as exc:
+                    problems.append(f"{where}(...): {exc}")
+    assert problems == []
+    assert {"SystemConfig", "monte_carlo_rate", "cli.main"} <= seen
 
 
 def package_imports(tree):

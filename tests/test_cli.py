@@ -234,25 +234,44 @@ class TestSimulate:
         if fixed:
             assert {r["asymptote_rate"] for r in body} == {""}
 
+    @staticmethod
+    def assert_first_failure(tmp_path, capsys, monkeypatch, threads, losses, lost):
+        """Each N loses its first losses[N] trials in every variant; the run
+        exits 1 naming `lost` of 6 only after drawing both sizes' trials once."""
+        orig = metrics._variant_sinrs
+
+        def lossy(g1, g2, mode, bits, config):
+            out = orig(g1, g2, mode, bits, config)
+            out[:losses.get(config.n_antennas, 0)] = np.nan
+            return out
+
+        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
+        monkeypatch.setenv("SIM_THREADS", threads)
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "rates.csv"
+        assert run_simulate(out, ["--modes", "hybrid,full"]) == 1
+        assert capsys.readouterr().err == (
+            f"failure: {lost} of 6 trials degenerate (> 1%); configuration unusable\n"
+        )
+        assert sorted(calls) == sorted(list(range(6)) * 2)
+        assert not out.exists()
+
     def test_first_failing_array_size_in_order_raises(
         self, tmp_path, capsys, monkeypatch
     ):
         # N = 8 loses one of its six trials and N = 16 two; the pool runs
         # N = 16 first, and N = 8 still names the failure.
-        orig = metrics._variant_sinrs
+        for threads in ("1", "2"):
+            with monkeypatch.context() as patch:
+                self.assert_first_failure(
+                    tmp_path, capsys, patch, threads, {8: 1, 16: 2}, 1)
 
-        def lossy(g1, g2, mode, bits, config):
-            out = orig(g1, g2, mode, bits, config)
-            out[:{8: 1, 16: 2}[config.n_antennas]] = np.nan
-            return out
-
-        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
-        out = tmp_path / "rates.csv"
-        assert run_simulate(out, ["--modes", "hybrid,full"]) == 1
-        assert capsys.readouterr().err == (
-            "failure: 1 of 6 trials degenerate (> 1%); configuration unusable\n"
-        )
-        assert not out.exists()
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("losses, lost", [({16: 2}, 2), ({8: 1}, 1)])
+    def test_one_failing_array_size_raises_after_every_block(
+        self, tmp_path, capsys, monkeypatch, threads, losses, lost
+    ):
+        self.assert_first_failure(tmp_path, capsys, monkeypatch, threads, losses, lost)
 
     def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # At this shape the raw SINRs under one OpenBLAS thread and under
