@@ -69,12 +69,12 @@ def emit_csv(rows: List[dict], path: str, columns: Sequence[str] = CSV_COLUMNS) 
             writer.writerow(_render_row(row, columns))
 
 
-def emit_dat(rows: List[dict], path: str, columns: Sequence[str] = CSV_COLUMNS) -> None:
+def emit_dat(rows: List[dict], path: str) -> None:
     """Companion whitespace-separated table (gnuplot-friendly, '#' header)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# " + " ".join(columns) + "\n")
+        fh.write("# " + " ".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            cells = [cell if cell else "nan" for cell in _render_row(row, columns)]
+            cells = [cell if cell else "nan" for cell in _render_row(row, CSV_COLUMNS)]
             fh.write(" ".join(cells) + "\n")
 
 

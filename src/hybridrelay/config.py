@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-from .hybrid import QuantizationSpec
+from .hybrid import QuantizationSpec, _is_int
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_antennas", "n_pairs", "n_rx_chains", "n_tx_chains", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be a positive integer")

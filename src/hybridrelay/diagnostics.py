@@ -10,14 +10,13 @@ lemma_rows measures both over a family of draws: the verify-lemmas table.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec, _dot, build_analog, sinc_penalty
+from .hybrid import QuantizationSpec, _dot, _is_int, build_analog, sinc_penalty
 from .metrics import _beta_key, _check_lists, _pool_map
 
 # Row norms of the analog stage are exact by construction; only float
@@ -110,7 +109,7 @@ def lemma_rows(
     sorted by (metric, N, beta, seed), the same for any worker count.
     """
     _check_lists(n_values, beta_values)
-    if not isinstance(n_seeds, numbers.Integral):
+    if not _is_int(n_seeds):
         raise ValueError(f"seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:
         raise ValueError("seeds must be positive")

@@ -19,6 +19,11 @@ class DegenerateChannelError(RuntimeError):
     """Raised when a draw's power normalization or SINRs are undefined."""
 
 
+def _is_int(value) -> bool:
+    """The rule of every count, seed and bit number: an integral, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QuantizationSpec:
     """Uniform phase codebook with 2**bits codewords, spaced 2*pi/2**bits."""
@@ -27,7 +32,7 @@ class QuantizationSpec:
 
     def __post_init__(self) -> None:
         # step divides by 2**bits, which leaves the float range at 1024.
-        if not (isinstance(self.bits, numbers.Integral) and 1 <= self.bits <= 1023):
+        if not (_is_int(self.bits) and 1 <= self.bits <= 1023):
             raise ValueError("quant_bits must be a positive integer up to 1023")
 
     @property

@@ -11,11 +11,10 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,10 +123,15 @@ def sinrs(
     and the destination noise.  It runs the Monte-Carlo engine's kernel on
     a one-trial stack, so it equals that trial's row in the engine bit for
     bit: hybrid mode uses config.quant_bits, full_digital ignores it.
-    Raises DegenerateChannelError for a draw the engine would skip
-    (undefined power normalization or a non-finite SINR).
+    Raises ValueError for channels that are not N x K of config, and
+    DegenerateChannelError for a draw the engine would skip (undefined
+    power normalization or a non-finite SINR).
     """
     _check_variant(mode, config.quant_bits)
+    shape = (config.n_antennas, config.n_pairs)
+    if real.g1.shape != shape or real.g2.shape != shape:
+        raise ValueError(f"realization channels are {real.g1.shape} and "
+                         f"{real.g2.shape}; the config needs {shape}")
     row = _variant_sinrs(
         real.g1[None], real.g2[None], mode, config.quant_bits, config
     )[0]
@@ -148,20 +152,15 @@ def _block_sinrs(
 ) -> np.ndarray:
     """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
 
-    The block is drawn once, by channel._fill_block, into two
-    (hi - lo, N, K) channel stacks: one stream per trial, with the bits
-    sample_realization returns for it.  `drop`, when given, must already
-    be validated.  The stacks then go through the analog stage, the Grams,
-    alpha and the SINRs of one variant after another.  Degenerate draws
-    give NaN rows.
+    The block is drawn once by channel._fill_block, which returns its
+    channel stacks: one stream per trial, with the bits sample_realization
+    returns for it.  `drop`, when given, must already be validated.  The
+    stacks then go through the analog stage, the Grams, alpha and the
+    SINRs of one variant after another.  Degenerate draws give NaN rows.
     """
-    shape = (hi - lo, config.n_antennas, config.n_pairs)
-    g1, g2 = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    channel._fill_block(config, lo, hi, drop, g1, g2)
-    out = np.empty((len(variants), hi - lo, config.n_pairs))
-    for v, (mode, bits) in enumerate(variants):
-        out[v] = _variant_sinrs(g1, g2, mode, bits, config)
-    return out
+    g1, g2, _, _ = channel._fill_block(config, lo, hi, drop)
+    return np.stack([_variant_sinrs(g1, g2, mode, bits, config)
+                     for mode, bits in variants])
 
 
 def _env_thread_cap() -> Optional[int]:
@@ -185,24 +184,22 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(limit, cap or limit, n_jobs))
 
 
-def _pool_map(fn: Callable, jobs: Sequence) -> Iterator:
-    """Yield fn(job) for every job, in job order, on _worker_count(len(jobs)) threads.
+def _pool_map(fn: Callable, jobs: Sequence) -> List:
+    """[fn(job) for job in jobs], run on _worker_count(len(jobs)) threads.
 
     The pool of the engine's blocks and of the lemma table's draws.  With
-    one worker the jobs run inline in the calling thread, one at a time as
-    the results are taken: a one-thread pool overlaps nothing and only adds
-    its hand-offs.  Otherwise every job is queued at once and the workers
-    overlap where numpy releases the GIL (hybrid._dot).  The worker count,
-    and so the SIM_THREADS check, is read before the first job runs.  Both
-    callers rely on that check; run_sweep also makes it up front, as an
-    asymptote-only run starts no pool.
+    one worker the jobs run inline in the calling thread: a one-thread pool
+    overlaps nothing and only adds its hand-offs.  Otherwise every job is
+    queued at once and the workers overlap where numpy releases the GIL
+    (hybrid._dot).  The worker count, and so the SIM_THREADS check, is read
+    before any job runs.  Both callers rely on that check; run_sweep also
+    makes it up front, as an asymptote-only run starts no pool.
     """
     workers = _worker_count(len(jobs))
     if workers == 1:
-        yield from map(fn, jobs)
-        return
+        return [fn(job) for job in jobs]
     with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, jobs)
+        return list(pool.map(fn, jobs))
 
 
 def _rate_point(sinr_table: np.ndarray) -> RatePoint:
@@ -245,9 +242,9 @@ def _sweep_rates(
     are cut into its own blocks, exactly as a separate call would cut them,
     and every (config, block) job goes to one _pool_map, largest array first:
     a worker free at the end of one array size takes the next size's
-    blocks, and the costliest blocks do not come last.  Each block fills
-    its trials' slice of its config's (V, n_trials, K) SINR table, and the
-    tables are reduced in the given order once every block has run.
+    blocks, and the costliest blocks do not come last.  Each block writes
+    its own trials' rows of its config's (V, n_trials, K) SINR table in its
+    worker, and the tables are reduced in order once every block has run.
     Returns one RatePoint list per config, in order.  The first failing
     config, in the given order, raises with the message of its first
     failing variant, but only after every block of every config has run:
@@ -256,7 +253,7 @@ def _sweep_rates(
     succeeds logs one INFO line per config, in order, with its trials,
     its blocks and the degenerate draws of each variant.
     """
-    if not isinstance(n_trials, numbers.Integral):
+    if not hybrid._is_int(n_trials):
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 2:
         raise ValueError("n_trials must be at least 2")
@@ -273,14 +270,13 @@ def _sweep_rates(
               for block in map(_block_trials, configs)]
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
     jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
-
-    def run_block(job: Tuple[int, int, int]) -> np.ndarray:
-        c, lo, hi = job
-        return _block_sinrs(configs[c], lo, hi, variants, drop)
-
     tables = [np.empty((len(variants), n_trials, config.n_pairs)) for config in configs]
-    for (c, lo, hi), block in zip(jobs, _pool_map(run_block, jobs)):
-        tables[c][:, lo:hi] = block
+
+    def run_block(job: Tuple[int, int, int]) -> None:
+        c, lo, hi = job
+        tables[c][:, lo:hi] = _block_sinrs(configs[c], lo, hi, variants, drop)
+
+    _pool_map(run_block, jobs)
     points = [[_rate_point(t) for t in table] for table in tables]
     labels = [mode if mode == "full_digital" else f"{mode}({render_beta(bits)})"
               for mode, bits in variants]
@@ -387,7 +383,7 @@ def _check_lists(
     if not n_values:
         raise ValueError("n_values must not be empty")
     for n in n_values:
-        if not isinstance(n, numbers.Integral):
+        if not hybrid._is_int(n):
             raise ValueError(f"n_values must be integers, got {n!r}")
     if any(n < 1 for n in n_values):
         raise ValueError("antenna counts must be positive")
@@ -434,7 +430,7 @@ class SweepSpec:
         unknown = [m for m in self.modes if m not in SWEEP_MODES]
         if unknown:
             raise ValueError(f"unknown modes: {', '.join(unknown)}")
-        if not isinstance(self.trials, numbers.Integral):
+        if not hybrid._is_int(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 2:
             raise ValueError("trials must be at least 2")

@@ -6,6 +6,8 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import hybridrelay
 import hybridrelay.cli
 
@@ -174,3 +176,27 @@ def test_every_import_is_used():
         }
         unused += [f"{path.stem}.{name}" for name in sorted(bound - read)]
     assert unused == []
+
+
+def test_only_channel_allocates_complex_arrays():
+    # channel._fill_block sizes and returns the engine's channel stacks, so
+    # their layout stays behind channel.  A dtype that is not a literal
+    # cannot be told apart and is flagged too.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "channel":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("np.empty", "numpy.empty")):
+                continue
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            for dtype in dtypes:
+                try:
+                    kind = np.dtype(eval(ast.unparse(dtype), {"np": np, "numpy": np})).kind
+                except (NameError, AttributeError, TypeError):
+                    kind = None
+                if kind in ("c", None):
+                    flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []

@@ -10,6 +10,7 @@ from hybridrelay import (
     SystemConfig,
     canonical_drop,
     channel,
+    monte_carlo_rates,
     sample_large_scale,
     sample_realization,
     sample_small_scale,
@@ -201,6 +202,18 @@ class TestSampleRealization:
                                        g_free / np.sqrt(eta_free), rtol=1e-15)
         np.testing.assert_array_equal(pinned.eta1, drop[0])
 
+    def test_realization_owns_its_arrays(self):
+        # No cache or reused buffer: two draws of one trial share no memory,
+        # and a later engine run, which draws the same trial, leaves it alone.
+        real = sample_realization(CFG, 3)
+        again = sample_realization(CFG, 3)
+        assert not np.shares_memory(real.g1, again.g1)
+        assert not np.shares_memory(real.g2, again.g2)
+        before = [a.copy() for a in (real.g1, real.g2, real.eta1, real.eta2)]
+        monte_carlo_rates(CFG, 6, [("hybrid", None), ("full_digital", None)])
+        for now, then in zip((real.g1, real.g2, real.eta1, real.eta2), before):
+            assert_same_bits(now, then)
+
     def test_drop_wrong_length_rejected(self):
         bad = (np.ones(3), np.ones(CFG.n_pairs))
         with pytest.raises(ValueError, match="length-10"):
@@ -238,9 +251,7 @@ class TestStreamLayout:
         # is filled whole before any trial is checked, so a write into the
         # wrong slice would show.
         for lo, hi in ((4, 5), (4, 6), (9, 14)):
-            g1 = np.empty((hi - lo, 24, k), dtype=complex)
-            g2 = np.empty((hi - lo, 24, k), dtype=complex)
-            etas = channel._fill_block(cfg, lo, hi, drop, g1, g2)
+            g1, g2, *etas = channel._fill_block(cfg, lo, hi, drop)
             for i, trial in enumerate(range(lo, hi)):
                 want_g1, want_g2, eta1, eta2 = _straight_line_draw(cfg, trial, drop)
                 assert_same_bits(g1[i], want_g1)

@@ -914,6 +914,9 @@ class TestSweepSpecValidation:
         (dict(modes=()), "modes must not be empty"),
         (dict(trials=1e3), "trials must be an integer, got 1000.0"),
         (dict(n_values=(8, 16.0)), "n_values must be integers, got 16.0"),
+        (dict(n_values=(True, 8)), "n_values must be integers, got True"),
+        (dict(trials=True), "trials must be an integer, got True"),
+        (dict(beta_values=(True,)), "beta_values: quant_bits"),
     ])
     def test_rejections(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -169,6 +169,8 @@ class TestSweep:
                             lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="seeds must be an integer, got 2.5"):
             lemma_rows([16], [None], 2.5, n_pairs=3, n_rx_chains=3)
+        with pytest.raises(ValueError, match="seeds must be an integer, got True"):
+            lemma_rows([16], [None], True, n_pairs=3, n_rx_chains=3)
         with pytest.raises(ValueError, match="n_values must be integers, got 16.0"):
             lemma_rows([16.0], [None], 2, n_pairs=3, n_rx_chains=3)
         assert draws == []

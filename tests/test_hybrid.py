@@ -44,7 +44,8 @@ class TestQuantizer:
         with pytest.raises(ValueError, match="positive"):
             QuantizationSpec(0)
 
-    @pytest.mark.parametrize("bits", [1024, 2.5], ids=["beyond-float-range", "fraction"])
+    @pytest.mark.parametrize("bits", [1024, 2.5, True],
+                             ids=["beyond-float-range", "fraction", "bool"])
     def test_bits_outside_1_to_1023_rejected(self, bits):
         # step divides by 2**bits, and 2**1024 is beyond the float range; a
         # fractional bit count has no codeword table.  The codebook and the

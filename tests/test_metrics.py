@@ -1,6 +1,7 @@
 """SINR evaluation and the Monte-Carlo engine."""
 
 import os
+import re
 import threading
 import time
 from dataclasses import replace
@@ -94,6 +95,17 @@ class TestSinr:
             sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
 
     @pytest.mark.parametrize("config", [
+        replace(SMALL, n_antennas=16), replace(SMALL, n_pairs=4),
+    ], ids=["antennas", "pairs"])
+    def test_realization_must_fit_config(self, rng, config):
+        # Unchecked, a wrong N gives SINRs of the realization's own array
+        # size, and a wrong K fails inside numpy's broadcasting.
+        want = (config.n_antennas, config.n_pairs)
+        message = f"channels are (8, 3) and (8, 3); the config needs {want}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sinrs(make_channels(rng, 8, 3), config)
+
+    @pytest.mark.parametrize("config", [
         SMALL, replace(SMALL, quant_bits=2), replace(SMALL, quant_bits=6),
         replace(SMALL, n_rx_chains=2, n_tx_chains=1),
     ], ids=["continuous", "two-bit", "six-bit", "fewer-chains"])
@@ -177,12 +189,12 @@ def _kill_trials(monkeypatch, dead):
     """Zero the source-side channel of every engine draw whose trial is dead."""
     orig = channel._fill_block
 
-    def fill(config, lo, hi, drop, g1, g2):
-        etas = orig(config, lo, hi, drop, g1, g2)
+    def fill(config, lo, hi, drop):
+        g1, g2, eta1, eta2 = orig(config, lo, hi, drop)
         for i, trial in enumerate(range(lo, hi)):
             if dead(trial):
                 g1[i] = 0.0
-        return etas
+        return g1, g2, eta1, eta2
 
     monkeypatch.setattr(channel, "_fill_block", fill)
 
@@ -302,7 +314,7 @@ class TestMonteCarlo:
         ran = []
         monkeypatch.setenv("SIM_THREADS", "0")
         with pytest.raises(ValueError, match="SIM_THREADS"):
-            next(_pool_map(ran.append, [1, 2]))
+            _pool_map(ran.append, [1, 2])
         assert ran == []
 
     def test_degenerate_trials_skipped_and_counted(self, monkeypatch):
@@ -372,7 +384,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("field,value", [
         ("n_antennas", 8.0), ("n_pairs", 3.0), ("n_rx_chains", 3.0),
-        ("n_tx_chains", 3.0), ("seed", 1.5),
+        ("n_tx_chains", 3.0), ("seed", 1.5), ("n_antennas", True),
     ])
     def test_non_integral_count_rejected(self, field, value):
         # seed=1.5 used to pass and then fail at the first draw as a TypeError.
@@ -384,6 +396,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(channel, "_fill_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="n_trials must be an integer, got 1000.0"):
             monte_carlo_rate(SMALL, 1e3)
+        with pytest.raises(ValueError, match="n_trials must be an integer, got True"):
+            monte_carlo_rate(SMALL, True)
         assert draws == []
 
     def test_bits_beyond_float_range_fail_before_any_draw(self, monkeypatch):
