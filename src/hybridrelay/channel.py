@@ -3,15 +3,24 @@
 Every random draw comes from a stream derived with numpy's SeedSequence from
 (seed, purpose, index).  Streams are therefore splittable: any trial can be
 generated on any worker, in any order, with identical results.
+
+trial_rng is the reference for a trial's stream.  The engine's block draw
+(_fill_block) builds the same generators more cheaply: it hashes the
+(seed, purpose) prefix once per block and finishes each trial's seed words
+from there (_trial_rngs), so the streams, and every output, keep their
+bits.  Trials from 2**32 on, whose index takes two entropy words, are
+built by trial_rng itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .config import SystemConfig
 
@@ -41,12 +50,113 @@ class ChannelRealization:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent generator for one Monte-Carlo trial of one seed."""
+    """Independent generator for one Monte-Carlo trial of one seed.
+
+    The reference for the trial streams: the engine's block draw builds
+    the same generators through _trial_rngs.
+    """
     if trial < 0:
         raise ValueError("trial index must be non-negative")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, trial))
     )
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx):
+# entropy words are hashed into a 4-word pool with the running constant
+# INIT_A * MULT_A**i, pool words are combined by mix(), and the output
+# words are hashed with INIT_B * MULT_B**i.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(const: int, mult: int) -> Iterator[Tuple[int, int]]:
+    """(xor, multiply) constants of successive steps of numpy's running hash."""
+    while True:
+        step = const * mult & _MASK32
+        yield const, step
+        const = step
+
+
+def _hash(value: int, xor: int, mult: int) -> int:
+    """One hashmix step of numpy's SeedSequence, its constants given."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy's SeedSequence mix of two 32-bit words."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+# generate_state(4, np.uint64) hashes the pool words 0, 1, 2, 3, 0, ... into
+# eight 32-bit words with these constants; the same for every stream.
+_STATE_CONSTS = tuple(itertools.islice(_hash_consts(_INIT_B, _MULT_B), 2 * _POOL_WORDS))
+
+
+class _StateWords(ISeedSequence):
+    """Four given uint64 words, handed to PCG64 as its seed sequence's state.
+
+    np.random.PCG64(_StateWords(w)) runs PCG64's own seeding step on w, so
+    it equals np.random.PCG64(s) for any seed sequence s whose
+    generate_state(4, np.uint64) returns w.
+    """
+
+    def __init__(self, words: List[int]):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_WORDS or dtype is not np.uint64:
+            raise ValueError("only PCG64's four uint64 state words are held")
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """trial_rng(seed, t) for t in lo..hi-1, each a new generator.
+
+    SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, t)) hashes its
+    entropy words (the seed's words padded to the pool, then the one-word
+    stream tag, then t) in order, and t, for t < 2**32, is the last word.
+    So the pool before t, and the running hash constant, are computed once
+    here: each trial then takes four hashmix/mix steps and the eight output
+    hashes of generate_state(4, np.uint64), in plain integers, and PCG64
+    seeds itself from those words.  Trials from 2**32 on go to trial_rng.
+    """
+    # The seed as SeedSequence reads it: 32-bit words, low first, at least one.
+    seed = int(seed)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    words = [seed >> shift & _MASK32 for shift in shifts]
+    words += [0] * (_POOL_WORDS - len(words)) + [_TRIAL_STREAM]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(consts)) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for w in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hash(w, *next(consts)))
+    # Pool word i, t's hash constants into it, and those of the two output
+    # words it feeds: i and i + _POOL_WORDS.
+    steps = [(p, *next(consts), *_STATE_CONSTS[i], *_STATE_CONSTS[i + _POOL_WORDS])
+             for i, p in enumerate(pool)]
+    for trial in range(lo, hi):
+        if not 0 <= trial <= _MASK32:
+            yield trial_rng(seed, trial)
+            continue
+        low, high = [], []
+        for p, x, m, x_low, m_low, x_high, m_high in steps:
+            word = _mix(p, _hash(trial, x, m))
+            low.append(_hash(word, x_low, m_low))
+            high.append(_hash(word, x_high, m_high))
+        # The eight 32-bit outputs, read as four little-endian uint64 words.
+        state = [low[0] | low[1] << 32, low[2] | low[3] << 32,
+                 high[0] | high[1] << 32, high[2] | high[3] << 32]
+        yield np.random.Generator(np.random.PCG64(_StateWords(state)))
 
 
 def lemma_rng(seed: int, n: int) -> np.random.Generator:
@@ -56,15 +166,26 @@ def lemma_rng(seed: int, n: int) -> np.random.Generator:
     )
 
 
-def _complex_normals(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write (normals[0] + 1j * normals[1]) / sqrt(2) into `out`, in place.
+# numpy's complex division by sqrt(2) multiplies by this reciprocal.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-    Bit for bit that expression: the sum holds both parts exactly, and the
-    in-place division is the same complex-by-real division.
+
+def _complex_normals(
+    parts: np.ndarray, out: np.ndarray, scale: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Write (parts[0] + 1j * parts[1]) / sqrt(2), times `scale`, into `out`.
+
+    Two passes over each real view of `out`: np.multiply by 1/sqrt(2), then
+    *= scale when given.  These are the bits of the complex expression
+    (with a real `scale`): numpy's complex-by-real division and product
+    compute each part as that part times the real factor, plus or minus
+    the other part times zero.  That added zero can flip the sign of an
+    exactly-zero part in the complex form; here it keeps its sign.
     """
-    out.real = normals[0]
-    out.imag = normals[1]
-    out /= math.sqrt(2.0)
+    for part, view in zip(parts, (out.real, out.imag)):
+        np.multiply(part, _INV_SQRT2, out=view)
+        if scale is not None:
+            view *= scale
     return out
 
 
@@ -140,13 +261,16 @@ def _fill_block(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw trials lo..hi-1 into new stacks; return (g1, g2, eta1, eta2).
 
-    Each trial's stream gives, in order, the real and imaginary parts of the
-    source-side fading, those of the destination-side fading (one fill of
-    4 N K normals), then the large-scale draws of sample_large_scale unless
-    `drop`, already validated, pins the gains.  The per-trial loop makes
-    only these fills; the gain formula, the complex assembly and the
-    sqrt(eta) scaling then run once over the block, with the bits of a
-    trial-by-trial draw.  Stacks are (hi - lo, N, K), gains (hi - lo, K).
+    Each trial's stream (trial_rng's, built by _trial_rngs with the block's
+    shared seed prefix hashed once) gives, in order, the real and imaginary
+    parts of the source-side fading, those of the destination-side fading
+    (one fill of 4 N K normals), then the large-scale draws of
+    sample_large_scale unless `drop`, already validated, pins the gains.
+    The per-trial loop makes only these fills; the gain formula and the
+    complex assembly with its sqrt(eta) scaling (_complex_normals, two real
+    passes per part) then run once over the block, with the bits of a
+    trial-by-trial draw, up to the sign of an exactly-zero part.  Stacks
+    are (hi - lo, N, K), gains (hi - lo, K).
     """
     b, n, k = hi - lo, config.n_antennas, config.n_pairs
     # The normals die first, so they are allocated after the stacks and sit
@@ -157,8 +281,7 @@ def _fill_block(
     # Area quantiles u and shadowing normals z, each (side, trial, pair),
     # so the gain formula reads contiguous arrays.
     u, z = np.empty((2, 2, b, k))
-    for i, trial in enumerate(range(lo, hi)):
-        rng = trial_rng(config.seed, trial)
+    for i, rng in enumerate(_trial_rngs(config.seed, lo, hi)):
         rng.standard_normal(out=normals[i])
         if drop is None:
             for side in range(2):
@@ -169,8 +292,7 @@ def _fill_block(
     else:
         eta1, eta2 = (np.tile(eta, (b, 1)) for eta in drop)
     for g, hop, eta in zip((g1, g2), (normals[:, :2], normals[:, 2:]), (eta1, eta2)):
-        _complex_normals(hop.swapaxes(0, 1), g)
-        g *= np.sqrt(eta)[:, None]
+        _complex_normals(hop.swapaxes(0, 1), g, np.sqrt(eta)[:, None])
     return g1, g2, eta1, eta2
 
 

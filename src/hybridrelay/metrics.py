@@ -90,7 +90,12 @@ def _variant_sinrs(
     bits: Optional[int],
     config: SystemConfig,
 ) -> np.ndarray:
-    """SINR rows of a stack of draws under one (mode, quant_bits) variant."""
+    """SINR rows of a stack of draws under one (mode, quant_bits) variant.
+
+    A draw whose forwarded power or SINR overflows gives a NaN row, which
+    the engine counts and sinrs raises on, so the normalization and SINR
+    steps run without numpy's overflow and invalid-value warnings.
+    """
     if mode == "full_digital":
         hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
     else:
@@ -99,10 +104,11 @@ def _variant_sinrs(
         f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
         hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1)
         hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2)
-    alpha_sq = hybrid._alpha_squared(
-        hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
-    )
-    return _gram_sinrs(hop1, hop2, alpha_sq, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_sq = hybrid._alpha_squared(
+            hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
+        )
+        return _gram_sinrs(hop1, hop2, alpha_sq, config)
 
 
 def _check_variant(mode: str, bits: Optional[int]) -> None:
@@ -301,9 +307,12 @@ def monte_carlo_rates(
     trial index), drawn on its own stream (the bits sample_realization
     returns), and is drawn once for all variants.  Trials run in blocks
     of about 1 MB of fading (max(1, 2**20 // (2 N K 16)) trials).  A
-    block's loop only fills each trial's random numbers; the gains, the
-    complex fading and its scaling are then computed once per block, and
-    the block's stacks are reduced to K x K Grams together.  A trial's
+    block hashes the seed's share of its trials' stream seeds once and
+    finishes each trial's seed from there, giving trial_rng's stream
+    (trial_rng itself serves trials from 2**32 on).  Its loop only fills
+    each trial's random numbers; the gains, the complex fading and its
+    scaling are then computed once per block, and the block's stacks are
+    reduced to K x K Grams together.  A trial's
     SINRs do not depend on the block it lands in or on the other variants
     of the call.  A thread pool of
     min(CPU count, SIM_THREADS when set, number of blocks) workers runs the

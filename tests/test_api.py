@@ -200,3 +200,21 @@ def test_only_channel_allocates_complex_arrays():
                 if kind in ("c", None):
                     flagged.append(f"{path.name}:{node.lineno}")
     assert flagged == []
+
+
+def test_only_channel_builds_random_streams():
+    # channel.py owns the RNG stream layout: every generator the package
+    # draws from is built there, from (seed, purpose, index).
+    constructors = {"SeedSequence", "default_rng", "PCG64", "Generator"}
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "channel":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) in constructors:
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []

@@ -249,8 +249,9 @@ class TestStreamLayout:
         drop = (np.linspace(0.5, 2.0, k), np.linspace(3.0, 0.1, k)) if pinned else None
         # Blocks of 1, 2 and 5 trials, none starting at trial 0.  Each block
         # is filled whole before any trial is checked, so a write into the
-        # wrong slice would show.
-        for lo, hi in ((4, 5), (4, 6), (9, 14)):
+        # wrong slice would show.  The last block straddles 2**32, where the
+        # block's seeding hands over to trial_rng.
+        for lo, hi in ((4, 5), (4, 6), (9, 14), (2**32 - 2, 2**32 + 1)):
             g1, g2, *etas = channel._fill_block(cfg, lo, hi, drop)
             for i, trial in enumerate(range(lo, hi)):
                 want_g1, want_g2, eta1, eta2 = _straight_line_draw(cfg, trial, drop)
@@ -263,3 +264,32 @@ class TestStreamLayout:
                 assert_same_bits(real.g2, g2[i])
                 assert_same_bits(real.eta1, eta1)
                 assert_same_bits(real.eta2, eta2)
+
+
+class TestBlockSeeding:
+    """The block draw's seeding replays numpy's algorithms: the SeedSequence
+    hash (hashmix and mix in numpy/random/bit_generator.pyx) in
+    channel._trial_rngs, and PCG64's own seeding step on its words.  A numpy
+    change to either fails here."""
+
+    # 2**130 + 1 takes five entropy words, one more than SeedSequence's pool.
+    @pytest.mark.parametrize("seed", [0, 17, 2**32 + 5, 2**130 + 1],
+                             ids=["0", "17", "2**32+5", "2**130+1"])
+    def test_streams_equal_seed_sequence_and_trial_rng(self, seed):
+        blocks = [(0, 300), (2**31 + 7, 2**31 + 8), (2**32 - 1, 2**32)]
+        for lo, hi in blocks:
+            for trial, rng in zip(range(lo, hi), channel._trial_rngs(seed, lo, hi)):
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, trial))
+                assert (rng.bit_generator.seed_seq.words
+                        == seq.generate_state(4, np.uint64).tolist())
+                ref = trial_rng(seed, trial)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert_same_bits(rng.standard_normal(40), ref.standard_normal(40))
+                assert_same_bits(rng.random(10), ref.random(10))
+
+    def test_state_words_serve_only_pcg64s_request(self):
+        words = channel._StateWords([1, 2, 3, 4])
+        np.testing.assert_array_equal(words.generate_state(4, np.uint64), [1, 2, 3, 4])
+        for request in ((4, np.uint32), (8, np.uint64)):
+            with pytest.raises(ValueError, match="four uint64"):
+                words.generate_state(*request)

@@ -273,6 +273,20 @@ class TestSimulate:
     ):
         self.assert_first_failure(tmp_path, capsys, monkeypatch, threads, losses, lost)
 
+    def test_overflowing_power_fails_without_numpy_warnings(self, tmp_path, capsys):
+        # A user power of 3080 dB overflows the forwarded power on some
+        # draws.  They are counted as degenerate, and the run fails on its
+        # own message alone; under the suite's filterwarnings = error a
+        # numpy overflow warning would raise instead.
+        out = tmp_path / "rates.csv"
+        assert main(["simulate", "--case", "fixed", "--n", "16,64", "--beta", "cont",
+                     "--modes", "hybrid,full", "--pu-db", "3080", "--pr-db", "0",
+                     "--trials", "20", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "failure: 5 of 20 trials degenerate (> 1%); configuration unusable\n"
+        )
+        assert not out.exists()
+
     def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # At this shape the raw SINRs under one OpenBLAS thread and under
         # its default differ in the last bits; the 10-digit CSV must not,

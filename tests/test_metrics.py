@@ -90,6 +90,15 @@ class TestSinr:
         with pytest.raises(DegenerateChannelError):
             sinrs(real, SMALL, mode)
 
+    @pytest.mark.parametrize("mode", metrics.MODES)
+    def test_overflowing_power_raises_degenerate(self, rng, mode):
+        # At p_user = 1e308 the forwarded power overflows.  The draw is
+        # degenerate, and under the suite's filterwarnings = error a numpy
+        # overflow warning would raise in its place.
+        real = make_channels(rng, 8, 3)
+        with pytest.raises(DegenerateChannelError):
+            sinrs(real, replace(SMALL, p_user=1e308), mode)
+
     def test_mode_validated(self, rng):
         with pytest.raises(ValueError, match="mode"):
             sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
