@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .hybrid import _is_int
+
 QUARTER_PI = math.pi / 4.0  # squared mean of the unit-power fading magnitude
 
 
@@ -61,8 +63,8 @@ class AsymptoticInputs:
         object.__setattr__(self, "eta2", eta2)
         if eta1.ndim != 1 or eta2.ndim != 1:
             raise ValueError("eta1 and eta2 must be 1-D gain vectors")
-        if not 1 <= self.r <= min(eta1.size, eta2.size):
-            raise ValueError("r must satisfy 1 <= r <= len(eta)")
+        if not (_is_int(self.r) and 1 <= self.r <= min(eta1.size, eta2.size)):
+            raise ValueError("r must be an integer with 1 <= r <= len(eta)")
         if np.any(eta1[: self.r] <= 0) or np.any(eta2[: self.r] <= 0):
             raise ValueError("active large-scale gains must be positive")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:

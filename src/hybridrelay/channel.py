@@ -5,16 +5,16 @@ Every random draw comes from a stream derived with numpy's SeedSequence from
 generated on any worker, in any order, with identical results.
 
 trial_rng is the reference for a trial's stream.  The engine's block draw
-(_fill_block) builds the same generators more cheaply: it hashes the
-(seed, purpose) prefix once per block and finishes each trial's seed words
-from there (_trial_rngs), so the streams, and every output, keep their
-bits.  Trials from 2**32 on, whose index takes two entropy words, are
-built by trial_rng itself.
+(_fill_block) builds the same generators more cheaply: numpy's own
+SeedSequence supplies the pool of the (seed, purpose) prefix once per
+block, and the block finishes each trial's seed words from there
+(_trial_rngs), so the streams, and every output, keep their bits.  Trials
+from 2**32 on, whose index takes two entropy words, are built by
+trial_rng itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -23,6 +23,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .config import SystemConfig
+from .hybrid import _is_int
 
 # Purpose tags keep trial draws, drop draws and diagnostic draws on
 # disjoint substreams of the same seed.
@@ -49,23 +50,29 @@ class ChannelRealization:
     g2: np.ndarray    # N x K relay -> destinations, column k by sqrt(eta2[k])
 
 
+def _check_index(name: str, value) -> None:
+    """The rule of a stream's seed and indices: a non-negative integer, not a bool."""
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one Monte-Carlo trial of one seed.
 
     The reference for the trial streams: the engine's block draw builds
     the same generators through _trial_rngs.
     """
-    if trial < 0:
-        raise ValueError("trial index must be non-negative")
+    _check_index("seed", seed)
+    _check_index("trial", trial)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, trial))
     )
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx):
-# entropy words are hashed into a 4-word pool with the running constant
-# INIT_A * MULT_A**i, pool words are combined by mix(), and the output
-# words are hashed with INIT_B * MULT_B**i.
+# hashmix step i of the entropy mix xors INIT_A * MULT_A**i into its word
+# and multiplies by INIT_A * MULT_A**(i + 1), mix() combines two pool
+# words, and the output words are hashed with INIT_B, MULT_B in the same way.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -73,12 +80,10 @@ _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_consts(const: int, mult: int) -> Iterator[Tuple[int, int]]:
-    """(xor, multiply) constants of successive steps of numpy's running hash."""
-    while True:
-        step = const * mult & _MASK32
-        yield const, step
-        const = step
+def _hash_consts(init: int, mult: int, step: int) -> Tuple[int, int]:
+    """(xor, multiply) constants of hashmix step `step` of numpy's running hash."""
+    const = init * pow(mult, step, 2**32) & _MASK32
+    return const, const * mult & _MASK32
 
 
 def _hash(value: int, xor: int, mult: int) -> int:
@@ -95,7 +100,7 @@ def _mix(x: int, y: int) -> int:
 
 # generate_state(4, np.uint64) hashes the pool words 0, 1, 2, 3, 0, ... into
 # eight 32-bit words with these constants; the same for every stream.
-_STATE_CONSTS = tuple(itertools.islice(_hash_consts(_INIT_B, _MULT_B), 2 * _POOL_WORDS))
+_STATE_CONSTS = tuple(_hash_consts(_INIT_B, _MULT_B, i) for i in range(2 * _POOL_WORDS))
 
 
 class _StateWords(ISeedSequence):
@@ -118,31 +123,23 @@ class _StateWords(ISeedSequence):
 def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """trial_rng(seed, t) for t in lo..hi-1, each a new generator.
 
-    SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, t)) hashes its
-    entropy words (the seed's words padded to the pool, then the one-word
-    stream tag, then t) in order, and t, for t < 2**32, is the last word.
-    So the pool before t, and the running hash constant, are computed once
-    here: each trial then takes four hashmix/mix steps and the eight output
-    hashes of generate_state(4, np.uint64), in plain integers, and PCG64
-    seeds itself from those words.  Trials from 2**32 on go to trial_rng.
+    SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, t)) mixes its
+    entropy words into its pool in order, and t, for t < 2**32, is the
+    last word.  numpy's own SeedSequence(seed, spawn_key=(_TRIAL_STREAM,))
+    supplies the pool before t, once per block.  Each trial then takes
+    four hashmix/mix steps and the eight output hashes of
+    generate_state(4, np.uint64), in plain integers, and PCG64 seeds itself
+    from those words.  Trials from 2**32 on go to trial_rng.
     """
-    # The seed as SeedSequence reads it: 32-bit words, low first, at least one.
-    seed = int(seed)
-    shifts = range(0, max(seed.bit_length(), 1), 32)
-    words = [seed >> shift & _MASK32 for shift in shifts]
-    words += [0] * (_POOL_WORDS - len(words)) + [_TRIAL_STREAM]
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hash(w, *next(consts)) for w in words[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
-    for w in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(consts)))
+    pool = np.random.SeedSequence(seed, spawn_key=(_TRIAL_STREAM,)).pool.tolist()
+    # That mix took one hash step per pool word for each of its W entropy
+    # words (the seed's 32-bit words, padded to the pool, then the stream
+    # tag): 4 initial steps, 12 cross-mix steps, 4 per further word.
+    n_words = max(_POOL_WORDS, -(-int(seed).bit_length() // 32)) + 1
     # Pool word i, t's hash constants into it, and those of the two output
     # words it feeds: i and i + _POOL_WORDS.
-    steps = [(p, *next(consts), *_STATE_CONSTS[i], *_STATE_CONSTS[i + _POOL_WORDS])
+    steps = [(p, *_hash_consts(_INIT_A, _MULT_A, _POOL_WORDS * n_words + i),
+              *_STATE_CONSTS[i], *_STATE_CONSTS[i + _POOL_WORDS])
              for i, p in enumerate(pool)]
     for trial in range(lo, hi):
         if not 0 <= trial <= _MASK32:
@@ -161,6 +158,8 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
 
 def lemma_rng(seed: int, n: int) -> np.random.Generator:
     """Generator for the convergence diagnostics at array size n."""
+    _check_index("seed", seed)
+    _check_index("n", n)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_LEMMA_STREAM, n))
     )
@@ -261,8 +260,8 @@ def _fill_block(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw trials lo..hi-1 into new stacks; return (g1, g2, eta1, eta2).
 
-    Each trial's stream (trial_rng's, built by _trial_rngs with the block's
-    shared seed prefix hashed once) gives, in order, the real and imaginary
+    Each trial's stream (trial_rng's, built by _trial_rngs from the block's
+    one SeedSequence pool) gives, in order, the real and imaginary
     parts of the source-side fading, those of the destination-side fading
     (one fill of 4 N K normals), then the large-scale draws of
     sample_large_scale unless `drop`, already validated, pins the gains.
@@ -310,6 +309,7 @@ def sample_realization(
     pins the user placement without disturbing the fading draw; paired
     comparisons between processing variants stay aligned trial by trial.
     """
+    _check_index("trial", trial)
     if drop is not None:
         drop = _validated_drop(drop, config.n_pairs)
     g1, g2, eta1, eta2 = _fill_block(config, trial, trial + 1, drop)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -261,8 +262,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out, dat = settings.get("out"), settings.get("dat")
     if not out:
         raise ValueError("missing required setting: out (output CSV path)")
-    if dat and os.path.realpath(dat) == os.path.realpath(out):
-        raise ValueError(f"dat and out name the same file: {out}")
+    # The settings file is read before any draw, so no output may replace it.
+    named = (("config", args.config), ("dat", dat), ("out", out))
+    paths = [(key, path) for key, path in named if path]
+    for (key, path), (other, other_path) in itertools.combinations(paths, 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise ValueError(f"{key} and {other} name the same file: {other_path}")
     rows = run_sweep(spec, config)
     emit_csv(rows, out)
     if dat:

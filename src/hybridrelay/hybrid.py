@@ -96,9 +96,9 @@ def build_analog(
     """
     g = np.asarray(g)
     n, k = g.shape[-2], g.shape[-1]
-    if not 1 <= n_chains <= k:
+    if not (_is_int(n_chains) and 1 <= n_chains <= k):
         raise ValueError(
-            f"n_chains must be in [1, {k}] for a channel with "
+            f"n_chains must be an integer in [1, {k}] for a channel with "
             f"{k} columns, got {n_chains}"
         )
     gs = g[..., :n_chains]

@@ -306,11 +306,12 @@ def monte_carlo_rates(
     full_digital mode.  Each trial is a pure function of (config.seed,
     trial index), drawn on its own stream (the bits sample_realization
     returns), and is drawn once for all variants.  Trials run in blocks
-    of about 1 MB of fading (max(1, 2**20 // (2 N K 16)) trials).  A
-    block hashes the seed's share of its trials' stream seeds once and
-    finishes each trial's seed from there, giving trial_rng's stream
-    (trial_rng itself serves trials from 2**32 on).  Its loop only fills
-    each trial's random numbers; the gains, the complex fading and its
+    of about 1 MB of fading (max(1, 2**20 // (2 N K 16)) trials).  numpy's
+    own SeedSequence supplies the pool that a block's trial stream seeds
+    share, once per block, and the block finishes each trial's seed from
+    there, giving trial_rng's stream (trial_rng itself serves trials from
+    2**32 on).  Its loop only fills each trial's random numbers; the
+    gains, the complex fading and its
     scaling are then computed once per block, and the block's stacks are
     reduced to K x K Grams together.  A trial's
     SINRs do not depend on the block it lands in or on the other variants

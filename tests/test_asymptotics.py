@@ -196,7 +196,9 @@ class TestValidation:
         (dict(eta1=np.ones((2, 10))), "1-D gain vectors"),
         (dict(var_relay_noise=0.0), "noise variances must be positive"),
         (dict(var_dest_noise=-1.0), "noise variances must be positive"),
-    ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise"])
+        (dict(r=2.0), "r must be an integer"),
+        (dict(r=True), "r must be an integer"),
+    ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise", "float-r", "bool-r"])
     def test_malformed_inputs_rejected(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
             unit_inputs(e_user=1.0, **kw)

@@ -10,6 +10,7 @@ from hybridrelay import (
     SystemConfig,
     canonical_drop,
     channel,
+    lemma_rng,
     monte_carlo_rates,
     sample_large_scale,
     sample_realization,
@@ -39,6 +40,29 @@ class TestStreams:
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             trial_rng(0, -1)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: trial_rng(3, True), "trial"),
+        (lambda: trial_rng(3, 2.0), "trial"),
+        (lambda: trial_rng(True, 0), "seed"),
+        (lambda: trial_rng(1.0, 0), "seed"),
+        (lambda: sample_realization(CFG, True), "trial"),
+        (lambda: sample_realization(CFG, 2.0), "trial"),
+        (lambda: sample_realization(CFG, -1), "trial"),
+        (lambda: lemma_rng(True, 8), "seed"),
+        (lambda: lemma_rng(0, True), "n"),
+        (lambda: lemma_rng(0, 8.0), "n"),
+    ], ids=["trial-bool", "trial-float", "seed-bool", "seed-float",
+            "realization-bool", "realization-float", "realization-negative",
+            "lemma-seed-bool", "lemma-n-bool", "lemma-n-float"])
+    def test_non_integer_index_rejected_before_any_stream(self, monkeypatch, call, name):
+        # A bool used to pass as 1, and a float failed inside numpy or range.
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_stream)
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            call()
 
     def test_negative_seed_rejected(self):
         # Stream seeds must be non-negative; the scenario says so up front.
@@ -267,14 +291,22 @@ class TestStreamLayout:
 
 
 class TestBlockSeeding:
-    """The block draw's seeding replays numpy's algorithms: the SeedSequence
-    hash (hashmix and mix in numpy/random/bit_generator.pyx) in
-    channel._trial_rngs, and PCG64's own seeding step on its words.  A numpy
-    change to either fails here."""
+    """The block draw's seeding finishes numpy's SeedSequence hash per trial:
+    channel._trial_rngs takes the pool of the trial index's prefix from
+    numpy's own SeedSequence, then runs the last hashmix/mix steps
+    (numpy/random/bit_generator.pyx), with constants it computes from the
+    seed's word count, and PCG64's own seeding step on the words.  A numpy
+    change to any of these, or a wrong step count, fails here."""
 
-    # 2**130 + 1 takes five entropy words, one more than SeedSequence's pool.
-    @pytest.mark.parametrize("seed", [0, 17, 2**32 + 5, 2**130 + 1],
-                             ids=["0", "17", "2**32+5", "2**130+1"])
+    # Seeds at each entropy-word count around SeedSequence's 4-word pool:
+    # 2**96 - 1 takes three words, 2**128 - 1 four, 2**130 + 1 five and
+    # 2**160 + 7 six; a numpy integer seed is read as its value.
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 17, 2**32 + 5, 2**96 - 1, 2**128 - 1, 2**130 + 1, 2**160 + 7,
+         np.uint64(2**64 - 1)],
+        ids=["0", "17", "2**32+5", "2**96-1", "2**128-1", "2**130+1", "2**160+7",
+             "uint64(2**64-1)"])
     def test_streams_equal_seed_sequence_and_trial_rng(self, seed):
         blocks = [(0, 300), (2**31 + 7, 2**31 + 8), (2**32 - 1, 2**32)]
         for lo, hi in blocks:

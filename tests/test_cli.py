@@ -591,6 +591,26 @@ class TestSimulateErrors:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["out", "dat"])
+    def test_output_naming_config_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        # Either output used to replace the settings file it was read from.
+        calls = count_draws(monkeypatch)
+        settings = tmp_path / "s.json"
+        settings.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+        out = tmp_path / "rates.csv"
+        extra = ["--config", str(settings)]
+        if flag == "out":
+            out = settings
+        else:
+            extra += ["--dat", str(settings)]
+        assert run_simulate(out, extra) == 2
+        assert f"error: config and {flag} name the same file" in capsys.readouterr().err
+        assert calls == []
+        assert json.loads(settings.read_text(encoding="utf-8")) == {"seed": 5}
+        assert not (tmp_path / "rates.csv").exists()
+
     @pytest.mark.parametrize("flags,settings,fragment", [
         ([], {"n_values": []}, "n_values"),
         (["--n", "16,16"], {}, "ascending"),

@@ -106,10 +106,10 @@ class TestBuildAnalog:
 
     def test_chain_count_validated(self, rng):
         real = make_channels(rng, 16, 4)
-        with pytest.raises(ValueError, match="n_chains"):
-            build_analog(real.g1, 0)
-        with pytest.raises(ValueError, match="n_chains"):
-            build_analog(real.g1, 5)
+        # A bool or a float used to build one chain or fail in slicing.
+        for n_chains in (0, 5, True, 2.0):
+            with pytest.raises(ValueError, match="n_chains"):
+                build_analog(real.g1, n_chains)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 8, 30])
     def test_quantized_entries_near_continuous(self, rng, bits):
