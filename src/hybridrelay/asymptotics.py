@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hybrid import _is_int
+from .hybrid import _check_int
 
 QUARTER_PI = math.pi / 4.0  # squared mean of the unit-power fading magnitude
 
@@ -63,12 +63,15 @@ class AsymptoticInputs:
         object.__setattr__(self, "eta2", eta2)
         if eta1.ndim != 1 or eta2.ndim != 1:
             raise ValueError("eta1 and eta2 must be 1-D gain vectors")
-        if not (_is_int(self.r) and 1 <= self.r <= min(eta1.size, eta2.size)):
-            raise ValueError("r must be an integer with 1 <= r <= len(eta)")
-        if np.any(eta1[: self.r] <= 0) or np.any(eta2[: self.r] <= 0):
-            raise ValueError("active large-scale gains must be positive")
+        _check_int("r", self.r, 1, min(eta1.size, eta2.size))
+        for eta in (eta1[: self.r], eta2[: self.r]):
+            if not np.all((eta > 0) & np.isfinite(eta)):
+                raise ValueError("active large-scale gains must be positive and finite")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
             raise ValueError("noise variances must be positive")
+        for name in ("var_relay_noise", "var_dest_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.delta <= math.pi / 2:
             raise ValueError("delta must lie in [0, pi/2]")
         for name in ("e_user", "e_relay"):
@@ -106,10 +109,8 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
 
 def sinr_case1(inputs: AsymptoticInputs, k: int) -> float:
     """Limit SINR of pair k when both powers scale as e/N (the module's law)."""
-    sinrs = _limit_sinrs(inputs, "e_user", "e_relay")
-    if not 0 <= k < inputs.r:
-        raise ValueError(f"pair index must be in [0, {inputs.r}), got {k}")
-    return float(sinrs[k])
+    _check_int("k", k, 0, inputs.r - 1)
+    return float(_limit_sinrs(inputs, "e_user", "e_relay")[k])
 
 
 def rate_case1(inputs: AsymptoticInputs) -> float:

@@ -1,8 +1,10 @@
 """Two-hop channel generation: small-scale fading, user geometry, RNG streams.
 
-Every random draw comes from a stream derived with numpy's SeedSequence from
-(seed, purpose, index).  Streams are therefore splittable: any trial can be
-generated on any worker, in any order, with identical results.
+Every trial draw and every lemma draw comes from a stream derived with
+numpy's SeedSequence from (seed, purpose, index).  Streams are therefore
+splittable: any trial can be generated on any worker, in any order, with
+identical results.  The canonical fixed drop is the one draw outside this
+scheme: it comes from constant entropy, independent of the seed.
 
 trial_rng is the reference for a trial's stream.  The engine's block draw
 (_fill_block) builds the same generators more cheaply: numpy's own
@@ -23,10 +25,11 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .config import SystemConfig
-from .hybrid import _is_int
+from .hybrid import _check_int
 
-# Purpose tags keep trial draws, drop draws and diagnostic draws on
-# disjoint substreams of the same seed.
+# Purpose tags keep trial draws and diagnostic draws on disjoint
+# substreams of the same seed.  A redrawn placement comes from its trial's
+# own stream, so tag 1 is unused.
 _TRIAL_STREAM = 0
 _LEMMA_STREAM = 2
 
@@ -50,20 +53,14 @@ class ChannelRealization:
     g2: np.ndarray    # N x K relay -> destinations, column k by sqrt(eta2[k])
 
 
-def _check_index(name: str, value) -> None:
-    """The rule of a stream's seed and indices: a non-negative integer, not a bool."""
-    if not (_is_int(value) and value >= 0):
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one Monte-Carlo trial of one seed.
 
     The reference for the trial streams: the engine's block draw builds
     the same generators through _trial_rngs.
     """
-    _check_index("seed", seed)
-    _check_index("trial", trial)
+    _check_int("seed", seed, 0)
+    _check_int("trial", trial, 0)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, trial))
     )
@@ -158,8 +155,8 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
 
 def lemma_rng(seed: int, n: int) -> np.random.Generator:
     """Generator for the convergence diagnostics at array size n."""
-    _check_index("seed", seed)
-    _check_index("n", n)
+    _check_int("seed", seed, 0)
+    _check_int("n", n, 0)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_LEMMA_STREAM, n))
     )
@@ -194,6 +191,8 @@ def sample_small_scale(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     Real parts are drawn first, then imaginary parts, so the layout of the
     stream is part of the reproducibility contract.
     """
+    _check_int("n", n, 1)
+    _check_int("k", k, 1)
     return _complex_normals(rng.standard_normal((2, n, k)), np.empty((n, k), complex))
 
 
@@ -247,8 +246,9 @@ def _validated_drop(
     eta2 = np.asarray(drop[1], dtype=float)
     if eta1.shape != (k,) or eta2.shape != (k,):
         raise ValueError(f"drop must hold two length-{k} gain vectors")
-    if np.any(eta1 <= 0) or np.any(eta2 <= 0):
-        raise ValueError("large-scale gains must be strictly positive")
+    for eta in (eta1, eta2):
+        if not np.all((eta > 0) & np.isfinite(eta)):
+            raise ValueError("large-scale gains must be strictly positive and finite")
     return eta1, eta2
 
 
@@ -309,7 +309,7 @@ def sample_realization(
     pins the user placement without disturbing the fading draw; paired
     comparisons between processing variants stay aligned trial by trial.
     """
-    _check_index("trial", trial)
+    _check_int("trial", trial, 0)
     if drop is not None:
         drop = _validated_drop(drop, config.n_pairs)
     g1, g2, eta1, eta2 = _fill_block(config, trial, trial + 1, drop)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .hybrid import QuantizationSpec, _is_int
+from .hybrid import QuantizationSpec, _check_int
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,13 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_antennas", "n_pairs", "n_rx_chains", "n_tx_chains", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be a positive integer")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be a positive integer")
+        for name, lo in (("n_antennas", 1), ("n_pairs", 1), ("n_rx_chains", 1),
+                         ("n_tx_chains", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), lo)
         # Chain i of either side matches the phases of pair i's channel, so
         # a chain without a pair has nothing to match.
         for name in ("n_rx_chains", "n_tx_chains"):
-            if not 1 <= getattr(self, name) <= min(self.n_pairs, self.n_antennas):
+            if getattr(self, name) > min(self.n_pairs, self.n_antennas):
                 raise ValueError(
                     f"{name} must satisfy 1 <= {name} <= min(n_pairs, n_antennas)"
                 )
@@ -51,9 +47,6 @@ class SystemConfig:
             raise ValueError("transmit powers must be non-negative")
         if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
             raise ValueError("noise variances must be positive")
-        for name in ("p_user", "p_relay", "var_relay_noise", "var_dest_noise"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.quant_bits is not None:
             QuantizationSpec(self.quant_bits)
         if not 0 < self.guard_radius_m < self.cell_radius_m:
@@ -62,5 +55,7 @@ class SystemConfig:
             raise ValueError("pathloss_exp must be non-negative")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        for name in ("p_user", "p_relay", "var_relay_noise", "var_dest_noise",
+                     "cell_radius_m", "guard_radius_m", "pathloss_exp", "shadow_std_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")

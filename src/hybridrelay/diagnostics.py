@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec, _dot, _is_int, build_analog, sinc_penalty
+from .hybrid import QuantizationSpec, _check_int, _dot, build_analog, sinc_penalty
 from .metrics import _beta_key, _check_lists, _pool_map
 
 # Row norms of the analog stage are exact by construction; only float
@@ -109,10 +109,7 @@ def lemma_rows(
     sorted by (metric, N, beta, seed), the same for any worker count.
     """
     _check_lists(n_values, beta_values)
-    if not _is_int(n_seeds):
-        raise ValueError(f"seeds must be an integer, got {n_seeds!r}")
-    if n_seeds < 1:
-        raise ValueError("seeds must be positive")
+    _check_int("n_seeds", n_seeds, 1)
     SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,
                  n_tx_chains=n_rx_chains, seed=seed)
 

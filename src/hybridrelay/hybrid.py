@@ -19,9 +19,21 @@ class DegenerateChannelError(RuntimeError):
     """Raised when a draw's power normalization or SINRs are undefined."""
 
 
-def _is_int(value) -> bool:
-    """The rule of every count, seed and bit number: an integral, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """The rule of every count, index, seed and bit number.
+
+    `value` must be an integral, not a bool, in [lo, hi] (no upper bound
+    when hi is None); otherwise ValueError names `name`, states the rule
+    and shows the value.
+    """
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return
+    rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        lo, f"an integer of at least {lo}")
+    if hi is not None:
+        rule += f" up to {hi}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +44,7 @@ class QuantizationSpec:
 
     def __post_init__(self) -> None:
         # step divides by 2**bits, which leaves the float range at 1024.
-        if not (_is_int(self.bits) and 1 <= self.bits <= 1023):
-            raise ValueError("quant_bits must be a positive integer up to 1023")
+        _check_int("quant_bits", self.bits, 1, 1023)
 
     @property
     def step(self) -> float:
@@ -96,11 +107,7 @@ def build_analog(
     """
     g = np.asarray(g)
     n, k = g.shape[-2], g.shape[-1]
-    if not (_is_int(n_chains) and 1 <= n_chains <= k):
-        raise ValueError(
-            f"n_chains must be an integer in [1, {k}] for a channel with "
-            f"{k} columns, got {n_chains}"
-        )
+    _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
     if quant is not None:
         index = np.angle(gs)  # a fresh array, so the index is built in place

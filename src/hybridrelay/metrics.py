@@ -259,10 +259,7 @@ def _sweep_rates(
     succeeds logs one INFO line per config, in order, with its trials,
     its blocks and the degenerate draws of each variant.
     """
-    if not hybrid._is_int(n_trials):
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
-    if n_trials < 2:
-        raise ValueError("n_trials must be at least 2")
+    hybrid._check_int("n_trials", n_trials, 2)
     variants = list(variants)
     if not variants:
         raise ValueError("variants must not be empty")
@@ -392,11 +389,8 @@ def _check_lists(
     """The antenna-list and beta-list rules of a sweep and of the lemma table."""
     if not n_values:
         raise ValueError("n_values must not be empty")
-    for n in n_values:
-        if not hybrid._is_int(n):
-            raise ValueError(f"n_values must be integers, got {n!r}")
-    if any(n < 1 for n in n_values):
-        raise ValueError("antenna counts must be positive")
+    for i, n in enumerate(n_values):
+        hybrid._check_int(f"n_values[{i}]", n, 1)
     if any(a >= b for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
     if not beta_values:
@@ -440,10 +434,7 @@ class SweepSpec:
         unknown = [m for m in self.modes if m not in SWEEP_MODES]
         if unknown:
             raise ValueError(f"unknown modes: {', '.join(unknown)}")
-        if not hybrid._is_int(self.trials):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 2:
-            raise ValueError("trials must be at least 2")
+        hybrid._check_int("trials", self.trials, 2)
         if self.drop_policy not in DROP_POLICIES:
             raise ValueError(f"drop_policy must be one of {DROP_POLICIES}")
         user, relay, law = _REGIMES[self.case]

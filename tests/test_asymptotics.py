@@ -1,6 +1,7 @@
 """Closed-form limits: frozen values, cross-checks, and regime reductions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,8 +170,11 @@ class TestValidation:
 
     def test_pair_index_checked(self):
         inp = unit_inputs(e_user=1.0, e_relay=1.0)
-        with pytest.raises(ValueError, match="pair index"):
-            sinr_case1(inp, 10)
+        # A bool used to read pair 1, and a float failed in the indexing.
+        for k in (10, -1, True, 1.0):
+            message = f"k must be a non-negative integer up to 9, got {k!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sinr_case1(inp, k)
 
     def test_delta_range(self):
         with pytest.raises(ValueError):
@@ -196,9 +200,16 @@ class TestValidation:
         (dict(eta1=np.ones((2, 10))), "1-D gain vectors"),
         (dict(var_relay_noise=0.0), "noise variances must be positive"),
         (dict(var_dest_noise=-1.0), "noise variances must be positive"),
-        (dict(r=2.0), "r must be an integer"),
-        (dict(r=True), "r must be an integer"),
-    ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise", "float-r", "bool-r"])
+        (dict(r=2.0), "r must be a positive integer up to 10, got 2.0"),
+        (dict(r=True), "r must be a positive integer up to 10, got True"),
+        (dict(var_relay_noise=math.nan), "var_relay_noise must be finite"),
+        (dict(var_dest_noise=math.inf), "var_dest_noise must be finite"),
+        (dict(eta1=np.r_[1.0, math.nan, np.ones(8)]),
+         "active large-scale gains must be positive and finite"),
+        (dict(eta2=np.r_[np.ones(9), math.inf]),
+         "active large-scale gains must be positive and finite"),
+    ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise", "float-r", "bool-r",
+            "nan-relay-noise", "infinite-dest-noise", "nan-gain", "infinite-gain"])
     def test_malformed_inputs_rejected(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
             unit_inputs(e_user=1.0, **kw)

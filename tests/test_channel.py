@@ -1,5 +1,6 @@
 """Channel generation: streams, fading statistics, geometry, drop handling."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,13 @@ from hybridrelay import (
 )
 
 CFG = SystemConfig(n_antennas=16, seed=0)
+
+
+class _NoDraws:
+    """A generator stand-in that fails if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was drawn from ({name})")
 
 
 class TestStreams:
@@ -41,28 +49,51 @@ class TestStreams:
         with pytest.raises(ValueError, match="non-negative"):
             trial_rng(0, -1)
 
-    @pytest.mark.parametrize("call,name", [
-        (lambda: trial_rng(3, True), "trial"),
-        (lambda: trial_rng(3, 2.0), "trial"),
-        (lambda: trial_rng(True, 0), "seed"),
-        (lambda: trial_rng(1.0, 0), "seed"),
-        (lambda: sample_realization(CFG, True), "trial"),
-        (lambda: sample_realization(CFG, 2.0), "trial"),
-        (lambda: sample_realization(CFG, -1), "trial"),
-        (lambda: lemma_rng(True, 8), "seed"),
-        (lambda: lemma_rng(0, True), "n"),
-        (lambda: lemma_rng(0, 8.0), "n"),
+    @pytest.mark.parametrize("call,message", [
+        (lambda: trial_rng(3, True), "trial must be a non-negative integer, got True"),
+        (lambda: trial_rng(3, 2.0), "trial must be a non-negative integer, got 2.0"),
+        (lambda: trial_rng(True, 0), "seed must be a non-negative integer, got True"),
+        (lambda: trial_rng(1.0, 0), "seed must be a non-negative integer, got 1.0"),
+        (lambda: sample_realization(CFG, True),
+         "trial must be a non-negative integer, got True"),
+        (lambda: sample_realization(CFG, 2.0),
+         "trial must be a non-negative integer, got 2.0"),
+        (lambda: sample_realization(CFG, -1),
+         "trial must be a non-negative integer, got -1"),
+        (lambda: lemma_rng(True, 8), "seed must be a non-negative integer, got True"),
+        (lambda: lemma_rng(0, True), "n must be a non-negative integer, got True"),
+        (lambda: lemma_rng(0, 8.0), "n must be a non-negative integer, got 8.0"),
+        (lambda: sample_small_scale(True, 3, _NoDraws()),
+         "n must be a positive integer, got True"),
+        (lambda: sample_small_scale(2.0, 3, _NoDraws()),
+         "n must be a positive integer, got 2.0"),
+        (lambda: sample_small_scale(4, -1, _NoDraws()),
+         "k must be a positive integer, got -1"),
+        (lambda: sample_small_scale(4, 0, _NoDraws()),
+         "k must be a positive integer, got 0"),
     ], ids=["trial-bool", "trial-float", "seed-bool", "seed-float",
             "realization-bool", "realization-float", "realization-negative",
-            "lemma-seed-bool", "lemma-n-bool", "lemma-n-float"])
-    def test_non_integer_index_rejected_before_any_stream(self, monkeypatch, call, name):
+            "lemma-seed-bool", "lemma-n-bool", "lemma-n-float",
+            "small-scale-n-bool", "small-scale-n-float", "small-scale-k-negative",
+            "small-scale-k-zero"])
+    def test_non_integer_index_rejected_before_any_stream(self, monkeypatch, call, message):
         # A bool used to pass as 1, and a float failed inside numpy or range.
         def no_stream(*args, **kwargs):
             raise AssertionError("a stream was seeded")
 
         monkeypatch.setattr(np.random, "SeedSequence", no_stream)
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_one_integer_rule_one_message(self):
+        # The scenario and both stream functions state the seed rule alike.
+        messages = set()
+        for call in (lambda: SystemConfig(n_antennas=16, seed=1.5),
+                     lambda: trial_rng(1.5, 0), lambda: lemma_rng(1.5, 8)):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"seed must be a non-negative integer, got 1.5"}
 
     def test_negative_seed_rejected(self):
         # Stream seeds must be non-negative; the scenario says so up front.
@@ -243,10 +274,13 @@ class TestSampleRealization:
         with pytest.raises(ValueError, match="length-10"):
             sample_realization(CFG, 0, drop=bad)
 
-    def test_drop_nonpositive_rejected(self):
-        bad = (np.ones(CFG.n_pairs), np.zeros(CFG.n_pairs))
-        with pytest.raises(ValueError, match="strictly positive"):
-            sample_realization(CFG, 0, drop=bad)
+    def test_drop_nonpositive_rejected(self, monkeypatch):
+        # A NaN or infinite gain used to reach the draw unchecked.
+        monkeypatch.setattr(channel, "_fill_block", None)
+        for gain in (0.0, np.nan, np.inf):
+            bad = (np.ones(CFG.n_pairs), np.full(CFG.n_pairs, gain))
+            with pytest.raises(ValueError, match="strictly positive"):
+                sample_realization(CFG, 0, drop=bad)
 
 
 def _straight_line_draw(config, trial, drop):

@@ -657,6 +657,15 @@ class TestSimulateErrors:
         assert calls == []
         assert not out.exists()
 
+    def test_non_finite_geometry_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # A NaN path-loss exponent used to draw every trial and exit 1.
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--pathloss-exp", "nan"]) == 2
+        assert "pathloss_exp must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_simulate(out, ["--seed", "-1"]) == 2
@@ -946,10 +955,17 @@ class TestSweepSpecValidation:
         (dict(case="fixed_power", pu_db=13.0, pr_db=float("nan")), "pr_db"),
         (dict(beta_values=()), "beta_values must not be empty"),
         (dict(modes=()), "modes must not be empty"),
-        (dict(trials=1e3), "trials must be an integer, got 1000.0"),
-        (dict(n_values=(8, 16.0)), "n_values must be integers, got 16.0"),
-        (dict(n_values=(True, 8)), "n_values must be integers, got True"),
-        (dict(trials=True), "trials must be an integer, got True"),
+        # These four keep the ids their earlier wording gave them.
+        pytest.param(dict(trials=1e3), "trials must be an integer of at least 2, got 1000.0",
+                     id="kw18-trials must be an integer, got 1000.0"),
+        pytest.param(dict(n_values=(8, 16.0)),
+                     r"n_values\[1\] must be a positive integer, got 16.0",
+                     id="kw19-n_values must be integers, got 16.0"),
+        pytest.param(dict(n_values=(True, 8)),
+                     r"n_values\[0\] must be a positive integer, got True",
+                     id="kw20-n_values must be integers, got True"),
+        pytest.param(dict(trials=True), "trials must be an integer of at least 2, got True",
+                     id="kw21-trials must be an integer, got True"),
         (dict(beta_values=(True,)), "beta_values: quant_bits"),
     ])
     def test_rejections(self, kw, fragment):

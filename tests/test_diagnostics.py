@@ -167,11 +167,12 @@ class TestSweep:
         draws = []
         monkeypatch.setattr(diagnostics, "sample_small_scale",
                             lambda *args: draws.append(args))
-        with pytest.raises(ValueError, match="seeds must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="n_seeds must be a positive integer, got 2.5"):
             lemma_rows([16], [None], 2.5, n_pairs=3, n_rx_chains=3)
-        with pytest.raises(ValueError, match="seeds must be an integer, got True"):
+        with pytest.raises(ValueError, match="n_seeds must be a positive integer, got True"):
             lemma_rows([16], [None], True, n_pairs=3, n_rx_chains=3)
-        with pytest.raises(ValueError, match="n_values must be integers, got 16.0"):
+        with pytest.raises(ValueError,
+                           match=r"n_values\[0\] must be a positive integer, got 16.0"):
             lemma_rows([16.0], [None], 2, n_pairs=3, n_rx_chains=3)
         assert draws == []
 

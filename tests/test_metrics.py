@@ -362,8 +362,9 @@ class TestMonteCarlo:
             monte_carlo_rate(SMALL, 1)
         with pytest.raises(ValueError, match="mode"):
             monte_carlo_rate(SMALL, 10, mode="analog_only")
-        with pytest.raises(ValueError, match="strictly positive"):
-            monte_carlo_rate(SMALL, 10, drop=(np.zeros(3), np.ones(3)))
+        for gain in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="strictly positive"):
+                monte_carlo_rate(SMALL, 10, drop=(np.full(3, gain), np.ones(3)))
         with pytest.raises(ValueError, match="variants"):
             monte_carlo_rates(SMALL, 10, [])
         with pytest.raises(ValueError, match="mode"):
@@ -373,9 +374,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize("field", ["p_user", "p_relay", "var_relay_noise",
-                                       "var_dest_noise"])
+                                       "var_dest_noise", "pathloss_exp",
+                                       "shadow_std_db"])
     def test_non_finite_power_or_noise_rejected(self, field, value):
-        # Such a scenario used to draw every trial and then fail as degenerate.
+        # Such a scenario used to draw every trial and then fail as degenerate
+        # (a geometry setting: or blame the gains it made).
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(SMALL, **{field: value})
 
@@ -384,6 +387,7 @@ class TestMonteCarlo:
         ("p_user", -1.0, "transmit powers must be non-negative"),
         ("var_dest_noise", 0.0, "noise variances must be positive"),
         ("guard_radius_m", 1000.0, "guard_radius_m < cell_radius_m"),
+        ("cell_radius_m", float("inf"), "cell_radius_m must be finite"),
         ("pathloss_exp", -0.1, "pathloss_exp must be non-negative"),
         ("shadow_std_db", -1.0, "shadow_std_db must be non-negative"),
     ])
@@ -397,15 +401,19 @@ class TestMonteCarlo:
     ])
     def test_non_integral_count_rejected(self, field, value):
         # seed=1.5 used to pass and then fail at the first draw as a TypeError.
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        rule = "a non-negative integer" if field == "seed" else "a positive integer"
+        message = f"{field} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(SMALL, **{field: value})
 
     def test_non_integral_trial_count_fails_before_any_draw(self, monkeypatch):
         draws = []
         monkeypatch.setattr(channel, "_fill_block", lambda *args: draws.append(args))
-        with pytest.raises(ValueError, match="n_trials must be an integer, got 1000.0"):
+        with pytest.raises(ValueError,
+                           match="n_trials must be an integer of at least 2, got 1000.0"):
             monte_carlo_rate(SMALL, 1e3)
-        with pytest.raises(ValueError, match="n_trials must be an integer, got True"):
+        with pytest.raises(ValueError,
+                           match="n_trials must be an integer of at least 2, got True"):
             monte_carlo_rate(SMALL, True)
         assert draws == []
 
