@@ -12,6 +12,7 @@ import dataclasses
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -89,21 +90,24 @@ def _variant_sinrs(
     mode: str,
     bits: Optional[int],
     config: SystemConfig,
+    ws: Optional[channel._Workspace] = None,
 ) -> np.ndarray:
     """SINR rows of a stack of draws under one (mode, quant_bits) variant.
 
     A draw whose forwarded power or SINR overflows gives a NaN row, which
     the engine counts and sinrs raises on, so the normalization and SINR
-    steps run without numpy's overflow and invalid-value warnings.
+    steps run without numpy's overflow and invalid-value warnings.  With
+    the block's workspace `ws`, the analog stages are its regions "f1" and
+    "f2", and every N-sized transient reuses its dead normals.
     """
     if mode == "full_digital":
-        hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
+        hop1, hop2 = hybrid._hop_grams(g1, ws=ws), hybrid._hop_grams(g2, ws=ws)
     else:
         quant = hybrid.QuantizationSpec(bits) if bits is not None else None
-        f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
-        f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
-        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1)
-        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2)
+        f1 = hybrid._analog(g1, config.n_rx_chains, quant, ws, "f1")
+        f2 = hybrid._analog(g2, config.n_tx_chains, quant, ws, "f2")
+        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1, ws)
+        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2, ws)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_sq = hybrid._alpha_squared(
             hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
@@ -155,6 +159,7 @@ def _block_sinrs(
     hi: int,
     variants: Sequence[Variant],
     drop: Optional[Tuple[np.ndarray, np.ndarray]],
+    ws: Optional[channel._Workspace] = None,
 ) -> np.ndarray:
     """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
 
@@ -163,9 +168,11 @@ def _block_sinrs(
     returns for it.  `drop`, when given, must already be validated.  The
     stacks then go through the analog stage, the Grams, alpha and the
     SINRs of one variant after another.  Degenerate draws give NaN rows.
+    With a workspace `ws` the block's N-sized arrays are its regions, and
+    only the SINR rows outlive the call.
     """
-    g1, g2, _, _ = channel._fill_block(config, lo, hi, drop)
-    return np.stack([_variant_sinrs(g1, g2, mode, bits, config)
+    g1, g2, _, _ = channel._fill_block(config, lo, hi, drop, ws)
+    return np.stack([_variant_sinrs(g1, g2, mode, bits, config, ws)
                      for mode, bits in variants])
 
 
@@ -274,10 +281,14 @@ def _sweep_rates(
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
     jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
     tables = [np.empty((len(variants), n_trials, config.n_pairs)) for config in configs]
+    # Each worker's workspace, made on its first block; all die with this call.
+    spaces = threading.local()
 
     def run_block(job: Tuple[int, int, int]) -> None:
         c, lo, hi = job
-        tables[c][:, lo:hi] = _block_sinrs(configs[c], lo, hi, variants, drop)
+        if not hasattr(spaces, "ws"):
+            spaces.ws = channel._Workspace()
+        tables[c][:, lo:hi] = _block_sinrs(configs[c], lo, hi, variants, drop, spaces.ws)
 
     _pool_map(run_block, jobs)
     points = [[_rate_point(t) for t in table] for table in tables]
