@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import itertools
 import json
 import logging
 import os
+import platform
 import sys
 import typing
 from typing import List, Optional, Sequence, Tuple
@@ -256,6 +258,16 @@ def parse_config(settings: dict) -> Tuple[SystemConfig, SweepSpec]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_out_dirs(paths) -> None:
+    """Each (key, path) output must be a file in a directory that exists."""
+    for key, path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"{key} is a directory: {path}")
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ValueError(f"{key} directory does not exist: {folder}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     config, spec = parse_config(settings)
@@ -268,6 +280,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for (key, path), (other, other_path) in itertools.combinations(paths, 2):
         if os.path.realpath(path) == os.path.realpath(other_path):
             raise ValueError(f"{key} and {other} name the same file: {other_path}")
+    _check_out_dirs((key, path) for key, path in paths if key != "config")
     rows = run_sweep(spec, config)
     emit_csv(rows, out)
     if dat:
@@ -277,6 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
+    _check_out_dirs([("out", args.out)])
     flags = {key: getattr(args, key) for key in _LEMMA_KEYS}
     rows = lemma_rows(
         _parsed("n_values", args.n_values), _parsed("beta_values", args.beta_values),
@@ -361,12 +375,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays in the heap instead of returning them.
+
+    By default glibc maps each allocation above a dynamic threshold on its
+    own and unmaps it when it is freed, and trims the heap's free top once
+    it exceeds twice that threshold, so each draw faults its 1-3 MB arrays
+    in from the OS again.  Setting either threshold stops glibc adjusting
+    both, so both are set: the mmap threshold alone leaves the trim
+    threshold at 128 KiB, and the trim threshold alone leaves the mmap
+    threshold there.  Off glibc, or where the process exports no mallopt,
+    nothing is set.  Where glibc rejects the mmap threshold (its maximum is
+    512 KiB on 32-bit builds), the trim threshold is not set either: alone
+    it makes glibc fault more, not less.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD in glibc's malloc.h
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns 0 on success, 2 on usage errors, 1 on failures.
 
     The package's log lines go to stderr for the length of the call:
-    warnings always, INFO lines with -v.
+    warnings always, INFO lines with -v.  On glibc, main first raises the
+    allocator's mmap threshold to 32 MiB and its trim threshold to 256 MiB,
+    so that freed arrays stay in the heap for the next draw.  The setting
+    lasts for the rest of the process, also for in-process callers of
+    main such as the tests and the benchmark harness, and for any library
+    call they make after it.
     """
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = logging.StreamHandler(sys.stderr)

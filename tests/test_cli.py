@@ -2,11 +2,15 @@
 
 import argparse
 import csv
+import errno
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
+import textwrap
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,6 +65,16 @@ def run_simulate(out, extra):
     argv = ["simulate", "--case", "2", "--n", "8,16", "--beta", "cont,1",
             "--eu-db", "13", "--pr-db", "13", "--out", str(out)]
     return main(argv + SMALL_ARGS + extra)
+
+
+def bad_output_path(tmp_path, key, kind):
+    """An output path for `key` that is a directory, or lies in a missing
+    one, and the usage error it draws."""
+    folder = tmp_path / "folder"
+    if kind == "directory":
+        folder.mkdir()
+        return folder, f"error: {key} is a directory: {folder}\n"
+    return folder / "x", f"error: {key} directory does not exist: {folder}\n"
 
 
 class TestSimulate:
@@ -557,12 +571,31 @@ class TestSimulateErrors:
         assert main(argv) == 2
         assert "n_pairs" in capsys.readouterr().err
 
-    def test_unwritable_output_is_failure_not_usage(self, tmp_path, capsys):
+    def test_unwritable_output_is_failure_not_usage(self, tmp_path, capsys, monkeypatch):
+        # A write error that no check before the draws can see, such as a
+        # full disk, stays a failure.
+        def full_disk(rows, path, *columns):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(cli, "emit_csv", full_disk)
         argv = ["simulate", "--case", "2", "--n", "8", "--eu-db", "13",
-                "--pr-db", "13",
-                "--out", str(tmp_path / "no" / "dir" / "x.csv")] + SMALL_ARGS
+                "--pr-db", "13", "--out", str(tmp_path / "x.csv")] + SMALL_ARGS
         assert main(argv) == 1
-        assert "failure:" in capsys.readouterr().err
+        assert "failure: [Errno 28]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["out", "dat"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_bad_output_path_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key, kind
+    ):
+        # Either output used to fail only after every cell had been drawn,
+        # a bad dat after the CSV had been written.
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("drew"))
+        bad, message = bad_output_path(tmp_path, key, kind)
+        paths = {"out": tmp_path / "rates.csv", "dat": tmp_path / "rates.dat", key: bad}
+        assert run_simulate(paths["out"], ["--dat", str(paths["dat"])]) == 2
+        assert capsys.readouterr().err == message
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
     def test_invalid_sim_threads_fails_before_any_cell(
@@ -789,6 +822,14 @@ class TestVerifyLemmas:
         assert draws == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_bad_output_path_fails_before_any_draw(self, tmp_path, capsys, monkeypatch, kind):
+        monkeypatch.setattr(cli, "lemma_rows", lambda *args, **kw: pytest.fail("drew"))
+        bad, message = bad_output_path(tmp_path, "out", kind)
+        assert main(["verify-lemmas", "--n", "16", "--seeds", "1", "--out", str(bad)]) == 2
+        assert capsys.readouterr().err == message
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
     def test_repeated_beta_written_once(self, tmp_path):
         out = tmp_path / "lemmas.csv"
         assert main(["verify-lemmas", "--n", "16", "--seeds", "1", "--n-pairs", "3",
@@ -810,6 +851,86 @@ class TestVerifyLemmas:
     def test_required_flags(self):
         with pytest.raises(SystemExit):
             main(["verify-lemmas", "--seeds", "1"])
+
+
+class TestHeapSetting:
+    ARGVS = {
+        "simulate": ["simulate", "--case", "2", "--n", "8,16", "--beta", "cont,1",
+                     "--eu-db", "13", "--pr-db", "13", *SMALL_ARGS],
+        "lemmas": ["verify-lemmas", "--n", "16,64", "--beta", "cont,2", "--seeds", "2",
+                   "--n-pairs", "3", "--n-rx-chains", "3"],
+    }
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the CLI changes glibc's allocator settings only")
+    def test_repeat_call_keeps_its_draws_in_the_heap(self, tmp_path):
+        # With glibc's default thresholds each N = 16384 draw faulted its
+        # arrays in from the OS again: about 3 800 minor faults per call.
+        # A fresh interpreter, because in-process main calls of the other
+        # tests have already changed this process's allocator settings.
+        script = textwrap.dedent("""
+            import resource, sys
+            from hybridrelay.cli import main
+
+            argv = ["verify-lemmas", "--n", "4096,16384", "--beta", "cont,1",
+                    "--seeds", "2", "--out", sys.argv[1]]
+            assert main(argv) == 0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(argv) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ, SIM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "l.csv")],
+                              env=env, check=True, capture_output=True, text=True,
+                              timeout=300)
+        assert int(done.stdout) <= 300
+
+    @pytest.mark.parametrize("command", ARGVS)
+    @pytest.mark.parametrize("lookup", ["not-glibc", "no-symbol", "no-library"])
+    def test_missing_mallopt_changes_nothing(self, tmp_path, monkeypatch, command, lookup):
+        # Each fallback exits 0 and writes the unpatched run's bytes.  That
+        # run has already set this process's thresholds, so the comparison
+        # shows that the fallback leaves the output path alone, not that
+        # the allocator setting keeps the bits.
+        argv = self.ARGVS[command]
+        plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+        assert main(argv + ["--out", str(plain)]) == 0
+        loads = []
+
+        def load(name):
+            loads.append(name)
+            if lookup == "not-glibc":
+                raise TypeError("CDLL(None) off glibc, as on Windows")
+            if lookup == "no-library":
+                raise OSError("cannot load the process's own symbols")
+            return types.SimpleNamespace()
+
+        libc = ("", "") if lookup == "not-glibc" else ("glibc", "2.36")
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        assert main(argv + ["--out", str(patched)]) == 0
+        assert loads == ([] if lookup == "not-glibc" else [None])
+        assert patched.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("accepted, calls", [
+        (1, [(-3, 32 << 20), (-1, 256 << 20)]),
+        (0, [(-3, 32 << 20)]),
+    ], ids=["accepted", "rejected"])
+    def test_trim_threshold_set_only_with_mmap_threshold(self, monkeypatch, accepted, calls):
+        # 32-bit glibc rejects a 32 MiB mmap threshold, and the trim
+        # threshold alone makes glibc fault more than its defaults.
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return accepted
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory()
+        assert made == calls
 
 
 # Every action of both subcommands as (option strings, dest, metavar, type,
