@@ -252,39 +252,13 @@ def _validated_drop(
     return eta1, eta2
 
 
-class _Workspace:
-    """One pool worker's block arrays, reused by every block it runs.
-
-    Named byte regions, each replaced by a larger one when an array taken
-    from it would not fit; arrays already taken keep the old one, so a
-    regrown region aliases nothing live.  The engine's regions are a
-    block's "g1", "g2" and "normals" (_fill_block) and its analog stages
-    "f1" and "f2"; the stages' transients reuse the dead normals.
-    """
-
-    def __init__(self) -> None:
-        self._regions = {}
-
-    def take(
-        self, name: str, shape: Tuple[int, ...], dtype=float, at: int = 0
-    ) -> np.ndarray:
-        """A C-ordered array of `shape` and `dtype` over region `name`, from byte `at`."""
-        dtype = np.dtype(dtype)
-        end = at + math.prod(shape) * dtype.itemsize
-        region = self._regions.get(name)
-        if region is None or region.size < end:
-            region = self._regions[name] = np.empty(end, np.uint8)
-        return region[at:end].view(dtype).reshape(shape)
-
-
 def _fill_block(
     config: SystemConfig,
     lo: int,
     hi: int,
     drop: Optional[Tuple[np.ndarray, np.ndarray]],
-    ws: Optional[_Workspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw trials lo..hi-1 into `ws`, or new stacks; return (g1, g2, eta1, eta2).
+    """Draw trials lo..hi-1 into new stacks; return (g1, g2, eta1, eta2).
 
     Each trial's stream (trial_rng's, built by _trial_rngs from the block's
     one SeedSequence pool) gives, in order, the real and imaginary
@@ -295,17 +269,14 @@ def _fill_block(
     complex assembly with its sqrt(eta) scaling (_complex_normals, two real
     passes per part) then run once over the block, with the bits of a
     trial-by-trial draw, up to the sign of an exactly-zero part.  Stacks
-    are (hi - lo, N, K), gains (hi - lo, K); with a workspace the stacks
-    and the normals are its regions "g1", "g2" and "normals", which the
-    next block of that workspace overwrites.
+    are (hi - lo, N, K), gains (hi - lo, K), in arrays no other call shares.
     """
     b, n, k = hi - lo, config.n_antennas, config.n_pairs
-    # Without a workspace (the one-trial call) the normals die first, so
-    # they are taken after the stacks and sit above them on the heap; the
-    # other order raised the peak RSS of N = 2048/8192 sweeps by 1.2-3.0 MB.
-    ws = _Workspace() if ws is None else ws
-    g1, g2 = (ws.take(hop, (b, n, k), complex) for hop in ("g1", "g2"))
-    normals = ws.take("normals", (b, 4, n, k))
+    # The normals die first, so they are allocated after the stacks and sit
+    # above them on the heap; the other order raised the peak RSS of
+    # N = 2048/8192 sweeps by 1.2-3.0 MB.
+    g1, g2 = np.empty((b, n, k), dtype=complex), np.empty((b, n, k), dtype=complex)
+    normals = np.empty((b, 4, n, k))
     # Area quantiles u and shadowing normals z, each (side, trial, pair),
     # so the gain formula reads contiguous arrays.
     u, z = np.empty((2, 2, b, k))

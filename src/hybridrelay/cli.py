@@ -3,20 +3,20 @@
 Flags and config files become the inputs of metrics.run_sweep (simulate)
 and diagnostics.lemma_rows (verify-lemmas), whose rows are written in the
 order returned.  The library raises ValueError for a bad setting before it
-draws anything, and main maps that to exit 2.
+draws anything, and main maps that to exit 2.  The front-end sets no
+process-wide state of its own: the allocator setting comes with the
+library's pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import itertools
 import json
 import logging
 import os
-import platform
 import sys
 import typing
 from typing import List, Optional, Sequence, Tuple
@@ -375,44 +375,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc keep freed arrays in the heap instead of returning them.
-
-    By default glibc maps each allocation above a dynamic threshold on its
-    own and unmaps it when it is freed, and trims the heap's free top once
-    it exceeds twice that threshold, so each draw faults its 1-3 MB arrays
-    in from the OS again.  Setting either threshold stops glibc adjusting
-    both, so both are set: the mmap threshold alone leaves the trim
-    threshold at 128 KiB, and the trim threshold alone leaves the mmap
-    threshold there.  Off glibc, or where the process exports no mallopt,
-    nothing is set.  Where glibc rejects the mmap threshold (its maximum is
-    512 KiB on 32-bit builds), the trim threshold is not set either: alone
-    it makes glibc fault more, not less.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD in glibc's malloc.h
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns 0 on success, 2 on usage errors, 1 on failures.
 
     The package's log lines go to stderr for the length of the call:
-    warnings always, INFO lines with -v.  On glibc, main first raises the
-    allocator's mmap threshold to 32 MiB and its trim threshold to 256 MiB,
-    so that freed arrays stay in the heap for the next draw.  The setting
-    lasts for the rest of the process, also for in-process callers of
-    main such as the tests and the benchmark harness, and for any library
-    call they make after it.
+    warnings always, INFO lines with -v.  The allocator setting that keeps
+    freed arrays in the heap belongs to the library's pool
+    (metrics._pool_map), so a command gets it exactly as a library call
+    does.
     """
-    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = logging.StreamHandler(sys.stderr)

@@ -86,13 +86,6 @@ def _conj_codeword(index: np.ndarray, quant: QuantizationSpec, n: int) -> np.nda
     return np.exp(-2j * quant.step * index) / math.sqrt(n)
 
 
-def _take(
-    ws, name: str, shape: Tuple[int, ...], dtype, at: int = 0
-) -> Optional[np.ndarray]:
-    """ws.take(...) of a channel._Workspace, or None, numpy's `out` default."""
-    return None if ws is None else ws.take(name, shape, dtype, at)
-
-
 def build_analog(
     g: np.ndarray, n_chains: int, quant: Optional[QuantizationSpec] = None
 ) -> np.ndarray:
@@ -112,42 +105,25 @@ def build_analog(
     chains than channel columns is an error because the remaining rows
     would have no channel to match.
     """
-    return _analog(g, n_chains, quant)
-
-
-def _analog(g, n_chains: int, quant: Optional[QuantizationSpec], ws=None,
-            region: str = "f") -> np.ndarray:
-    """build_analog, written to `region` of workspace `ws` when given.
-
-    Its transients, the phase or magnitude and then the integer codeword
-    index, go to region "normals", each in the layout numpy would give it.
-    """
     g = np.asarray(g)
+    if g.ndim < 2:
+        raise ValueError(f"g must be N x K or a stack of them, got shape {g.shape}")
     n, k = g.shape[-2], g.shape[-1]
     _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
-    f = _take(ws, region, gs.shape, complex)
-    real = _take(ws, "normals", gs.shape, float)
     if quant is not None:
         # np.angle(gs), built in place into the codeword index.
-        index = np.arctan2(gs.imag, gs.real, out=real)
+        index = np.arctan2(gs.imag, gs.real)
         index = _codeword_index(index, quant, out=index)
         size = 2 ** quant.bits
         # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
         if size > index.size:  # a table larger than the stage itself
             index = np.mod(index, size, out=index)
             return np.swapaxes(_conj_codeword(index, quant, n), -1, -2)
-        ints = _take(ws, "normals", gs.shape, np.intp, at=index.nbytes)
-        if ints is None:
-            index = index.astype(np.intp)  # frees the float index before the lookup
-        else:
-            ints[...] = index
-            index = ints
+        index = index.astype(np.intp)  # frees the float index before the lookup
         index &= size - 1
-        # "clip" clips nothing here; "raise" would copy to a temporary first.
-        table = _conj_codeword(np.arange(size), quant, n)
-        return np.swapaxes(np.take(table, index, out=f, mode="clip"), -1, -2)
-    mag = np.abs(gs, out=real)
+        return np.swapaxes(_conj_codeword(np.arange(size), quant, n)[index], -1, -2)
+    mag = np.abs(gs)
     # A zero or NaN minimum: phase 0 where g = 0, as angle(0) gives.
     if not mag.min(initial=math.inf) > 0.0:
         dead = mag == 0.0
@@ -155,7 +131,7 @@ def _analog(g, n_chains: int, quant: Optional[QuantizationSpec], ws=None,
         mag = np.where(dead, 1.0, mag)
     mag *= math.sqrt(n)
     # a * (1 / c) is how numpy divides a complex a by a real c, bit for bit.
-    f = np.conj(gs, out=f)
+    f = np.conj(gs)
     f *= np.reciprocal(mag, out=mag)
     return np.swapaxes(f, -1, -2)
 
@@ -183,7 +159,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _hop_grams(
-    a: np.ndarray, f: Optional[np.ndarray] = None, ws=None
+    a: np.ndarray, f: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The two K x K Grams of one hop that alpha and every SINR reduce to.
 
@@ -191,19 +167,13 @@ def _hop_grams(
     The full-digital reference has no analog stage (f None, a = G), so
     B = A.  Accepts stacks (..., chains, K) and (..., chains, N); each
     trial's Grams depend on that trial's slices only.  The products over
-    the array dimension N, G^H G and F F^H, go through _dot.  With a
-    workspace `ws`, the N-sized conj copy, of G or of F, is its region
-    "normals"; the chains x K copy of a = F G is new.
+    the array dimension N, G^H G and F F^H, go through _dot.
     """
-    # A workspace copy is C-ordered, the layout numpy gives the copy of the
-    # engine's C-ordered G and F^T.
-    if f is None:
-        ah = np.conj(a, out=_take(ws, "normals", a.shape, complex))
-        gram = _dot(np.swapaxes(ah, -1, -2), a)
-        return gram, gram
     ah = np.conj(np.swapaxes(a, -1, -2))
-    fh = np.swapaxes(f, -1, -2)
-    ffh = _dot(f, np.conj(fh, out=_take(ws, "normals", fh.shape, complex)))
+    if f is None:
+        gram = _dot(ah, a)
+        return gram, gram
+    ffh = _dot(f, np.conj(np.swapaxes(f, -1, -2)))
     return ah @ a, ah @ ffh @ a
 
 

@@ -2,17 +2,18 @@
 and run_sweep, the library's one sweep over array sizes.
 
 SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
-draws.  The engine's block rule, and the pool and SIM_THREADS rules that
-the lemma table shares (_pool_map), live here only.
+draws.  The engine's block rule, and the pool, SIM_THREADS and allocator
+rules that the lemma table shares (_pool_map), live here only.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 import math
 import os
-import threading
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -90,24 +91,21 @@ def _variant_sinrs(
     mode: str,
     bits: Optional[int],
     config: SystemConfig,
-    ws: Optional[channel._Workspace] = None,
 ) -> np.ndarray:
     """SINR rows of a stack of draws under one (mode, quant_bits) variant.
 
     A draw whose forwarded power or SINR overflows gives a NaN row, which
     the engine counts and sinrs raises on, so the normalization and SINR
-    steps run without numpy's overflow and invalid-value warnings.  With
-    the block's workspace `ws`, the analog stages are its regions "f1" and
-    "f2", and every N-sized transient reuses its dead normals.
+    steps run without numpy's overflow and invalid-value warnings.
     """
     if mode == "full_digital":
-        hop1, hop2 = hybrid._hop_grams(g1, ws=ws), hybrid._hop_grams(g2, ws=ws)
+        hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
     else:
         quant = hybrid.QuantizationSpec(bits) if bits is not None else None
-        f1 = hybrid._analog(g1, config.n_rx_chains, quant, ws, "f1")
-        f2 = hybrid._analog(g2, config.n_tx_chains, quant, ws, "f2")
-        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1, ws)
-        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2, ws)
+        f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
+        f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
+        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1)
+        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_sq = hybrid._alpha_squared(
             hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
@@ -159,7 +157,6 @@ def _block_sinrs(
     hi: int,
     variants: Sequence[Variant],
     drop: Optional[Tuple[np.ndarray, np.ndarray]],
-    ws: Optional[channel._Workspace] = None,
 ) -> np.ndarray:
     """SINR rows of trials lo..hi-1 under each variant, shape (V, hi - lo, K).
 
@@ -168,11 +165,9 @@ def _block_sinrs(
     returns for it.  `drop`, when given, must already be validated.  The
     stacks then go through the analog stage, the Grams, alpha and the
     SINRs of one variant after another.  Degenerate draws give NaN rows.
-    With a workspace `ws` the block's N-sized arrays are its regions, and
-    only the SINR rows outlive the call.
     """
-    g1, g2, _, _ = channel._fill_block(config, lo, hi, drop, ws)
-    return np.stack([_variant_sinrs(g1, g2, mode, bits, config, ws)
+    g1, g2, _, _ = channel._fill_block(config, lo, hi, drop)
+    return np.stack([_variant_sinrs(g1, g2, mode, bits, config)
                      for mode, bits in variants])
 
 
@@ -197,6 +192,32 @@ def _worker_count(n_jobs: int) -> int:
     return max(1, min(limit, cap or limit, n_jobs))
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays in the heap instead of returning them.
+
+    By default glibc maps each allocation above a dynamic threshold on its
+    own and unmaps it when it is freed, and trims the heap's free top once
+    it exceeds twice that threshold, so each draw faults its 1-3 MB arrays
+    in from the OS again.  Setting either threshold stops glibc adjusting
+    both, so both are set: the mmap threshold alone leaves the trim
+    threshold at 128 KiB, and the trim threshold alone leaves the mmap
+    threshold there.  Off glibc, or where the process exports no mallopt,
+    nothing is set.  Where glibc rejects the mmap threshold (its maximum is
+    512 KiB on 32-bit builds), the trim threshold is not set either: alone
+    it makes glibc fault more, not less.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD in glibc's malloc.h
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def _pool_map(fn: Callable, jobs: Sequence) -> List:
     """[fn(job) for job in jobs], run on _worker_count(len(jobs)) threads.
 
@@ -206,9 +227,14 @@ def _pool_map(fn: Callable, jobs: Sequence) -> List:
     queued at once and the workers overlap where numpy releases the GIL
     (hybrid._dot).  The worker count, and so the SIM_THREADS check, is read
     before any job runs.  Both callers rely on that check; run_sweep also
-    makes it up front, as an asymptote-only run starts no pool.
+    makes it up front, as an asymptote-only run starts no pool.  Then, on
+    glibc, each call sets the allocator's mmap threshold to 32 MiB and its
+    trim threshold to 256 MiB (_keep_freed_memory), so that the jobs' freed
+    arrays stay in the heap for the next draw instead of being faulted in
+    from the OS again.  The setting lasts for the rest of the process.
     """
     workers = _worker_count(len(jobs))
+    _keep_freed_memory()
     if workers == 1:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(workers) as pool:
@@ -281,14 +307,10 @@ def _sweep_rates(
     order = sorted(range(len(configs)), key=lambda c: -configs[c].n_antennas)
     jobs = [(c, lo, hi) for c in order for lo, hi in bounds[c]]
     tables = [np.empty((len(variants), n_trials, config.n_pairs)) for config in configs]
-    # Each worker's workspace, made on its first block; all die with this call.
-    spaces = threading.local()
 
     def run_block(job: Tuple[int, int, int]) -> None:
         c, lo, hi = job
-        if not hasattr(spaces, "ws"):
-            spaces.ws = channel._Workspace()
-        tables[c][:, lo:hi] = _block_sinrs(configs[c], lo, hi, variants, drop, spaces.ws)
+        tables[c][:, lo:hi] = _block_sinrs(configs[c], lo, hi, variants, drop)
 
     _pool_map(run_block, jobs)
     points = [[_rate_point(t) for t in table] for table in tables]

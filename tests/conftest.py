@@ -1,5 +1,10 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +14,20 @@ import oracles
 from hybridrelay import hybrid, sample_small_scale
 from hybridrelay.channel import ChannelRealization
 from hybridrelay.config import SystemConfig
+
+
+def fresh_serial_run(script: str, *args: str) -> str:
+    """The stdout of `script` in a new interpreter on this checkout's src/.
+
+    SIM_THREADS=1 and OPENBLAS_NUM_THREADS=1, so the run is serial.  Fault
+    counts need a fresh process: the pool's allocator setting lasts for the
+    rest of a process, so earlier tests have changed this one's.
+    """
+    env = dict(os.environ, SIM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=300).stdout
 
 
 @pytest.fixture

@@ -218,3 +218,19 @@ def test_only_channel_builds_random_streams():
             if getattr(func, "attr", getattr(func, "id", None)) in constructors:
                 flagged.append(f"{path.name}:{node.lineno}")
     assert flagged == []
+
+
+def test_only_metrics_imports_ctypes():
+    # The allocator setting of the pool (metrics._keep_freed_memory) is the
+    # package's one call into foreign code, so its policy has one owner.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "metrics":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "ctypes" for name in names):
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []

@@ -9,7 +9,6 @@ import os
 import platform
 import subprocess
 import sys
-import textwrap
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fresh_serial_run
 from hybridrelay import (
     AsymptoticInputs,
     QuantizationSpec,
@@ -254,8 +254,8 @@ class TestSimulate:
         exits 1 naming `lost` of 6 only after drawing both sizes' trials once."""
         orig = metrics._variant_sinrs
 
-        def lossy(g1, g2, mode, bits, config, ws=None):
-            out = orig(g1, g2, mode, bits, config, ws)
+        def lossy(g1, g2, mode, bits, config):
+            out = orig(g1, g2, mode, bits, config)
             out[:losses.get(config.n_antennas, 0)] = np.nan
             return out
 
@@ -862,13 +862,11 @@ class TestHeapSetting:
     }
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="the CLI changes glibc's allocator settings only")
+                        reason="the pool changes glibc's allocator settings only")
     def test_repeat_call_keeps_its_draws_in_the_heap(self, tmp_path):
         # With glibc's default thresholds each N = 16384 draw faulted its
         # arrays in from the OS again: about 3 800 minor faults per call.
-        # A fresh interpreter, because in-process main calls of the other
-        # tests have already changed this process's allocator settings.
-        script = textwrap.dedent("""
+        faults = fresh_serial_run("""
             import resource, sys
             from hybridrelay.cli import main
 
@@ -878,18 +876,14 @@ class TestHeapSetting:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             assert main(argv) == 0
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        """)
-        env = dict(os.environ, SIM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "l.csv")],
-                              env=env, check=True, capture_output=True, text=True,
-                              timeout=300)
-        assert int(done.stdout) <= 300
+        """, str(tmp_path / "l.csv"))
+        assert int(faults) <= 300
 
     @pytest.mark.parametrize("command", ARGVS)
     @pytest.mark.parametrize("lookup", ["not-glibc", "no-symbol", "no-library"])
     def test_missing_mallopt_changes_nothing(self, tmp_path, monkeypatch, command, lookup):
-        # Each fallback exits 0 and writes the unpatched run's bytes.  That
+        # Each fallback exits 0 and writes the unpatched run's bytes, with
+        # one library lookup for the command's one pool call.  The unpatched
         # run has already set this process's thresholds, so the comparison
         # shows that the fallback leaves the output path alone, not that
         # the allocator setting keeps the bits.
@@ -907,8 +901,8 @@ class TestHeapSetting:
             return types.SimpleNamespace()
 
         libc = ("", "") if lookup == "not-glibc" else ("glibc", "2.36")
-        monkeypatch.setattr(cli.platform, "libc_ver", lambda: libc)
-        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        monkeypatch.setattr(metrics.platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(metrics.ctypes, "CDLL", load)
         assert main(argv + ["--out", str(patched)]) == 0
         assert loads == ([] if lookup == "not-glibc" else [None])
         assert patched.read_bytes() == plain.read_bytes()
@@ -926,10 +920,10 @@ class TestHeapSetting:
             made.append((param, value))
             return accepted
 
-        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
-        monkeypatch.setattr(cli.ctypes, "CDLL",
+        monkeypatch.setattr(metrics.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(metrics.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        cli._keep_freed_memory()
+        metrics._keep_freed_memory()
         assert made == calls
 
 

@@ -1,10 +1,13 @@
 """Large-array convergence diagnostics for the analog stage."""
 
 import os
+import platform
 import threading
 
 import numpy as np
 import pytest
+
+from conftest import fresh_serial_run
 
 from hybridrelay import (
     QuantizationSpec,
@@ -162,6 +165,24 @@ class TestSweep:
         assert len(threads) == 9 and threading.get_ident() not in threads
         assert len(serial) == 2 * 3 * 4 * 3
         assert pooled == serial
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the pool changes glibc's allocator settings only")
+    def test_repeat_library_call_keeps_its_draws_in_the_heap(self):
+        # The pool's allocator setting reaches a caller of the library that
+        # never runs the command line: with glibc's default thresholds the
+        # second call faulted its N = 16384 draws in again, about 3 800
+        # minor faults.
+        faults = fresh_serial_run("""
+            import resource
+            from hybridrelay.diagnostics import lemma_rows
+
+            lemma_rows([4096, 16384], [None, 1], 2)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            lemma_rows([4096, 16384], [None, 1], 2)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        assert int(faults) <= 300
 
     def test_non_integral_counts_fail_before_any_draw(self, monkeypatch):
         draws = []

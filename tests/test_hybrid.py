@@ -1,6 +1,7 @@
 """Processing stage: quantizer, analog beamformers, normalization, penalties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,11 @@ class TestBuildAnalog:
         for n_chains in (0, 5, True, 2.0):
             with pytest.raises(ValueError, match="n_chains"):
                 build_analog(real.g1, n_chains)
+
+    @pytest.mark.parametrize("g", [np.ones(4), np.ones(())], ids=["vector", "scalar"])
+    def test_channel_of_fewer_than_two_dimensions_rejected(self, g):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {g.shape}")):
+            build_analog(g, 1)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 8, 30])
     def test_quantized_entries_near_continuous(self, rng, bits):
