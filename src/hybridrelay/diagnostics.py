@@ -16,7 +16,9 @@ import numpy as np
 
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import QuantizationSpec, _check_int, _dot, build_analog, sinc_penalty
+from .hybrid import (
+    QuantizationSpec, _check_int, _dot, _gram, build_analog, sinc_penalty,
+)
 from .metrics import _beta_key, _check_lists, _pool_map
 
 # Row norms of the analog stage are exact by construction; only float
@@ -30,8 +32,12 @@ LEMMA_COLUMNS = (
 
 
 def orthonormality_parts(f: np.ndarray) -> Tuple[float, float, float]:
-    """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|, mean Re diag(F F^H))."""
-    p = _dot(f, f.conj().T)
+    """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|, mean Re diag(F F^H)).
+
+    F F^H is the engine's (hybrid._gram of F^T, conjugated): on a stage of
+    more than hybrid._LARGE_SLICE entries its diagonal is exactly real.
+    """
+    p = _gram(f.T, conj=True)
     d = np.diagonal(p)
     off = np.abs(p - np.diag(d))
     return float(np.abs(d - 1.0).max()), float(off.max()), float(d.real.mean())

@@ -3,6 +3,8 @@ K x K Gram kernel of the power normalization.
 
 The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
 and every SINR (metrics._gram_sinrs) reduce to the Grams of the two hops.
+The Hermitian ones over the array dimension N, G^H G and F F^H, come from
+_gram: on a large slice, through BLAS syrk on the channel's real view.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
+
+
+# An N x k slice of more than this many entries is large: _gram takes its
+# real view, and the engine (metrics._block_trials) gives each trial of such
+# slices a block of its own.
+_LARGE_SLICE = 2 ** 14
 
 
 class DegenerateChannelError(RuntimeError):
@@ -144,18 +152,46 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     products only in np.dot.  A 2-D pair (one lemma draw) and a one-slice
     stack therefore go through np.dot; a longer stack, whose single @ call
     beats a Python loop over its slices, goes through @.  The engine's
-    blocks hold about 1 MB of fading, so a block is one trial when
-    N K > 16384 (N >= 1639 at K = 10).
+    blocks are one trial exactly when a trial's N x K slice is large
+    (N K > _LARGE_SLICE = 16384, N >= 1639 at K = 10).
     Measured on 2 cores with one BLAS thread, two threads each repeating
     (1, 10, N) @ (1, N, 10) ran 1.40x (N = 2048) and 1.58x (N = 8192)
     faster through np.dot; one thread took 0.94-0.99x the time of @.  Used
-    for the products whose inner dimension is N.
+    for the products whose inner dimension is N: F G, F H, and the Grams
+    of _gram, complex or, on a large slice, real.
     """
     if a.ndim == 2:
         return np.dot(a, b)
     if len(a) == 1:
         return np.dot(a[0], b[0])[None]
     return a @ b
+
+
+def _gram(x: np.ndarray, conj: bool = False) -> np.ndarray:
+    """x^H x of an N x k slice or a stack (..., N, k); its conjugate if conj.
+
+    F F^H is the conjugate Gram of F^T.  A slice of at most _LARGE_SLICE
+    entries takes the complex product of an N x k conjugate copy through
+    _dot.  A larger one is read as its real view R, N x 2k, whose columns
+    interleave U = Re x and V = Im x: _dot(R^T, R) is a matrix times its
+    own transpose, which numpy sends to BLAS syrk with the GIL released, at
+    half the flops of the complex product and with no conjugate copy.  Then
+    re = U^T U + V^T V and im = U^T V - V^T U.  syrk fills one triangle and
+    numpy mirrors it, so the result is exactly Hermitian with an exactly
+    real diagonal.  The path depends on a slice's shape only, never on the
+    stack's length, so a trial keeps its bits in any stack.  A strided x,
+    such as a caller's realization, is copied contiguous first; that copy
+    holds the same values, and so gives the same bits.
+    """
+    if x.shape[-2] * x.shape[-1] <= _LARGE_SLICE:
+        xt = np.swapaxes(x, -1, -2)
+        return _dot(xt, np.conj(x)) if conj else _dot(np.conj(xt), x)
+    r = np.ascontiguousarray(x).view(np.float64)
+    p = _dot(np.swapaxes(r, -1, -2), r)
+    uv, vu = p[..., 0::2, 1::2], p[..., 1::2, 0::2]
+    im = vu - uv if conj else uv - vu
+    re = p[..., 0::2, 0::2] + p[..., 1::2, 1::2]
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
 def _hop_grams(
@@ -166,14 +202,14 @@ def _hop_grams(
     With a = F G the effective channel, A = a^H a and B = a^H (F F^H) a.
     The full-digital reference has no analog stage (f None, a = G), so
     B = A.  Accepts stacks (..., chains, K) and (..., chains, N); each
-    trial's Grams depend on that trial's slices only.  The products over
-    the array dimension N, G^H G and F F^H, go through _dot.
+    trial's Grams depend on that trial's slices only.  The Grams over the
+    array dimension N, G^H G and F F^H, come from _gram.
     """
-    ah = np.conj(np.swapaxes(a, -1, -2))
     if f is None:
-        gram = _dot(ah, a)
+        gram = _gram(a)
         return gram, gram
-    ffh = _dot(f, np.conj(np.swapaxes(f, -1, -2)))
+    ffh = _gram(np.swapaxes(f, -1, -2), conj=True)
+    ah = np.conj(np.swapaxes(a, -1, -2))
     return ah @ a, ah @ ffh @ a
 
 

@@ -38,7 +38,10 @@ _MAX_DEGENERATE_FRACTION = 0.01
 
 # Trials are stacked in blocks holding about this many bytes of fading;
 # the thread pool runs over blocks, so calls of a single block run serially.
-_BLOCK_BYTES = 2 ** 20
+# It is 1 MiB: two trials of two N x K hops at hybrid._LARGE_SLICE complex
+# entries each, so a trial gets a block of its own exactly where its slices
+# are large and hybrid._gram takes their real view.
+_BLOCK_BYTES = 2 * 2 * hybrid._LARGE_SLICE * np.dtype(complex).itemsize
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,19 @@ class TestOrthonormality:
             diag_dev, _, _ = orthonormality_parts(f)
             assert diag_dev < 1e-12
 
+    @pytest.mark.parametrize("bits", [None, 2])
+    def test_large_stage_matches_the_complex_product(self, bits):
+        # 4096 x 10 entries exceed hybrid._LARGE_SLICE, so F F^H comes from
+        # the stage's real view: the complex product's parts up to rounding,
+        # with a diagonal that is exactly real.
+        f, _, _ = analog_pair(4096, bits=bits)
+        p = f @ f.conj().T
+        d = np.diagonal(p)
+        diag_dev, off_dev, diag_mean = orthonormality_parts(f)
+        assert diag_dev <= 1e-15
+        assert off_dev == pytest.approx(np.abs(p - np.diag(d)).max(), rel=1e-12)
+        assert diag_mean == pytest.approx(d.real.mean(), rel=1e-15)
+
     def test_off_diagonals_shrink_like_inverse_sqrt_n(self):
         meds = []
         for n in (100, 1000, 10000):

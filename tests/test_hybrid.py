@@ -18,6 +18,7 @@ from hybridrelay import (
     quantize_phase,
     sinc_penalty,
 )
+from hybridrelay.metrics import _block_trials
 
 
 class TestQuantizer:
@@ -261,6 +262,51 @@ class TestDot:
             f_h = np.swapaxes(np.conj(f), -1, -2)
             for a, b in [(f, g), (f, f_h), (g_h, g)]:
                 assert_same_bits(hybrid._dot(a, b), a @ b)
+
+
+class TestGram:
+    """hybrid._gram: the complex product up to _LARGE_SLICE entries, the real view above."""
+
+    @pytest.mark.parametrize("shape", [(64, 10), (1, 64, 10), (50, 16, 3), (1, 1024, 16)])
+    def test_small_slice_keeps_the_complex_product_bitwise(self, rng, shape):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        xt = np.swapaxes(x, -1, -2)
+        assert_same_bits(hybrid._gram(x), np.conj(xt) @ x)
+        assert_same_bits(hybrid._gram(x, conj=True), xt @ np.conj(x))
+
+    @pytest.mark.parametrize("shape", [(2048, 10), (1, 2048, 10), (3, 8192, 3), (16385, 1)])
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_large_slice_is_exactly_hermitian(self, rng, shape, conj):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        xt = np.swapaxes(x, -1, -2)
+        want = xt @ np.conj(x) if conj else np.conj(xt) @ x
+        got = hybrid._gram(x, conj)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+        assert (np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0).all()
+
+    def test_trial_keeps_its_bits_in_any_stack_or_layout(self, rng):
+        # A stack of three goes through @, a slice through np.dot, and a
+        # strided or Fortran-ordered slice through its contiguous copy.
+        wide = rng.standard_normal((3, 2048, 20)) + 1j * rng.standard_normal((3, 2048, 20))
+        x = wide[..., ::2]
+        alone = hybrid._gram(np.ascontiguousarray(x[1]))
+        for other in (hybrid._gram(x)[1], hybrid._gram(x[1:2])[0], hybrid._gram(x[1]),
+                      hybrid._gram(np.asfortranarray(x[1]))):
+            assert_same_bits(other, alone)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 16])
+    def test_real_view_exactly_where_a_trial_has_a_block_of_its_own(self, monkeypatch, k):
+        dot = hybrid._dot
+        edge = hybrid._LARGE_SLICE // k  # the largest N with N K <= the limit
+        for n in (edge, edge + 1):
+            config = SystemConfig(n_antennas=n, n_pairs=k, n_rx_chains=k, n_tx_chains=k)
+            dtypes = []
+            monkeypatch.setattr(hybrid, "_dot", lambda a, b: dtypes.append(a.dtype) or dot(a, b))
+            hybrid._gram(np.ones((1, n, k), dtype=complex))
+            monkeypatch.undo()
+            assert (dtypes == [np.float64]) == (n > edge) == (_block_trials(config) == 1)
 
 
 class TestSincPenalty:

@@ -51,6 +51,13 @@ ENGINE_CASES = {
     "full-digital-pinned": (SMALL, "full_digital", PINNED),
 }
 
+# Shapes whose N x K slices exceed hybrid._LARGE_SLICE, and their variants.
+LARGE_SLICES = (
+    SystemConfig(n_antennas=2048, n_pairs=10, seed=5),
+    SystemConfig(n_antennas=8192, n_pairs=3, n_rx_chains=2, n_tx_chains=1, seed=5),
+)
+LARGE_VARIANTS = [("hybrid", None), ("hybrid", 2), ("full_digital", None)]
+
 
 def trials_per_block(monkeypatch, config, trials):
     """Shrink the engine's block byte target to `trials` trials of config."""
@@ -131,6 +138,37 @@ class TestSinr:
             np.testing.assert_array_equal(
                 sinrs(sample_realization(config, t), config, mode), table[t]
             )
+
+    @pytest.mark.parametrize("config", LARGE_SLICES, ids=["2048x10", "8192x3-fewer-chains"])
+    @pytest.mark.parametrize("mode,bits", LARGE_VARIANTS)
+    def test_equals_engine_row_bitwise_on_large_slices(self, config, mode, bits):
+        # Each trial is a block of its own, and G^H G takes the real-view
+        # Gram.  At 8192 x 3 the 2- and 1-chain stages' F F^H keep the
+        # complex product.
+        config = replace(config, quant_bits=bits)
+        assert _block_trials(config) == 1
+        for t in range(2):
+            row = _block_sinrs(config, t, t + 1, [(mode, bits)], None)[0, 0]
+            assert_same_bits(sinrs(sample_realization(config, t), config, mode), row)
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    @pytest.mark.parametrize("mode,bits", LARGE_VARIANTS)
+    def test_channel_layout_keeps_the_bits_on_large_slices(self, layout, mode, bits):
+        # The real view needs contiguous channels, so a strided or
+        # Fortran-ordered one is copied first: the same values, the same bits.
+        config = replace(LARGE_SLICES[0], quant_bits=bits)
+        real = sample_realization(config, 3)
+
+        def relaid(g):
+            if layout == "fortran":
+                return np.asfortranarray(g)
+            wide = np.zeros((g.shape[0], 2 * g.shape[1]), dtype=complex)
+            wide[:, ::2] = g
+            return wide[:, ::2]
+
+        other = ChannelRealization(real.eta1, real.eta2, relaid(real.g1), relaid(real.g2))
+        assert not other.g1.flags.c_contiguous
+        assert_same_bits(sinrs(other, config, mode), sinrs(real, config, mode))
 
     @settings(max_examples=40, deadline=None)
     @given(
