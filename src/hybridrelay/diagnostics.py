@@ -31,16 +31,25 @@ LEMMA_COLUMNS = (
 )
 
 
+def _identity_parts(m: np.ndarray, target: float) -> Tuple[float, float, float]:
+    """(max |diag - target|, max other |entry|, mean Re diag) of m against target I.
+
+    m's diagonal is its first min(m.shape) entries; with no other entry
+    (m 1 x 1), their maximum is 0.0.
+    """
+    diag = np.diagonal(m)
+    rest = np.abs(m)
+    np.fill_diagonal(rest, 0.0)
+    return float(np.abs(diag - target).max()), float(rest.max()), float(diag.real.mean())
+
+
 def orthonormality_parts(f: np.ndarray) -> Tuple[float, float, float]:
     """(max |diag(F F^H) - 1|, max off-diagonal |F F^H|, mean Re diag(F F^H)).
 
     F F^H is the engine's (hybrid._gram of F^T, conjugated): on a stage of
     more than hybrid._LARGE_SLICE entries its diagonal is exactly real.
     """
-    p = _gram(f.T, conj=True)
-    d = np.diagonal(p)
-    off = np.abs(p - np.diag(d))
-    return float(np.abs(d - 1.0).max()), float(off.max()), float(d.real.mean())
+    return _identity_parts(_gram(f.T, conj=True), 1.0)
 
 
 def fh_parts(
@@ -48,20 +57,11 @@ def fh_parts(
 ) -> Tuple[float, float, float]:
     """Deviation of F H / sqrt(N pi/4) from c * I, c = sinc(step) (1 unquantized).
 
-    h is N x K.  The target covers the first r = min(chains, K) diagonal
-    entries; all else converges to zero.  Returns (max diagonal deviation,
-    max other-entry magnitude, mean real part of the diagonal).
+    h is N x K, and F H is measured by _identity_parts: all but its first
+    min(chains, K) diagonal entries converge to zero.
     """
-    target = sinc_penalty(quant)
     m = _dot(f, h) / math.sqrt(h.shape[0] * math.pi / 4.0)
-    r = min(m.shape)
-    idx = np.arange(r)
-    diag = m[idx, idx]
-    diag_dev = float(np.abs(diag - target).max())
-    rest = m.copy()
-    rest[idx, idx] = 0.0
-    off_dev = float(np.abs(rest).max()) if rest.size > r else 0.0
-    return diag_dev, off_dev, float(diag.real.mean())
+    return _identity_parts(m, sinc_penalty(quant))
 
 
 def lemma_checks(

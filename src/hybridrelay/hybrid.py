@@ -2,9 +2,9 @@
 K x K Gram kernel of the power normalization.
 
 The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
-and every SINR (metrics._gram_sinrs) reduce to the Grams of the two hops.
-The Hermitian ones over the array dimension N, G^H G and F F^H, come from
-_gram: on a large slice, through BLAS syrk on the channel's real view.
+and every SINR (metrics._gram_sinrs) reduce to each hop's Grams (_hop_grams;
+full digital is the hop without an analog stage, F = I).  Every product over
+N is formed here: F G by _dot, G^H G and F F^H by _gram (BLAS syrk if large).
 """
 
 from __future__ import annotations
@@ -179,14 +179,14 @@ def _gram(x: np.ndarray, conj: bool = False) -> np.ndarray:
     re = U^T U + V^T V and im = U^T V - V^T U.  syrk fills one triangle and
     numpy mirrors it, so the result is exactly Hermitian with an exactly
     real diagonal.  The path depends on a slice's shape only, never on the
-    stack's length, so a trial keeps its bits in any stack.  A strided x,
-    such as a caller's realization, is copied contiguous first; that copy
-    holds the same values, and so gives the same bits.
+    stack's length, so a trial keeps its bits in any stack.  A strided x, such
+    as a caller's realization, or an x that is not complex128 is copied to a
+    contiguous complex128 array first: the same values give the same bits.
     """
     if x.shape[-2] * x.shape[-1] <= _LARGE_SLICE:
         xt = np.swapaxes(x, -1, -2)
         return _dot(xt, np.conj(x)) if conj else _dot(np.conj(xt), x)
-    r = np.ascontiguousarray(x).view(np.float64)
+    r = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     p = _dot(np.swapaxes(r, -1, -2), r)
     uv, vu = p[..., 0::2, 1::2], p[..., 1::2, 0::2]
     im = vu - uv if conj else uv - vu
@@ -195,22 +195,22 @@ def _gram(x: np.ndarray, conj: bool = False) -> np.ndarray:
 
 
 def _hop_grams(
-    a: np.ndarray, f: Optional[np.ndarray] = None
+    g: np.ndarray, f: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The two K x K Grams of one hop that alpha and every SINR reduce to.
 
     With a = F G the effective channel, A = a^H a and B = a^H (F F^H) a.
-    The full-digital reference has no analog stage (f None, a = G), so
-    B = A.  Accepts stacks (..., chains, K) and (..., chains, N); each
-    trial's Grams depend on that trial's slices only.  The Grams over the
-    array dimension N, G^H G and F F^H, come from _gram.
+    Full digital is the hop without an analog stage (f None, F = I), so
+    B = A = G^H G.  Accepts stacks (..., N, K) and (..., chains, N); each
+    trial's Grams depend on that trial's slices only.  F G comes from _dot,
+    and the Grams over N, G^H G and F F^H, from _gram.
     """
     if f is None:
-        gram = _gram(a)
+        gram = _gram(g)
         return gram, gram
-    ffh = _gram(np.swapaxes(f, -1, -2), conj=True)
+    a = _dot(f, g)
     ah = np.conj(np.swapaxes(a, -1, -2))
-    return ah @ a, ah @ ffh @ a
+    return ah @ a, ah @ _gram(np.swapaxes(f, -1, -2), conj=True) @ a
 
 
 def _alpha_squared(

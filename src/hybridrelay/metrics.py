@@ -2,8 +2,9 @@
 and run_sweep, the library's one sweep over array sizes.
 
 SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
-draws.  The engine's block rule, and the pool, SIM_THREADS and allocator
-rules that the lemma table shares (_pool_map), live here only.
+draws; hybrid._hop_grams forms its products over N.  The engine's block
+rule, and the pool, SIM_THREADS and allocator rules that the lemma table
+shares (_pool_map), live here only.
 """
 
 from __future__ import annotations
@@ -97,18 +98,17 @@ def _variant_sinrs(
 ) -> np.ndarray:
     """SINR rows of a stack of draws under one (mode, quant_bits) variant.
 
-    A draw whose forwarded power or SINR overflows gives a NaN row, which
-    the engine counts and sinrs raises on, so the normalization and SINR
-    steps run without numpy's overflow and invalid-value warnings.
+    Full digital is the hop without an analog stage.  A draw whose forwarded
+    power or SINR overflows gives a NaN row, which the engine counts and
+    sinrs raises on, so the normalization and SINR steps run without numpy's
+    overflow and invalid-value warnings.
     """
-    if mode == "full_digital":
-        hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
-    else:
-        quant = hybrid.QuantizationSpec(bits) if bits is not None else None
-        f1 = hybrid.build_analog(g1, config.n_rx_chains, quant)
-        f2 = hybrid.build_analog(g2, config.n_tx_chains, quant)
-        hop1 = hybrid._hop_grams(hybrid._dot(f1, g1), f1)
-        hop2 = hybrid._hop_grams(hybrid._dot(f2, g2), f2)
+    quant = hybrid.QuantizationSpec(bits) if bits is not None else None
+    hop1, hop2 = (
+        hybrid._hop_grams(g, None if mode == "full_digital" else
+                          hybrid.build_analog(g, chains, quant))
+        for g, chains in ((g1, config.n_rx_chains), (g2, config.n_tx_chains))
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_sq = hybrid._alpha_squared(
             hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
@@ -174,25 +174,19 @@ def _block_sinrs(
                      for mode, bits in variants])
 
 
-def _env_thread_cap() -> Optional[int]:
-    """The SIM_THREADS worker cap; None when the variable is unset or empty."""
-    env = os.environ.get("SIM_THREADS")
-    if not env:
-        return None
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"SIM_THREADS must be a positive integer, got {env!r}")
-    return cap
-
-
 def _worker_count(n_jobs: int) -> int:
     """Pool size: min(CPU count, SIM_THREADS when set, number of jobs)."""
-    cap = _env_thread_cap()
     limit = os.cpu_count() or 1
-    return max(1, min(limit, cap or limit, n_jobs))
+    env = os.environ.get("SIM_THREADS")
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"SIM_THREADS must be a positive integer, got {env!r}")
+        limit = min(limit, cap)
+    return max(1, min(limit, n_jobs))
 
 
 def _keep_freed_memory() -> None:
@@ -544,7 +538,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
     powers = [_cell_powers(spec, n) for n in spec.n_values]
     bases = [dataclasses.replace(config, n_antennas=n, p_user=pu, p_relay=pr)
              for n, (pu, pr) in zip(spec.n_values, powers)]
-    _env_thread_cap()  # an asymptote-only run starts no pool, yet is checked
+    _worker_count(1)  # an asymptote-only run starts no pool, yet is checked
     bench_drop = canonical_drop(config)
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
     variants = []

@@ -69,11 +69,8 @@ def kernel_alpha(real, config, mode="hybrid"):
     That is hybrid._alpha_squared of the two hops' Grams, as the engine
     forms it; NaN for a degenerate draw.
     """
-    if mode == "full_digital":
-        hops = hybrid._hop_grams(real.g1), hybrid._hop_grams(real.g2)
-    else:
-        f1, f2 = oracles.analog_stages(real, config)
-        hops = hybrid._hop_grams(f1 @ real.g1, f1), hybrid._hop_grams(f2 @ real.g2, f2)
+    stages = oracles.analog_stages(real, config) if mode == "hybrid" else (None, None)
+    hops = hybrid._hop_grams(real.g1, stages[0]), hybrid._hop_grams(real.g2, stages[1])
     alpha_sq = hybrid._alpha_squared(
         *hops, config.p_user, config.p_relay, config.var_relay_noise
     )

@@ -202,6 +202,25 @@ def test_only_channel_allocates_complex_arrays():
     assert flagged == []
 
 
+def test_only_hybrid_and_diagnostics_form_products_over_n():
+    # hybrid._dot and hybrid._gram are the products over the array
+    # dimension N, which carry the GIL and large-slice rules.  The engine
+    # reaches them only through hybrid._hop_grams, and the lemma table
+    # through its two parts.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem in ("hybrid", "diagnostics"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) in ("_dot", "_gram"):
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []
+
+
 def test_only_channel_builds_random_streams():
     # channel.py owns the RNG stream layout: every generator the package
     # draws from is built there, from (seed, purpose, index).

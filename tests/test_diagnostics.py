@@ -1,5 +1,6 @@
 """Large-array convergence diagnostics for the analog stage."""
 
+import math
 import os
 import platform
 import threading
@@ -23,7 +24,7 @@ from hybridrelay.diagnostics import (
     lemma_rows,
     orthonormality_parts,
 )
-from hybridrelay.hybrid import build_analog
+from hybridrelay.hybrid import _gram, build_analog
 
 
 def lemma_draw(n, k=10, seed=0):
@@ -119,6 +120,63 @@ class TestFhConvergence:
                 row["diag_mean"]) == fh_parts(f, h)
         deviation = max(row["diag_deviation"], row["offdiag_deviation"])
         assert row["passed"] == (deviation <= row["bound"])
+
+
+def orthonormality_reference(f):
+    """orthonormality_parts as it stood on its own: F F^H minus its diagonal."""
+    p = _gram(f.T, conj=True)
+    d = np.diagonal(p)
+    off = np.abs(p - np.diag(d))
+    return float(np.abs(d - 1.0).max()), float(off.max()), float(d.real.mean())
+
+
+def fh_reference(f, h, quant):
+    """fh_parts as it stood on its own: F H with its first r diagonal entries zeroed."""
+    m = f @ h / math.sqrt(h.shape[0] * math.pi / 4.0)
+    r = min(m.shape)
+    idx = np.arange(r)
+    diag = m[idx, idx]
+    rest = m.copy()
+    rest[idx, idx] = 0.0
+    off = float(np.abs(rest).max()) if rest.size > r else 0.0
+    return float(np.abs(diag - sinc_penalty(quant)).max()), off, float(diag.real.mean())
+
+
+class TestIdentityRule:
+    """Both lemma parts measure a matrix against a scaled identity by one rule."""
+
+    @pytest.mark.parametrize("n,k,chains", [(64, 3, 1), (64, 6, 3), (4096, 10, 10)],
+                             ids=["one-chain", "fewer-chains", "large-slice"])
+    @pytest.mark.parametrize("bits", [None, 2])
+    def test_parts_keep_their_bits(self, n, k, chains, bits):
+        # One chain makes F F^H 1 x 1, with no off-diagonal entry; fewer
+        # chains than pairs make F H rectangular; 4096 x 10 entries take
+        # the real-view Gram.
+        h = lemma_draw(n, k)
+        quant = QuantizationSpec(bits) if bits is not None else None
+        f = build_analog(h, chains, quant)
+        for got, want in ((orthonormality_parts(f), orthonormality_reference(f)),
+                          (fh_parts(f, h, quant), fh_reference(f, h, quant))):
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        if chains == 1:
+            assert orthonormality_parts(f)[1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    @pytest.mark.parametrize("bits", [None, 2])
+    def test_large_draw_of_another_dtype_matches_the_complex128_cast(self, dtype, bits):
+        # 4096 x 10 entries take the real-view Gram, which must not read a
+        # float64 or complex64 draw as float64 pairs.  A continuous stage is
+        # built in the draw's own precision; a complex64 one misses
+        # DIAG_TOL on its own rounding, so only float64 rows pass alike.
+        h = lemma_draw(4096)
+        h = (h.real if dtype is np.float64 else h).astype(dtype)
+        tol = 1e-14 if dtype is np.float64 else 1e-6
+        for got, want in zip(lemma_checks(h, 10, bits), lemma_checks(h.astype(complex), 10, bits)):
+            assert (got["metric"], got["bound"]) == (want["metric"], want["bound"])
+            for key in ("diag_deviation", "offdiag_deviation", "diag_mean"):
+                assert got[key] == pytest.approx(want[key], rel=0.0, abs=tol)
+            if dtype is np.float64:
+                assert got["passed"] == want["passed"]
 
 
 class TestSweep:

@@ -217,11 +217,11 @@ class TestAlpha:
 
     def test_nonfinite_input_gives_nan(self, rng):
         real, _, ref = make_processor(rng, 16, 4)
-        a1 = ref.f1 @ real.g1
-        a1[0, 0] = np.nan
+        g1 = real.g1.copy()
+        g1[0, 0] = np.nan
         alpha_sq = hybrid._alpha_squared(
-            hybrid._hop_grams(a1, ref.f1),
-            hybrid._hop_grams(ref.f2 @ real.g2, ref.f2),
+            hybrid._hop_grams(g1, ref.f1),
+            hybrid._hop_grams(real.g2, ref.f2),
             1.0, 1.0, 1.0,
         )
         assert np.isnan(alpha_sq)
@@ -285,6 +285,16 @@ class TestGram:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         np.testing.assert_array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
         assert (np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    @pytest.mark.parametrize("shape", [(2048, 10), (1, 4096, 8), (16385, 1)])
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_large_slice_of_another_dtype_is_its_complex128_cast(self, rng, dtype, shape, conj):
+        # The real view reads float64 pairs: read as it stands, a float64
+        # slice gives a (k/2) x (k/2) result and a complex64 one garbage.
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = (x.real if dtype is np.float64 else x).astype(dtype)
+        assert_same_bits(hybrid._gram(x, conj), hybrid._gram(x.astype(complex), conj))
 
     def test_trial_keeps_its_bits_in_any_stack_or_layout(self, rng):
         # A stack of three goes through @, a slice through np.dot, and a
