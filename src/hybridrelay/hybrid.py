@@ -5,6 +5,7 @@ The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
 and every SINR (metrics._gram_sinrs) reduce to each hop's Grams (_hop_grams;
 full digital is the hop without an analog stage, F = I).  Every product over
 N is formed here: F G by _dot, G^H G and F F^H by _gram (BLAS syrk if large).
+Precision is set here too: build_analog and _gram read complex128.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def build_analog(
     or (..., n_chains, N): the transposed view of an array built in g's own
     layout.  Only the first n_chains columns of g are used; requesting more
     chains than channel columns is an error because the remaining rows
-    would have no channel to match.
+    would have no channel to match.  The stage is complex128 whatever g's
+    dtype: g is read as its complex128 cast.
     """
-    g = np.asarray(g)
+    g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
         raise ValueError(f"g must be N x K or a stack of them, got shape {g.shape}")
     n, k = g.shape[-2], g.shape[-1]
@@ -179,14 +181,14 @@ def _gram(x: np.ndarray, conj: bool = False) -> np.ndarray:
     re = U^T U + V^T V and im = U^T V - V^T U.  syrk fills one triangle and
     numpy mirrors it, so the result is exactly Hermitian with an exactly
     real diagonal.  The path depends on a slice's shape only, never on the
-    stack's length, so a trial keeps its bits in any stack.  A strided x, such
-    as a caller's realization, or an x that is not complex128 is copied to a
-    contiguous complex128 array first: the same values give the same bits.
+    stack's length, so a trial keeps its bits in any stack.  A large strided
+    x, such as a caller's realization, is copied to a contiguous array first.
     """
+    x = np.asarray(x, dtype=complex)
     if x.shape[-2] * x.shape[-1] <= _LARGE_SLICE:
         xt = np.swapaxes(x, -1, -2)
         return _dot(xt, np.conj(x)) if conj else _dot(np.conj(xt), x)
-    r = np.ascontiguousarray(x, dtype=complex).view(np.float64)
+    r = np.ascontiguousarray(x).view(np.float64)
     p = _dot(np.swapaxes(r, -1, -2), r)
     uv, vu = p[..., 0::2, 1::2], p[..., 1::2, 0::2]
     im = vu - uv if conj else uv - vu

@@ -178,6 +178,14 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def complex_or_unknown(dtype):
+    """Whether a dtype expression is complex or not a literal to be read."""
+    try:
+        return np.dtype(eval(ast.unparse(dtype), {"np": np, "numpy": np})).kind == "c"
+    except (NameError, AttributeError, TypeError):
+        return True
+
+
 def test_only_channel_allocates_complex_arrays():
     # channel._fill_block sizes and returns the engine's channel stacks, so
     # their layout stays behind channel.  A dtype that is not a literal
@@ -192,13 +200,33 @@ def test_only_channel_allocates_complex_arrays():
                     and ast.unparse(node.func) in ("np.empty", "numpy.empty")):
                 continue
             dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
-            for dtype in dtypes:
-                try:
-                    kind = np.dtype(eval(ast.unparse(dtype), {"np": np, "numpy": np})).kind
-                except (NameError, AttributeError, TypeError):
-                    kind = None
-                if kind in ("c", None):
-                    flagged.append(f"{path.name}:{node.lineno}")
+            if any(map(complex_or_unknown, dtypes)):
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []
+
+
+def test_only_hybrid_converts_arrays_to_complex():
+    # hybrid.build_analog and hybrid._gram read their input as complex128,
+    # so a channel's dtype never chooses the precision of an output.  A
+    # dtype that is not a literal cannot be told apart and is flagged too.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "hybrid":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func).replace("numpy.", "np.")
+            if func in ("np.asarray", "np.ascontiguousarray", "np.array"):
+                at = 1  # the dtype follows the array
+            elif getattr(node.func, "attr", None) == "astype":
+                at = 0
+            else:
+                continue
+            dtypes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(map(complex_or_unknown, dtypes)):
+                flagged.append(f"{path.name}:{node.lineno}")
     assert flagged == []
 
 

@@ -165,18 +165,13 @@ class TestIdentityRule:
     @pytest.mark.parametrize("bits", [None, 2])
     def test_large_draw_of_another_dtype_matches_the_complex128_cast(self, dtype, bits):
         # 4096 x 10 entries take the real-view Gram, which must not read a
-        # float64 or complex64 draw as float64 pairs.  A continuous stage is
-        # built in the draw's own precision; a complex64 one misses
-        # DIAG_TOL on its own rounding, so only float64 rows pass alike.
-        h = lemma_draw(4096)
-        h = (h.real if dtype is np.float64 else h).astype(dtype)
-        tol = 1e-14 if dtype is np.float64 else 1e-6
-        for got, want in zip(lemma_checks(h, 10, bits), lemma_checks(h.astype(complex), 10, bits)):
-            assert (got["metric"], got["bound"]) == (want["metric"], want["bound"])
-            for key in ("diag_deviation", "offdiag_deviation", "diag_mean"):
-                assert got[key] == pytest.approx(want[key], rel=0.0, abs=tol)
-            if dtype is np.float64:
-                assert got["passed"] == want["passed"]
+        # float64 or complex64 draw as float64 pairs; 64 x 10 entries take
+        # the complex product.  The stage and F F^H are complex128 whatever
+        # the draw's dtype, so a complex64 draw passes where its cast does.
+        for n in (64, 4096):
+            h = lemma_draw(n)
+            h = (h.real if dtype is np.float64 else h).astype(dtype)
+            assert lemma_checks(h, 10, bits) == lemma_checks(h.astype(complex), 10, bits)
 
 
 class TestSweep:

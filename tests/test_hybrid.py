@@ -170,6 +170,21 @@ class TestBuildAnalog:
         for trial in range(3):
             assert_same_bits(build_analog(g[trial], chains), got[trial])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    @pytest.mark.parametrize("shape", [(64, 10), (3, 256, 10), (4096, 10)])
+    @pytest.mark.parametrize("bits", [None, 2, 12])
+    def test_channel_of_another_dtype_gives_its_complex128_casts_stage(self, rng, dtype, shape,
+                                                                       bits):
+        # Precision is hybrid's rule: a float64 or complex64 channel gives
+        # the complex128 stage of its cast.  At 64 x 10, 12 bits take the
+        # direct exp branch; at 4096 x 10 they read the codeword table.
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = (x.real if dtype is np.float64 else x).astype(dtype)
+        quant = QuantizationSpec(bits) if bits is not None else None
+        got = build_analog(g, 10, quant)
+        assert got.dtype == np.complex128
+        assert_same_bits(got, build_analog(g.astype(complex), 10, quant))
+
     def test_quantized_phases_on_grid(self, rng):
         real = make_channels(rng, 16, 4)
         spec = QuantizationSpec(2)
@@ -287,11 +302,13 @@ class TestGram:
         assert (np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
-    @pytest.mark.parametrize("shape", [(2048, 10), (1, 4096, 8), (16385, 1)])
+    @pytest.mark.parametrize("shape", [(2048, 10), (1, 4096, 8), (16385, 1),
+                                       (64, 10), (3, 256, 10)])
     @pytest.mark.parametrize("conj", [False, True])
     def test_large_slice_of_another_dtype_is_its_complex128_cast(self, rng, dtype, shape, conj):
         # The real view reads float64 pairs: read as it stands, a float64
         # slice gives a (k/2) x (k/2) result and a complex64 one garbage.
+        # A small slice's complex product would keep single precision.
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = (x.real if dtype is np.float64 else x).astype(dtype)
         assert_same_bits(hybrid._gram(x, conj), hybrid._gram(x.astype(complex), conj))
