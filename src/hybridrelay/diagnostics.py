@@ -17,7 +17,8 @@ import numpy as np
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
 from .hybrid import (
-    QuantizationSpec, _check_int, _dot, _gram, build_analog, sinc_penalty,
+    QuantizationSpec, _analog_stages, _check_int, _dot, _gram, build_analog,
+    sinc_penalty,
 )
 from .metrics import _beta_key, _check_lists, _pool_map
 
@@ -64,22 +65,18 @@ def fh_parts(
     return _identity_parts(m, sinc_penalty(quant))
 
 
-def lemma_checks(
-    h: np.ndarray, n_chains: int, bits: Optional[int]
+def _stage_checks(
+    f: np.ndarray, h: np.ndarray, quant: Optional[QuantizationSpec]
 ) -> Tuple[dict, dict]:
-    """Both identity checks of one N x K draw at one phase resolution.
+    """Both identity checks of the analog stage f of draw h at resolution quant.
 
-    Builds the analog stage F from the first n_chains columns of h
-    (continuous phases when bits is None) and returns the orthonormality
-    and the F H row, each keyed by metric, the three parts of
-    orthonormality_parts or fh_parts (diag_deviation, offdiag_deviation,
-    diag_mean), bound and passed.  Both rows carry the 5/sqrt(N) bound and
-    pass when the off-diagonal stays within it and the diagonal within
-    DIAG_TOL for F F^H (each row is an exact average of N unit-magnitude
-    entries) or within the bound for F H.
+    Returns the orthonormality and the F H row, each keyed by metric, the
+    three parts of orthonormality_parts or fh_parts (diag_deviation,
+    offdiag_deviation, diag_mean), bound and passed.  Both rows carry the
+    5/sqrt(N) bound and pass when the off-diagonal stays within it and the
+    diagonal within DIAG_TOL for F F^H (each row is an exact average of N
+    unit-magnitude entries) or within the bound for F H.
     """
-    quant = QuantizationSpec(bits) if bits is not None else None
-    f = build_analog(h, n_chains, quant)
     bound = 5.0 / math.sqrt(h.shape[0])
     return tuple(
         {"metric": metric, "diag_deviation": diag_dev, "offdiag_deviation": off_dev,
@@ -90,6 +87,19 @@ def lemma_checks(
             ("fh_convergence", fh_parts(f, h, quant), bound),
         )
     )
+
+
+def lemma_checks(
+    h: np.ndarray, n_chains: int, bits: Optional[int]
+) -> Tuple[dict, dict]:
+    """Both identity checks of one N x K draw at one phase resolution.
+
+    _stage_checks of the analog stage F built from the first n_chains
+    columns of h (continuous phases when bits is None): the one-resolution
+    call of the check that lemma_rows runs at every beta of a draw.
+    """
+    quant = QuantizationSpec(bits) if bits is not None else None
+    return _stage_checks(build_analog(h, n_chains, quant), h, quant)
 
 
 def lemma_rows(
@@ -109,21 +119,29 @@ def lemma_rows(
     ValueError before the first draw: the engine's pool (metrics._pool_map)
     checks SIM_THREADS before its first job.  Each (N, seed) draw is one job of
     that pool, measured at every beta: its rows depend on that pair only
-    (lemma_rng).  The jobs run in the table's own order, N ascending, then
-    seed, so one draw per worker is live and the largest draws overlap only at
-    the end: largest first would hold them together for longer.  Rows are
-    sorted by (metric, N, beta, seed), the same for any worker count.
+    (lemma_rng).  Its stages come from one hybrid._analog_stages, so the
+    draw's channel phase is computed once for all quantized betas, and kept
+    until the last of them.  The jobs run in the table's own order, N
+    ascending, then seed, so one draw per worker is live and the largest
+    draws overlap only at the end: largest first would hold them together
+    for longer.  Rows are sorted by (metric, N, beta, seed), the same for
+    any worker count.
     """
     _check_lists(n_values, beta_values)
     _check_int("n_seeds", n_seeds, 1)
     SystemConfig(n_antennas=min(n_values), n_pairs=n_pairs, n_rx_chains=n_rx_chains,
                  n_tx_chains=n_rx_chains, seed=seed)
 
+    quants = [QuantizationSpec(b) if b is not None else None for b in beta_values]
+
     def draw_rows(job: Tuple[int, int]) -> List[dict]:
         n, draw_seed = job
         h = sample_small_scale(n, n_pairs, lemma_rng(draw_seed, n))
+        # next(stages) is an argument, so each stage is freed once checked.
+        stages = _analog_stages(h, n_rx_chains, quants)
         return [{**row, "N": n, "beta": beta, "seed": draw_seed}
-                for beta in beta_values for row in lemma_checks(h, n_rx_chains, beta)]
+                for beta, quant in zip(beta_values, quants)
+                for row in _stage_checks(next(stages), h, quant)]
 
     jobs = [(n, s) for n in n_values for s in range(seed, seed + n_seeds)]
     rows = [row for done in _pool_map(draw_rows, jobs) for row in done]

@@ -5,7 +5,9 @@ The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
 and every SINR (metrics._gram_sinrs) reduce to each hop's Grams (_hop_grams;
 full digital is the hop without an analog stage, F = I).  Every product over
 N is formed here: F G by _dot, G^H G and F F^H by _gram (BLAS syrk if large).
-Precision is set here too: build_analog and _gram read complex128.
+Precision is set here too: build_analog and _gram read complex128.  The
+channel phase is computed here only (_phase), once for every quantized
+stage of a draw (_analog_stages).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,12 +70,15 @@ def _codeword_index(
 ) -> Union[float, np.ndarray]:
     """Index (as a float) of the codeword nearest to phi; ties go to the higher one.
 
-    `out`, when given, holds the result and may be phi itself: the index
-    is then built in place, with no temporary of phi's size.
+    The index is built in the array that the divide makes, or in `out`
+    when given, which may be phi itself: there is no temporary beyond the
+    result, and phi is left unchanged unless it is `out`.
     """
     index = np.divide(phi, 2.0 * quant.step, out=out)
     index += 0.5
-    return np.floor(index, out=out)
+    if isinstance(index, np.ndarray):
+        return np.floor(index, out=index)
+    return np.floor(index)
 
 
 def quantize_phase(
@@ -106,14 +111,42 @@ def build_analog(
     with no exp, cos or sin.  With `quant` set the channel phase is snapped
     to the index of its nearest codeword (quantize_phase's rule).  The entry
     is then read from a table of the 2**bits conjugate codewords, unless the
-    table would hold more entries than the stage: then each entry is
-    computed directly as exp(-2j * step * index) / sqrt(N).  `g` is N x K,
-    or (..., N, K) for a stack of trials, and the result is n_chains x N,
-    or (..., n_chains, N): the transposed view of an array built in g's own
-    layout.  Only the first n_chains columns of g are used; requesting more
-    chains than channel columns is an error because the remaining rows
-    would have no channel to match.  The stage is complex128 whatever g's
-    dtype: g is read as its complex128 cast.
+    table would hold more entries than the stage or a phase is NaN: then
+    each entry is computed directly as exp(-2j * step * index) / sqrt(N),
+    the table's bits.  A NaN channel entry gives a NaN stage entry, with
+    or without `quant`, and no warning.  `g` is N x K, or (..., N, K) for a
+    stack of trials, and the result is n_chains x N, or (..., n_chains, N):
+    the transposed view of an array built in g's own layout.  Only the
+    first n_chains columns of g are used; requesting more chains than
+    channel columns is an error because the remaining rows would have no
+    channel to match.  The stage is complex128 whatever g's dtype: g is
+    read as its complex128 cast.  This is the one-resolution call of
+    _analog_stages, through which the engine and the lemma table build
+    every stage of a draw.
+    """
+    return next(_analog_stages(g, n_chains, (quant,)))
+
+
+def _phase(gs: np.ndarray) -> np.ndarray:
+    """np.angle of a complex128 array, as a new float64 array."""
+    return np.arctan2(gs.imag, gs.real)
+
+
+def _analog_stages(
+    g: np.ndarray, n_chains: int, quants: Sequence[Optional[QuantizationSpec]]
+) -> Iterator[np.ndarray]:
+    """Yield build_analog(g, n_chains, quant) for each quant of quants, in order.
+
+    The stages of one draw at several resolutions share one channel phase:
+    _phase of the first n_chains columns runs at most once, at the first
+    quantized stage, and never when none is quantized.  It is kept while a
+    later quantized stage still needs it (one float64 array of the stage's
+    size); the last quantized stage builds its codeword index in place on
+    it, earlier ones in a new array, so a single quantized stage costs what
+    it costs alone.  A generator: the checks run at the first request, and
+    each stage when it is asked for.  It holds no stage it has yielded, so a
+    caller that frees each stage before asking for the next (by passing
+    next() as an argument) holds one stage at a time.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
@@ -121,18 +154,35 @@ def build_analog(
     n, k = g.shape[-2], g.shape[-1]
     _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
-    if quant is not None:
-        # np.angle(gs), built in place into the codeword index.
-        index = np.arctan2(gs.imag, gs.real)
-        index = _codeword_index(index, quant, out=index)
+    last = max((i for i, quant in enumerate(quants) if quant is not None), default=-1)
+    phase = None
+    for i, quant in enumerate(quants):
+        if quant is None:
+            yield _continuous_stage(gs, n)
+            continue
+        if phase is None:
+            phase = _phase(gs)
+            # A NaN would reach the table as a real codeword's index; exp keeps it.
+            has_nan = bool(np.isnan(phase.min(initial=0.0)))
+        if i < last:
+            index = _codeword_index(phase, quant)
+        else:
+            index, phase = _codeword_index(phase, quant, out=phase), None
         size = 2 ** quant.bits
         # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
-        if size > index.size:  # a table larger than the stage itself
-            index = np.mod(index, size, out=index)
-            return np.swapaxes(_conj_codeword(index, quant, n), -1, -2)
-        index = index.astype(np.intp)  # frees the float index before the lookup
-        index &= size - 1
-        return np.swapaxes(_conj_codeword(np.arange(size), quant, n)[index], -1, -2)
+        if size > index.size or has_nan:  # a table larger than the stage, or a NaN
+            stage = _conj_codeword(np.mod(index, size, out=index), quant, n)
+        else:
+            index = index.astype(np.intp)  # frees the float index before the lookup
+            index &= size - 1
+            stage = _conj_codeword(np.arange(size), quant, n)[index]
+        del index
+        yield np.swapaxes(stage, -1, -2)
+        del stage  # freed once the caller drops it, before the next is built
+
+
+def _continuous_stage(gs: np.ndarray, n: int) -> np.ndarray:
+    """Continuous stage of channel columns gs: conj(gs) / (|gs| sqrt(n)), transposed."""
     mag = np.abs(gs)
     # A zero or NaN minimum: phase 0 where g = 0, as angle(0) gives.
     if not mag.min(initial=math.inf) > 0.0:

@@ -17,7 +17,7 @@ import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,28 +92,47 @@ def _block_trials(config: SystemConfig) -> int:
 def _variant_sinrs(
     g1: np.ndarray,
     g2: np.ndarray,
-    mode: str,
-    bits: Optional[int],
+    stages: Optional[Tuple[Iterator[np.ndarray], Iterator[np.ndarray]]],
     config: SystemConfig,
 ) -> np.ndarray:
-    """SINR rows of a stack of draws under one (mode, quant_bits) variant.
+    """SINR rows of a stack of draws under one processing variant.
 
-    Full digital is the hop without an analog stage.  A draw whose forwarded
-    power or SINR overflows gives a NaN row, which the engine counts and
-    sinrs raises on, so the normalization and SINR steps run without numpy's
-    overflow and invalid-value warnings.
+    `stages` holds each hop's hybrid._analog_stages, whose next stage is
+    the variant's, or is None for full digital, the hop without an analog
+    stage.  Each hop's stage is an argument of its Grams, so it is freed
+    before the next hop's is built.  A draw whose channel, forwarded power
+    or SINR is not finite or overflows gives a NaN row, which the engine
+    counts and sinrs raises on, so the analog stage, the Grams, the
+    normalization and the SINR steps run without numpy's overflow and
+    invalid-value warnings.
     """
-    quant = hybrid.QuantizationSpec(bits) if bits is not None else None
-    hop1, hop2 = (
-        hybrid._hop_grams(g, None if mode == "full_digital" else
-                          hybrid.build_analog(g, chains, quant))
-        for g, chains in ((g1, config.n_rx_chains), (g2, config.n_tx_chains))
-    )
     with np.errstate(over="ignore", invalid="ignore"):
+        if stages is None:
+            hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
+        else:
+            hop1 = hybrid._hop_grams(g1, next(stages[0]))
+            hop2 = hybrid._hop_grams(g2, next(stages[1]))
         alpha_sq = hybrid._alpha_squared(
             hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
         )
         return _gram_sinrs(hop1, hop2, alpha_sq, config)
+
+
+def _stack_sinrs(
+    g1: np.ndarray, g2: np.ndarray, variants: Sequence[Variant], config: SystemConfig
+) -> np.ndarray:
+    """SINR rows of a stack of draws under each variant, shape (V, trials, K).
+
+    The hybrid variants' stages come from one hybrid._analog_stages per hop,
+    in variant order, so each hop's channel phase is computed once for all
+    quantized variants.
+    """
+    quants = [hybrid.QuantizationSpec(bits) if bits is not None else None
+              for mode, bits in variants if mode == "hybrid"]
+    stages = (hybrid._analog_stages(g1, config.n_rx_chains, quants),
+              hybrid._analog_stages(g2, config.n_tx_chains, quants))
+    return np.stack([_variant_sinrs(g1, g2, stages if mode == "hybrid" else None, config)
+                     for mode, _ in variants])
 
 
 def _check_variant(mode: str, bits: Optional[int]) -> None:
@@ -143,9 +162,9 @@ def sinrs(
     if real.g1.shape != shape or real.g2.shape != shape:
         raise ValueError(f"realization channels are {real.g1.shape} and "
                          f"{real.g2.shape}; the config needs {shape}")
-    row = _variant_sinrs(
-        real.g1[None], real.g2[None], mode, config.quant_bits, config
-    )[0]
+    row = _stack_sinrs(
+        real.g1[None], real.g2[None], [(mode, config.quant_bits)], config
+    )[0, 0]
     if not np.isfinite(row).all():
         raise hybrid.DegenerateChannelError(
             "SINR undefined: zero or non-finite forwarded power or a "
@@ -166,12 +185,12 @@ def _block_sinrs(
     The block is drawn once by channel._fill_block, which returns its
     channel stacks: one stream per trial, with the bits sample_realization
     returns for it.  `drop`, when given, must already be validated.  The
-    stacks then go through the analog stage, the Grams, alpha and the
-    SINRs of one variant after another.  Degenerate draws give NaN rows.
+    stacks then go through _stack_sinrs: one variant after another, the
+    analog stage, the Grams, alpha and the SINRs, where each hop's analog
+    stages share one channel phase.  Degenerate draws give NaN rows.
     """
     g1, g2, _, _ = channel._fill_block(config, lo, hi, drop)
-    return np.stack([_variant_sinrs(g1, g2, mode, bits, config)
-                     for mode, bits in variants])
+    return _stack_sinrs(g1, g2, variants, config)
 
 
 def _worker_count(n_jobs: int) -> int:

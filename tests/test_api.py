@@ -230,6 +230,24 @@ def test_only_hybrid_converts_arrays_to_complex():
     assert flagged == []
 
 
+def test_only_hybrid_computes_channel_phases():
+    # hybrid._phase is the one channel angle, shared by every quantized
+    # stage of a draw (hybrid._analog_stages); an angle computed elsewhere
+    # would be computed again for each beta.
+    flagged = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "hybrid":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("arctan2", "angle"):
+                flagged.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and any(
+                    a.name in ("arctan2", "angle") for a in node.names):
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == []
+
+
 def test_only_hybrid_and_diagnostics_form_products_over_n():
     # hybrid._dot and hybrid._gram are the products over the array
     # dimension N, which carry the GIL and large-slice rules.  The engine

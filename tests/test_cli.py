@@ -254,8 +254,8 @@ class TestSimulate:
         exits 1 naming `lost` of 6 only after drawing both sizes' trials once."""
         orig = metrics._variant_sinrs
 
-        def lossy(g1, g2, mode, bits, config):
-            out = orig(g1, g2, mode, bits, config)
+        def lossy(g1, g2, stages, config):
+            out = orig(g1, g2, stages, config)
             out[:losses.get(config.n_antennas, 0)] = np.nan
             return out
 

@@ -13,6 +13,7 @@ from conftest import fresh_serial_run
 from hybridrelay import (
     QuantizationSpec,
     diagnostics,
+    hybrid,
     lemma_rng,
     sample_small_scale,
     sinc_penalty,
@@ -209,6 +210,35 @@ class TestSweep:
             for seed in (0, 1) for row in lemma_checks(lemma_draw(64, 3, seed), 3, None)
         ]
         assert rows == sorted(expected, key=lambda r: (r["metric"], r["seed"]))
+
+    @pytest.mark.parametrize("betas", [[None], [2], [None, 1, 2, 3], [12, 1, None, 2]])
+    def test_each_draw_computes_its_phase_once_for_all_betas(self, monkeypatch, betas):
+        # A lemma job measures every beta of its draw on one channel phase,
+        # computed once if any beta is quantized and never otherwise, and
+        # each beta's rows equal lemma_checks of that beta alone.
+        phase, calls = hybrid._phase, []
+        monkeypatch.setattr(hybrid, "_phase", lambda gs: calls.append(1) or phase(gs))
+        monkeypatch.setenv("SIM_THREADS", "1")
+        rows = lemma_rows([64, 4096], betas, 2)
+        assert len(calls) == (4 if any(b is not None for b in betas) else 0)
+        monkeypatch.undo()
+        expected = [
+            {**row, "N": n, "beta": beta, "seed": seed}
+            for n in (64, 4096) for seed in (0, 1) for beta in betas
+            for row in lemma_checks(lemma_draw(n, seed=seed), 10, beta)
+        ]
+        assert rows == sorted(expected, key=lambda r: (
+            r["metric"], r["N"], -1 if r["beta"] is None else r["beta"], r["seed"]))
+
+    def test_nan_draw_fails_orthonormality_at_every_resolution(self):
+        # A NaN entry once became a real codeword on the table branch, so a
+        # 2-bit stage passed orthonormality where the continuous one failed.
+        h = lemma_draw(64)
+        h[5, 3] = np.nan
+        for bits in (None, 2, 12):
+            ortho, _ = lemma_checks(h, 10, bits)
+            assert np.isnan(ortho["diag_deviation"])
+            assert ortho["passed"] is False
 
     def test_rows_equal_for_one_and_two_workers(self, monkeypatch):
         # Each (N, seed) draw is one pool job: one worker draws inline in

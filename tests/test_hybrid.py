@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +43,30 @@ class TestQuantizer:
         spec = QuantizationSpec(2)
         q = quantize_phase(np.array([0.0, np.pi / 3.0, np.pi]), spec)
         np.testing.assert_allclose(q, [0.0, np.pi / 2.0, np.pi], atol=1e-15)
+
+    @pytest.mark.parametrize("bits", [1, 2, 12])
+    def test_codeword_index_keeps_its_bits_and_leaves_phi_alone(self, rng, bits):
+        # Without `out` the index is built in the divide's own array, so
+        # the call allocates one array of phi's size, not two; with out=phi
+        # it is built in phi.
+        quant = QuantizationSpec(bits)
+        phi = rng.uniform(-np.pi, np.pi, (3, 1024, 5))
+        phi[0, :3, 0] = [-np.pi, 0.0, np.pi]
+        before = phi.copy()
+        want = np.floor(phi / (2.0 * quant.step) + 0.5)
+        tracemalloc.start()
+        try:
+            index = hybrid._codeword_index(phi, quant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * phi.nbytes
+        assert_same_bits(index, want)
+        assert_same_bits(phi, before)
+        assert hybrid._codeword_index(phi, quant, out=phi) is phi
+        assert_same_bits(phi, want)
+        scalar = hybrid._codeword_index(0.3, quant)
+        assert scalar == math.floor(0.3 / (2.0 * quant.step) + 0.5)
 
     def test_bits_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -185,6 +211,26 @@ class TestBuildAnalog:
         assert got.dtype == np.complex128
         assert_same_bits(got, build_analog(g.astype(complex), 10, quant))
 
+    @pytest.mark.parametrize("bits", [None, 1, 2, 12, 13, 14])
+    @pytest.mark.parametrize("shape", [(64, 10), (4096, 10), (3, 4, 2), (3, 2048, 2)],
+                             ids=["64x10", "4096x10", "3x4x2", "3x2048x2"])
+    def test_nan_channel_entry_gives_nan_stage_entry(self, rng, shape, bits):
+        # Every branch: continuous, the codeword table (bits up to log2 of
+        # the stage's size) and the direct exp.  The NaN entry gives a NaN
+        # entry and no warning (filterwarnings = error); every other entry
+        # keeps the bits of the same channel with that entry finite.
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        where = (1, 2, 1) if len(shape) == 3 else (2, 1)
+        g = x.copy()
+        g[where] = complex(np.nan, 0.5)
+        quant = QuantizationSpec(bits) if bits is not None else None
+        got = build_analog(g, shape[-1], quant)
+        want = build_analog(x, shape[-1], quant)
+        at = where[:-2] + (where[-1], where[-2])
+        assert np.isnan(got[at])
+        got[at] = want[at]
+        assert_same_bits(got, want)
+
     def test_quantized_phases_on_grid(self, rng):
         real = make_channels(rng, 16, 4)
         spec = QuantizationSpec(2)
@@ -192,6 +238,66 @@ class TestBuildAnalog:
         ratio = np.angle(f * math.sqrt(16)) / (2.0 * spec.step)
         frac = np.abs(ratio - np.round(ratio))
         assert np.max(frac) < 1e-9
+
+
+class TestAnalogStages:
+    """hybrid._analog_stages: build_analog at several resolutions on one phase."""
+
+    QUANTS = [None, 1, 2, 3, 12, 13, 14]
+
+    @staticmethod
+    def specs(bits_list):
+        return [QuantizationSpec(b) if b is not None else None for b in bits_list]
+
+    @pytest.mark.parametrize("bits_list", [
+        QUANTS, QUANTS[::-1], [2, None, 2, 1, 2, 13, 13], [3], [None, None], [],
+    ], ids=["ascending", "descending", "repeats", "one-quantized", "continuous", "none"])
+    @pytest.mark.parametrize("layout", ["2-d", "stack", "fewer-chains", "strided",
+                                        "fortran", "float64", "complex64"])
+    def test_each_stage_equals_build_analog_bitwise(self, monkeypatch, rng, bits_list,
+                                                     layout):
+        # Bits 12-14 read the codeword table on some of these channels and
+        # take the direct exp on others (3 x 1024 x 2 entries hold a table of
+        # 2**12, not 2**13).  The channel is left unchanged, and its phase is
+        # computed once if any stage is quantized, never otherwise.
+        wide = rng.standard_normal((4096, 20)) + 1j * rng.standard_normal((4096, 20))
+        g, chains = {
+            "2-d": (wide[:, :10].copy(), 10),
+            "stack": (wide.reshape(20, 1024, 4)[:3, :, :2].copy(), 2),
+            "fewer-chains": (wide[:, :10].copy(), 4),
+            "strided": (wide[:, ::2], 10),
+            "fortran": (np.asfortranarray(wide[:, :10]), 10),
+            "float64": (wide[:, :10].real.copy(), 10),
+            "complex64": (wide[:, :10].astype(np.complex64), 10),
+        }[layout]
+        before = g.copy()
+        phase, calls = hybrid._phase, []
+        monkeypatch.setattr(hybrid, "_phase", lambda gs: calls.append(1) or phase(gs))
+        quants = self.specs(bits_list)
+        stages = list(hybrid._analog_stages(g, chains, quants))
+        assert len(calls) == (1 if any(q is not None for q in quants) else 0)
+        monkeypatch.undo()
+        assert len(stages) == len(quants)
+        for stage, quant in zip(stages, quants):
+            assert_same_bits(stage, build_analog(g, chains, quant))
+        assert_same_bits(g, before)
+
+    def test_holds_no_stage_it_has_yielded(self, rng):
+        # A stage the caller has dropped is freed before the next is built.
+        g = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
+        stages = hybrid._analog_stages(g, 4, self.specs([1, None, 2, 3]))
+        stage = next(stages)
+        for _ in range(3):
+            freed = weakref.ref(stage.base)
+            del stage
+            stage = next(stages)
+            assert freed() is None
+
+    def test_checks_run_at_the_first_request(self, rng):
+        g = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        stages = hybrid._analog_stages(g, 5, self.specs([None]))
+        with pytest.raises(ValueError, match="n_chains"):
+            next(stages)
 
 
 class TestAlpha:

@@ -109,6 +109,19 @@ class TestSinr:
         with pytest.raises(DegenerateChannelError):
             sinrs(real, replace(SMALL, p_user=1e308), mode)
 
+    @pytest.mark.parametrize("mode", metrics.MODES)
+    @pytest.mark.parametrize("bits", [None, 2])
+    @pytest.mark.parametrize("entry", [np.inf, complex(np.inf, np.inf), np.nan],
+                             ids=["inf", "inf-inf-j", "nan"])
+    def test_non_finite_channel_raises_without_a_warning(self, rng, mode, bits, entry):
+        # Under the suite's filterwarnings = error, a numpy warning from the
+        # analog stage or the Grams would raise in place of the documented
+        # error.
+        real = make_channels(rng, 8, 3)
+        real.g1[2, 1] = entry
+        with pytest.raises(DegenerateChannelError):
+            sinrs(real, replace(SMALL, quant_bits=bits), mode)
+
     def test_mode_validated(self, rng):
         with pytest.raises(ValueError, match="mode"):
             sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
@@ -519,14 +532,15 @@ class TestSharedDraw:
     def test_first_failing_variant_in_order_raises(self, monkeypatch):
         # SMALL's 100 trials fit one block, so row t of the block is trial t.
         # 1-bit loses its first 5 trials, 2-bit its first 10.
-        orig = metrics._variant_sinrs
+        orig = metrics._block_sinrs
 
-        def lossy(g1, g2, mode, bits, config):
-            out = orig(g1, g2, mode, bits, config)
-            out[:{1: 5, 2: 10}.get(bits, 0)] = np.nan
+        def lossy(config, lo, hi, variants, drop):
+            out = orig(config, lo, hi, variants, drop)
+            for rows, (_, bits) in zip(out, variants):
+                rows[:{1: 5, 2: 10}.get(bits, 0)] = np.nan
             return out
 
-        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
+        monkeypatch.setattr(metrics, "_block_sinrs", lossy)
         with pytest.raises(RuntimeError, match="^5 of 100"):
             monte_carlo_rates(
                 SMALL, 100, [("hybrid", None), ("hybrid", 1), ("hybrid", 2)]
@@ -560,6 +574,21 @@ class TestWorkspace:
                     assert_same_bits(row, alone[0])
                     config = replace(ONE_TRIAL, quant_bits=bits)
                     assert_same_bits(row[0], sinrs(real, config, mode))
+
+    @pytest.mark.parametrize("bits_list", [[], [None], [1], [None, 1, 2], [3, 2, 1, 2]])
+    def test_block_computes_each_hops_phase_once(self, monkeypatch, bits_list):
+        # One phase per hop whatever the number of quantized variants, none
+        # when no variant is quantized; full digital takes no stage.
+        phase, calls = metrics.hybrid._phase, []
+        monkeypatch.setattr(metrics.hybrid, "_phase",
+                            lambda gs: calls.append(gs.shape) or phase(gs))
+        variants = [("full_digital", None)] + [("hybrid", bits) for bits in bits_list]
+        rows = _block_sinrs(ONE_TRIAL, 0, 1, variants, None)
+        quantized = any(bits is not None for bits in bits_list)
+        assert calls == ([(1, 2048, 2), (1, 2048, 1)] if quantized else [])
+        monkeypatch.undo()
+        for (mode, bits), row in zip(variants, rows):
+            assert_same_bits(row, _block_sinrs(ONE_TRIAL, 0, 1, [(mode, bits)], None)[0])
 
     def test_analog_stage_owns_its_arrays(self):
         # Two stages of one channel share no memory, and a later engine run
