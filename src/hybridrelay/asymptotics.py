@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hybrid import _check_int
+from .channel import _check_gains
+from .hybrid import _check_int, _check_real
 
 QUARTER_PI = math.pi / 4.0  # squared mean of the unit-power fading magnitude
 
@@ -44,7 +45,8 @@ class AsymptoticInputs:
     power: its energy is unbounded and its power drops out of the limit.
     Each law validates that the energies it needs are present.  r is the
     number of active pairs, min(rx chains, tx chains, pairs); delta is the
-    phase quantization half-step, 0 for continuous phases.
+    phase quantization half-step in [0, pi/2], 0 for continuous phases.  A
+    bad active gain or real input raises hybrid._check_real's ValueError.
     """
 
     eta1: np.ndarray
@@ -64,20 +66,15 @@ class AsymptoticInputs:
         if eta1.ndim != 1 or eta2.ndim != 1:
             raise ValueError("eta1 and eta2 must be 1-D gain vectors")
         _check_int("r", self.r, 1, min(eta1.size, eta2.size))
-        for eta in (eta1[: self.r], eta2[: self.r]):
-            if not np.all((eta > 0) & np.isfinite(eta)):
-                raise ValueError("active large-scale gains must be positive and finite")
-        if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
-            raise ValueError("noise variances must be positive")
+        _check_gains(eta1[: self.r], eta2[: self.r])
         for name in ("var_relay_noise", "var_dest_noise"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.delta <= math.pi / 2:
-            raise ValueError("delta must lie in [0, pi/2]")
+            _check_real(name, getattr(self, name), 0, above=True)
         for name in ("e_user", "e_relay"):
-            value = getattr(self, name)
-            if value is not None and (value < 0 or not math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and non-negative")
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name), 0)
+        _check_real("delta", self.delta, 0)
+        if self.delta > math.pi / 2:
+            raise ValueError(f"delta must be at most pi/2, got {self.delta!r}")
 
 
 def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .config import SystemConfig
-from .hybrid import _check_int
+from .hybrid import _check_int, _check_real
 
 # Purpose tags keep trial draws and diagnostic draws on disjoint
 # substreams of the same seed.  A redrawn placement comes from its trial's
@@ -206,8 +206,9 @@ def _gains(config: SystemConfig, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     lo = config.guard_radius_m ** 2
     hi = config.cell_radius_m ** 2
     r = np.sqrt(lo + u * (hi - lo))
-    shadow = 10.0 ** (config.shadow_std_db * z / 10.0)
-    return shadow * (r / config.guard_radius_m) ** (-config.pathloss_exp)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN gain: degenerate
+        shadow = 10.0 ** (config.shadow_std_db * z / 10.0)
+        return shadow * (r / config.guard_radius_m) ** (-config.pathloss_exp)
 
 
 def sample_large_scale(
@@ -246,10 +247,16 @@ def _validated_drop(
     eta2 = np.asarray(drop[1], dtype=float)
     if eta1.shape != (k,) or eta2.shape != (k,):
         raise ValueError(f"drop must hold two length-{k} gain vectors")
-    for eta in (eta1, eta2):
-        if not np.all((eta > 0) & np.isfinite(eta)):
-            raise ValueError("large-scale gains must be strictly positive and finite")
+    _check_gains(eta1, eta2)
     return eta1, eta2
+
+
+def _check_gains(eta1: np.ndarray, eta2: np.ndarray) -> None:
+    """The gain rule: every entry of eta1 and eta2 finite and above 0."""
+    for side, eta in enumerate((eta1, eta2), 1):
+        bad = np.flatnonzero(~(np.isfinite(eta) & (eta > 0)))
+        if bad.size:
+            _check_real(f"eta{side}[{bad[0]}]", float(eta[bad[0]]), 0, above=True)
 
 
 def _fill_block(

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .hybrid import QuantizationSpec, _check_int
+from .hybrid import QuantizationSpec, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -15,6 +15,8 @@ class SystemConfig:
 
     Powers and noise variances are finite linear quantities. dB values live
     in a SweepSpec, whose cells run_sweep converts; none is stored here.
+    A bad real setting raises hybrid._check_real's ValueError; the cell
+    radius must exceed the guard radius and have a finite square.
     """
 
     n_antennas: int                   # relay antennas per array (N)
@@ -43,19 +45,13 @@ class SystemConfig:
                 raise ValueError(
                     f"{name} must satisfy 1 <= {name} <= min(n_pairs, n_antennas)"
                 )
-        if self.p_user < 0 or self.p_relay < 0:
-            raise ValueError("transmit powers must be non-negative")
-        if self.var_relay_noise <= 0 or self.var_dest_noise <= 0:
-            raise ValueError("noise variances must be positive")
         if self.quant_bits is not None:
             QuantizationSpec(self.quant_bits)
-        if not 0 < self.guard_radius_m < self.cell_radius_m:
-            raise ValueError("require 0 < guard_radius_m < cell_radius_m")
-        if self.pathloss_exp < 0:
-            raise ValueError("pathloss_exp must be non-negative")
-        if self.shadow_std_db < 0:
-            raise ValueError("shadow_std_db must be non-negative")
-        for name in ("p_user", "p_relay", "var_relay_noise", "var_dest_noise",
-                     "cell_radius_m", "guard_radius_m", "pathloss_exp", "shadow_std_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("p_user", "p_relay", "pathloss_exp", "shadow_std_db"):
+            _check_real(name, getattr(self, name), 0)
+        for name in ("var_relay_noise", "var_dest_noise", "guard_radius_m"):
+            _check_real(name, getattr(self, name), 0, above=True)
+        _check_real("cell_radius_m", self.cell_radius_m, self.guard_radius_m, above=True)
+        if not math.isfinite(float(self.cell_radius_m) * self.cell_radius_m):  # _gains squares it
+            raise ValueError("cell_radius_m must be a finite number whose square is "
+                             f"finite, got {self.cell_radius_m!r}")

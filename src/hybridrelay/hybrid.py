@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -45,6 +46,16 @@ def _check_int(name: str, value, lo: int, hi: Optional[int] = None) -> None:
     if hi is not None:
         rule += f" up to {hi}"
     raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_real(name: str, value, lo: Optional[float] = None, above: bool = False) -> None:
+    """The rule of every real setting: finite, not a bool, at least lo (above it if `above`)."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (lo is None or (value > lo if above else value >= lo))):
+        return
+    bound = "" if lo is None else f" {'above' if above else 'of at least'} {lo}"
+    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +122,10 @@ def build_analog(
     with no exp, cos or sin.  With `quant` set the channel phase is snapped
     to the index of its nearest codeword (quantize_phase's rule).  The entry
     is then read from a table of the 2**bits conjugate codewords, unless the
-    table would hold more entries than the stage or a phase is NaN: then
-    each entry is computed directly as exp(-2j * step * index) / sqrt(N),
-    the table's bits.  A NaN channel entry gives a NaN stage entry, with
-    or without `quant`, and no warning.  `g` is N x K, or (..., N, K) for a
+    table would hold more entries than the stage: then each entry is
+    computed directly as exp(-2j * step * index) / sqrt(N), the table's
+    bits.  A non-finite channel entry gives a NaN stage entry, with or
+    without `quant`, and no warning.  `g` is N x K, or (..., N, K) for a
     stack of trials, and the result is n_chains x N, or (..., n_chains, N):
     the transposed view of an array built in g's own layout.  Only the
     first n_chains columns of g are used; requesting more chains than
@@ -124,7 +135,12 @@ def build_analog(
     _analog_stages, through which the engine and the lemma table build
     every stage of a draw.
     """
-    return next(_analog_stages(g, n_chains, (quant,)))
+    g = np.asarray(g, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0, a NaN phase's index cast
+        stage = next(_analog_stages(g, n_chains, (quant,)))
+    if quant is not None:  # angle(inf) is finite, so the codeword is overwritten
+        stage[~np.isfinite(np.swapaxes(g[..., :n_chains], -1, -2))] = np.nan
+    return stage
 
 
 def _phase(gs: np.ndarray) -> np.ndarray:
@@ -146,7 +162,8 @@ def _analog_stages(
     it costs alone.  A generator: the checks run at the first request, and
     each stage when it is asked for.  It holds no stage it has yielded, so a
     caller that frees each stage before asking for the next (by passing
-    next() as an argument) holds one stage at a time.
+    next() as an argument) holds one stage at a time.  Only build_analog marks
+    a non-finite entry's stage NaN: the engine's row is NaN through alpha.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
@@ -162,15 +179,13 @@ def _analog_stages(
             continue
         if phase is None:
             phase = _phase(gs)
-            # A NaN would reach the table as a real codeword's index; exp keeps it.
-            has_nan = bool(np.isnan(phase.min(initial=0.0)))
         if i < last:
             index = _codeword_index(phase, quant)
         else:
             index, phase = _codeword_index(phase, quant, out=phase), None
         size = 2 ** quant.bits
         # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
-        if size > index.size or has_nan:  # a table larger than the stage, or a NaN
+        if size > index.size:  # a table larger than the stage
             stage = _conj_codeword(np.mod(index, size, out=index), quant, n)
         else:
             index = index.astype(np.intp)  # frees the float index before the lookup

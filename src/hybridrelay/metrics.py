@@ -459,8 +459,8 @@ class SweepSpec:
     """One batch of simulation cells, checked on construction.
 
     beta_values uses None for continuous phases.  Energies are stored in dB
-    exactly as given; conversion happens when the per-cell powers are built,
-    and each of the regime's two settings must convert to a finite value.
+    exactly as given; each of the regime's two settings must be a finite
+    number (hybrid._check_real) that converts to a finite linear value.
     """
 
     case: str
@@ -490,10 +490,10 @@ class SweepSpec:
         missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.case} requires settings: {', '.join(missing)}")
-        for key, (linear, _) in zip((user, relay), _levels(self)):
-            if not math.isfinite(linear):
-                value = getattr(self, key)
-                raise ValueError(f"{key} = {value!r} dB has no finite linear value")
+        for key in (user, relay):
+            hybrid._check_real(key, getattr(self, key))
+            if not math.isfinite(db_to_linear(getattr(self, key))):
+                raise ValueError(f"{key} = {getattr(self, key)!r} dB has no finite linear value")
         if law is None and "asymptote" in self.modes:
             raise ValueError(f"{self.case} has no closed-form asymptote")
 
@@ -542,8 +542,9 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
 
     `config` is the scenario; each cell sets its array size, powers and
     phase bits.  Every check raises ValueError before the first draw: the
-    chains must fit the smallest array, and a set SIM_THREADS must be a
-    positive integer.  Asymptote rows are closed forms on the canonical
+    chains must fit the smallest array, a set SIM_THREADS must be a
+    positive integer, and the canonical drop's gains must be finite and
+    above 0 where read.  Asymptote rows are closed forms on the canonical
     benchmark drop, which the fixed-drop policy pins the Monte-Carlo runs
     to as well; they do not move with trials, seed or N, so each beta's
     limit is evaluated once.  Full-digital cells have no phase quantizer,
@@ -559,6 +560,12 @@ def run_sweep(spec: SweepSpec, config: SystemConfig) -> List[dict]:
              for n, (pu, pr) in zip(spec.n_values, powers)]
     _worker_count(1)  # an asymptote-only run starts no pool, yet is checked
     bench_drop = canonical_drop(config)
+    if _REGIMES[spec.case][2] or spec.drop_policy == "fixed_drop":
+        try:
+            channel._check_gains(*bench_drop)
+        except ValueError as exc:
+            raise ValueError("cell_radius_m, guard_radius_m, pathloss_exp and shadow_std_db "
+                             f"give the canonical drop a zero or non-finite gain: {exc}") from None
     mc_drop = bench_drop if spec.drop_policy == "fixed_drop" else None
     variants = []
     if "full_digital" in spec.modes:

@@ -4,12 +4,16 @@ the benchmark calls only public names, with parameters they take."""
 
 import ast
 import inspect
+import math
+import typing
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hybridrelay
 import hybridrelay.cli
+from hybridrelay.metrics import _REGIMES
 
 PACKAGE_DIR = Path(hybridrelay.__file__).resolve().parent
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
@@ -299,3 +303,53 @@ def test_only_metrics_imports_ctypes():
             if any(name and name.split(".")[0] == "ctypes" for name in names):
                 flagged.append(f"{path.name}:{node.lineno}")
     assert flagged == []
+
+
+def real_settings():
+    """(class, valid keywords, field) of every real setting a dataclass takes.
+
+    The float and Optional[float] fields of SystemConfig and AsymptoticInputs,
+    found from their type hints, and SweepSpec's dB keys, each in the first
+    regime that reads it.
+    """
+    ones = np.ones(3)
+    valid = {hybridrelay.SystemConfig: dict(n_antennas=16),
+             hybridrelay.AsymptoticInputs: dict(eta1=ones, eta2=ones, r=3)}
+    found = []
+    for cls, base in valid.items():
+        found += [(cls, base, field) for field, hint in typing.get_type_hints(cls).items()
+                  if hint in (float, typing.Optional[float])]
+    for field, hint in typing.get_type_hints(hybridrelay.SweepSpec).items():
+        if hint == typing.Optional[float]:
+            case, keys = next((c, k[:2]) for c, k in _REGIMES.items() if field in k)
+            base = dict(case=case, n_values=(16,), **dict.fromkeys(keys, 13.0))
+            found.append((hybridrelay.SweepSpec, base, field))
+    return found
+
+
+def test_real_settings_are_found():
+    found = {f"{cls.__name__}.{field}" for cls, _, field in real_settings()}
+    assert found >= {
+        *(f"SystemConfig.{field}" for field in (
+            "p_user", "p_relay", "var_relay_noise", "var_dest_noise", "cell_radius_m",
+            "guard_radius_m", "pathloss_exp", "shadow_std_db")),
+        *(f"AsymptoticInputs.{field}" for field in (
+            "var_relay_noise", "var_dest_noise", "e_user", "e_relay", "delta")),
+        *(f"SweepSpec.{key}" for key in ("eu_db", "er_db", "pu_db", "pr_db")),
+    }
+
+
+@pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("cls,base,field", [
+    pytest.param(*setting, id=f"{setting[0].__name__}.{setting[2]}")
+    for setting in real_settings()
+])
+def test_every_real_setting_follows_one_rule(cls, base, field, value):
+    # hybrid._check_real is the one rule: a bad value gets ValueError naming
+    # the field and showing the value, never a TypeError, and a bool is no
+    # number.  A new real field is found from its type hint.
+    with pytest.raises(ValueError) as error:
+        cls(**{**base, field: value})
+    message = str(error.value)
+    assert message.startswith(f"{field} must be a finite number")
+    assert message.endswith(f", got {value!r}")

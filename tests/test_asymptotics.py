@@ -198,20 +198,30 @@ class TestValidation:
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(eta1=np.ones((2, 10))), "1-D gain vectors"),
-        (dict(var_relay_noise=0.0), "noise variances must be positive"),
-        (dict(var_dest_noise=-1.0), "noise variances must be positive"),
+        (dict(var_relay_noise=0.0),
+         "var_relay_noise must be a finite number above 0, got 0.0"),
+        (dict(var_dest_noise=-1.0),
+         "var_dest_noise must be a finite number above 0, got -1.0"),
         (dict(r=2.0), "r must be a positive integer up to 10, got 2.0"),
         (dict(r=True), "r must be a positive integer up to 10, got True"),
-        (dict(var_relay_noise=math.nan), "var_relay_noise must be finite"),
-        (dict(var_dest_noise=math.inf), "var_dest_noise must be finite"),
+        (dict(var_relay_noise=math.nan),
+         "var_relay_noise must be a finite number above 0, got nan"),
+        (dict(var_dest_noise=math.inf),
+         "var_dest_noise must be a finite number above 0, got inf"),
         (dict(eta1=np.r_[1.0, math.nan, np.ones(8)]),
-         "active large-scale gains must be positive and finite"),
+         "eta1[1] must be a finite number above 0, got nan"),
         (dict(eta2=np.r_[np.ones(9), math.inf]),
-         "active large-scale gains must be positive and finite"),
+         "eta2[9] must be a finite number above 0, got inf"),
+        (dict(delta=-0.1), "delta must be a finite number of at least 0, got -0.1"),
+        (dict(delta=2.0), "delta must be at most pi/2, got 2.0"),
+        # An integer beyond the float range is no finite number either.
+        (dict(e_relay=2 ** 1024),
+         f"e_relay must be a finite number of at least 0, got {2 ** 1024}"),
     ], ids=["2d-eta", "zero-relay-noise", "negative-dest-noise", "float-r", "bool-r",
-            "nan-relay-noise", "infinite-dest-noise", "nan-gain", "infinite-gain"])
+            "nan-relay-noise", "infinite-dest-noise", "nan-gain", "infinite-gain",
+            "negative-delta", "delta-above-half-pi", "energy-beyond-float-range"])
     def test_malformed_inputs_rejected(self, kw, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             unit_inputs(e_user=1.0, **kw)
 
     def test_negative_energy_rejected(self):

@@ -205,6 +205,15 @@ class TestLargeScale:
         assert np.all(eta1 > 0) and np.all(eta2 > 0)
         assert eta1.shape == (CFG.n_pairs,)
 
+    def test_overflowing_gain_is_degenerate_without_a_warning(self, rng):
+        # 1e300 dB of shadowing overflows to inf or 0, and against a path
+        # loss that underflows to 0 gives NaN, with no numpy warning
+        # (filterwarnings = error): each such gain is a degenerate trial.
+        gains = np.concatenate(sample_large_scale(replace(CFG, shadow_std_db=1e300), rng))
+        assert np.isposinf(gains).any() and (gains == 0.0).any()
+        gains = np.concatenate(sample_large_scale(
+            replace(CFG, shadow_std_db=1e300, pathloss_exp=1e6), rng))
+        assert np.isnan(gains).any()
 
 class TestCanonicalDrop:
     def test_independent_of_scenario_seed(self):
@@ -279,7 +288,8 @@ class TestSampleRealization:
         monkeypatch.setattr(channel, "_fill_block", None)
         for gain in (0.0, np.nan, np.inf):
             bad = (np.ones(CFG.n_pairs), np.full(CFG.n_pairs, gain))
-            with pytest.raises(ValueError, match="strictly positive"):
+            message = f"eta2[0] must be a finite number above 0, got {gain!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sample_realization(CFG, 0, drop=bad)
 
 

@@ -686,7 +686,8 @@ class TestSimulateErrors:
         calls = count_draws(monkeypatch)
         out = tmp_path / "x.csv"
         assert run_simulate(out, ["--var-relay-noise", "inf"]) == 2
-        assert "var_relay_noise must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: var_relay_noise must be a finite number above 0, got inf\n")
         assert calls == []
         assert not out.exists()
 
@@ -695,8 +696,58 @@ class TestSimulateErrors:
         calls = count_draws(monkeypatch)
         out = tmp_path / "x.csv"
         assert run_simulate(out, ["--pathloss-exp", "nan"]) == 2
-        assert "pathloss_exp must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: pathloss_exp must be a finite number of at least 0, got nan\n")
         assert calls == []
+        assert not out.exists()
+
+    GEOMETRY = ("cell_radius_m, guard_radius_m, pathloss_exp and shadow_std_db give "
+                "the canonical drop a zero or non-finite gain: ")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--cell-radius-m", "1e300"],
+         "cell_radius_m must be a finite number whose square is finite, got 1e+300"),
+        (["--shadow-std-db", "1e300"],
+         GEOMETRY + "eta1[0] must be a finite number above 0, got inf"),
+        (["--pathloss-exp", "1e6"],
+         GEOMETRY + "eta1[0] must be a finite number above 0, got 0.0"),
+        (["--case", "fixed", "--pu-db", "13", "--fixed-drop", "--shadow-std-db", "1e300"],
+         GEOMETRY + "eta1[0] must be a finite number above 0, got inf"),
+    ], ids=["cell-radius", "shadowing", "pathloss", "fixed-drop"])
+    def test_overflowing_geometry_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # These used to end in an OverflowError traceback (the cell radius's
+        # square) or in numpy's overflow warning and a message on the gains.
+        calls = count_draws(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_overflowing_geometry_fails_under_warnings_as_errors(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = [sys.executable, "-W", "error", "-m", "hybridrelay.cli", "simulate",
+                "--case", "2", "--n", "16", "--eu-db", "13", "--pr-db", "13",
+                "--shadow-std-db", "1e300", "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: " + self.GEOMETRY + "eta1[0] must be a finite number above 0, got 0.0\n")
+        assert not out.exists()
+
+    def test_overflowing_geometry_of_redrawn_fixed_powers_is_degenerate(
+        self, tmp_path, capsys
+    ):
+        # No closed form and no fixed drop read the canonical drop: every
+        # redrawn placement is degenerate, without a numpy warning.
+        out = tmp_path / "x.csv"
+        assert run_simulate(out, ["--case", "fixed", "--pu-db", "13",
+                                  "--shadow-std-db", "1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "failure: 6 of 6 trials degenerate (> 1%); configuration unusable\n")
         assert not out.exists()
 
     def test_negative_seed(self, tmp_path, capsys):

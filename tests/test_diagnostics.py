@@ -232,13 +232,16 @@ class TestSweep:
 
     def test_nan_draw_fails_orthonormality_at_every_resolution(self):
         # A NaN entry once became a real codeword on the table branch, so a
-        # 2-bit stage passed orthonormality where the continuous one failed.
-        h = lemma_draw(64)
-        h[5, 3] = np.nan
-        for bits in (None, 2, 12):
-            ortho, _ = lemma_checks(h, 10, bits)
-            assert np.isnan(ortho["diag_deviation"])
-            assert ortho["passed"] is False
+        # 2-bit stage passed orthonormality where the continuous one failed;
+        # an infinite entry did so at every quantized resolution.  Both rows
+        # fail, without a numpy warning (filterwarnings = error).
+        for entry in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            h = lemma_draw(64)
+            h[5, 3] = entry
+            for bits in (None, 1, 2, 12):
+                for row in lemma_checks(h, 10, bits):
+                    assert np.isnan(row["diag_deviation"])
+                    assert row["passed"] is False
 
     def test_rows_equal_for_one_and_two_workers(self, monkeypatch):
         # Each (N, seed) draw is one pool job: one worker draws inline in

@@ -216,20 +216,24 @@ class TestBuildAnalog:
                              ids=["64x10", "4096x10", "3x4x2", "3x2048x2"])
     def test_nan_channel_entry_gives_nan_stage_entry(self, rng, shape, bits):
         # Every branch: continuous, the codeword table (bits up to log2 of
-        # the stage's size) and the direct exp.  The NaN entry gives a NaN
-        # entry and no warning (filterwarnings = error); every other entry
-        # keeps the bits of the same channel with that entry finite.
+        # the stage's size) and the direct exp.  A NaN or infinite entry, in
+        # either part, gives a NaN entry and no warning (filterwarnings =
+        # error); every other entry keeps the bits of the same channel with
+        # that entry finite.  An infinite entry once had a finite angle, so
+        # a quantized stage matched it with a real codeword.
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         where = (1, 2, 1) if len(shape) == 3 else (2, 1)
-        g = x.copy()
-        g[where] = complex(np.nan, 0.5)
         quant = QuantizationSpec(bits) if bits is not None else None
-        got = build_analog(g, shape[-1], quant)
         want = build_analog(x, shape[-1], quant)
         at = where[:-2] + (where[-1], where[-2])
-        assert np.isnan(got[at])
-        got[at] = want[at]
-        assert_same_bits(got, want)
+        for entry in (complex(np.nan, 0.5), complex(np.inf, 0.5), complex(0.5, -np.inf),
+                      complex(-np.inf, np.inf)):
+            g = x.copy()
+            g[where] = entry
+            got = build_analog(g, shape[-1], quant)
+            assert np.isnan(got[at])
+            got[at] = want[at]
+            assert_same_bits(got, want)
 
     def test_quantized_phases_on_grid(self, rng):
         real = make_channels(rng, 16, 4)

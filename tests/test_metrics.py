@@ -436,7 +436,8 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="mode"):
             monte_carlo_rate(SMALL, 10, mode="analog_only")
         for gain in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="strictly positive"):
+            message = f"eta1[0] must be a finite number above 0, got {gain!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 monte_carlo_rate(SMALL, 10, drop=(np.full(3, gain), np.ones(3)))
         with pytest.raises(ValueError, match="variants"):
             monte_carlo_rates(SMALL, 10, [])
@@ -452,20 +453,34 @@ class TestMonteCarlo:
     def test_non_finite_power_or_noise_rejected(self, field, value):
         # Such a scenario used to draw every trial and then fail as degenerate
         # (a geometry setting: or blame the gains it made).
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        bound = "above 0" if field.startswith("var_") else "of at least 0"
+        message = f"{field} must be a finite number {bound}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(SMALL, **{field: value})
 
+    # The ids are those the earlier wordings gave these cases.
     @pytest.mark.parametrize("field,value,fragment", [
         ("n_antennas", 0, "n_antennas must be a positive integer"),
-        ("p_user", -1.0, "transmit powers must be non-negative"),
-        ("var_dest_noise", 0.0, "noise variances must be positive"),
-        ("guard_radius_m", 1000.0, "guard_radius_m < cell_radius_m"),
-        ("cell_radius_m", float("inf"), "cell_radius_m must be finite"),
-        ("pathloss_exp", -0.1, "pathloss_exp must be non-negative"),
-        ("shadow_std_db", -1.0, "shadow_std_db must be non-negative"),
+        pytest.param("p_user", -1.0, "p_user must be a finite number of at least 0, got -1.0",
+                     id="p_user--1.0-transmit powers must be non-negative"),
+        pytest.param("var_dest_noise", 0.0,
+                     "var_dest_noise must be a finite number above 0, got 0.0",
+                     id="var_dest_noise-0.0-noise variances must be positive"),
+        pytest.param("guard_radius_m", 1000.0,
+                     "cell_radius_m must be a finite number above 1000.0, got 1000.0",
+                     id="guard_radius_m-1000.0-guard_radius_m < cell_radius_m"),
+        pytest.param("cell_radius_m", float("inf"),
+                     "cell_radius_m must be a finite number above 100.0, got inf",
+                     id="cell_radius_m-inf-cell_radius_m must be finite"),
+        pytest.param("pathloss_exp", -0.1,
+                     "pathloss_exp must be a finite number of at least 0, got -0.1",
+                     id="pathloss_exp--0.1-pathloss_exp must be non-negative"),
+        pytest.param("shadow_std_db", -1.0,
+                     "shadow_std_db must be a finite number of at least 0, got -1.0",
+                     id="shadow_std_db--1.0-shadow_std_db must be non-negative"),
     ])
     def test_out_of_range_setting_rejected(self, field, value, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             replace(SMALL, **{field: value})
 
     @pytest.mark.parametrize("field,value", [
