@@ -11,8 +11,8 @@ trial_rng is the reference for a trial's stream.  The engine's block draw
 SeedSequence supplies the pool of the (seed, purpose) prefix once per
 block, and the block finishes each trial's seed words from there
 (_trial_rngs), so the streams, and every output, keep their bits.  Trials
-from 2**32 on, whose index takes two entropy words, are built by
-trial_rng itself.
+from 2**32 on, whose index takes two entropy words, and one-trial blocks
+are built by trial_rng itself.
 """
 
 from __future__ import annotations
@@ -126,8 +126,12 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     supplies the pool before t, once per block.  Each trial then takes
     four hashmix/mix steps and the eight output hashes of
     generate_state(4, np.uint64), in plain integers, and PCG64 seeds itself
-    from those words.  Trials from 2**32 on go to trial_rng.
+    from those words.  Trials from 2**32 on, and a one-trial block, whose
+    pool would cost more than trial_rng's own SeedSequence, go to trial_rng.
     """
+    if hi - lo == 1:
+        yield trial_rng(seed, lo)
+        return
     pool = np.random.SeedSequence(seed, spawn_key=(_TRIAL_STREAM,)).pool.tolist()
     # That mix took one hash step per pool word for each of its W entropy
     # words (the seed's 32-bit words, padded to the pool, then the stream

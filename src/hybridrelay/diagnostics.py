@@ -54,21 +54,21 @@ def orthonormality_parts(f: np.ndarray) -> Tuple[float, float, float]:
 
 
 def fh_parts(
-    f: np.ndarray, h: np.ndarray, quant: Optional[QuantizationSpec] = None
+    f: np.ndarray, h: np.ndarray, penalty: float = 1.0
 ) -> Tuple[float, float, float]:
-    """Deviation of F H / sqrt(N pi/4) from c * I, c = sinc(step) (1 unquantized).
+    """Deviation of F H / sqrt(N pi/4) from penalty * I.
 
-    h is N x K, and F H is measured by _identity_parts: all but its first
-    min(chains, K) diagonal entries converge to zero.
+    penalty is the stage's sinc_penalty: sinc(step) for a quantized stage,
+    1 for continuous phases.  h is N x K, and F H is measured by
+    _identity_parts: all but its first min(chains, K) diagonal entries
+    converge to zero.
     """
     m = _dot(f, h) / math.sqrt(h.shape[0] * math.pi / 4.0)
-    return _identity_parts(m, sinc_penalty(quant))
+    return _identity_parts(m, penalty)
 
 
-def _stage_checks(
-    f: np.ndarray, h: np.ndarray, quant: Optional[QuantizationSpec]
-) -> Tuple[dict, dict]:
-    """Both identity checks of the analog stage f of draw h at resolution quant.
+def _stage_checks(f: np.ndarray, h: np.ndarray, penalty: float) -> Tuple[dict, dict]:
+    """Both identity checks of the analog stage f of draw h; penalty is f's sinc_penalty.
 
     Returns the orthonormality and the F H row, each keyed by metric, the
     three parts of orthonormality_parts or fh_parts (diag_deviation,
@@ -84,7 +84,7 @@ def _stage_checks(
          "passed": diag_dev <= diag_tol and off_dev <= bound}
         for metric, (diag_dev, off_dev, diag_mean), diag_tol in (
             ("orthonormality", orthonormality_parts(f), DIAG_TOL),
-            ("fh_convergence", fh_parts(f, h, quant), bound),
+            ("fh_convergence", fh_parts(f, h, penalty), bound),
         )
     )
 
@@ -101,7 +101,7 @@ def lemma_checks(
     """
     quant = QuantizationSpec(bits) if bits is not None else None
     with np.errstate(invalid="ignore"):  # F H of an infinite entry of h
-        return _stage_checks(build_analog(h, n_chains, quant), h, quant)
+        return _stage_checks(build_analog(h, n_chains, quant), h, sinc_penalty(quant))
 
 
 def lemma_rows(
@@ -123,7 +123,8 @@ def lemma_rows(
     that pool, measured at every beta: its rows depend on that pair only
     (lemma_rng).  Its stages come from one hybrid._analog_stages, so the
     draw's channel phase is computed once for all quantized betas, and kept
-    until the last of them.  The jobs run in the table's own order, N
+    until the last of them; each beta's sinc_penalty is computed once per
+    call.  The jobs run in the table's own order, N
     ascending, then seed, so one draw per worker is live and the largest
     draws overlap only at the end: largest first would hold them together
     for longer.  Rows are sorted by (metric, N, beta, seed), the same for
@@ -135,6 +136,7 @@ def lemma_rows(
                  n_tx_chains=n_rx_chains, seed=seed)
 
     quants = [QuantizationSpec(b) if b is not None else None for b in beta_values]
+    penalties = [sinc_penalty(quant) for quant in quants]
 
     def draw_rows(job: Tuple[int, int]) -> List[dict]:
         n, draw_seed = job
@@ -142,8 +144,8 @@ def lemma_rows(
         # next(stages) is an argument, so each stage is freed once checked.
         stages = _analog_stages(h, n_rx_chains, quants)
         return [{**row, "N": n, "beta": beta, "seed": draw_seed}
-                for beta, quant in zip(beta_values, quants)
-                for row in _stage_checks(next(stages), h, quant)]
+                for beta, penalty in zip(beta_values, penalties)
+                for row in _stage_checks(next(stages), h, penalty)]
 
     jobs = [(n, s) for n in n_values for s in range(seed, seed + n_seeds)]
     rows = [row for done in _pool_map(draw_rows, jobs) for row in done]

@@ -2,7 +2,11 @@
 and run_sweep, the library's one sweep over array sizes.
 
 SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
-draws; hybrid._hop_grams forms its products over N.  The engine's block
+draws; hybrid._hop_grams forms its products over N.  The kernel forms
+M = A2 A1 once for alpha and the SINRs, plus B2 A1 and A2 B1 for a hybrid
+variant (traces and diagonals are real dot products, hybrid._re_dot): 1
+K x K product per block in full digital, 9 in a hybrid variant with the 6
+of the Grams.  The engine's block
 rule, and the pool, SIM_THREADS and allocator rules that the lemma table
 shares (_pool_map), live here only.
 """
@@ -59,23 +63,27 @@ class RatePoint:
 def _gram_sinrs(
     hop1: Tuple[np.ndarray, np.ndarray],
     hop2: Tuple[np.ndarray, np.ndarray],
+    m: np.ndarray,
     alpha_sq: np.ndarray,
     config: SystemConfig,
 ) -> np.ndarray:
     """Per-pair SINRs from the hops' K x K Grams (hybrid._hop_grams).
 
-    The end-to-end source-to-destination matrix is S = alpha * A2 A1: its
-    diagonal is the desired gain and the rest of row k the inter-pair
-    interference at destination k.  The relay noise forwarded to
-    destination k has power var_nR * alpha^2 * (A2 B1 A2)_kk.  Works on a
-    stack of trials, one alpha^2 each; a NaN alpha^2 gives a NaN row.
+    The end-to-end source-to-destination matrix is S = alpha * m, with
+    m = A2 A1 the product that hybrid._alpha_squared shares: its diagonal
+    is the desired gain and the rest of row k the inter-pair interference
+    at destination k.  The relay noise forwarded to destination k has power
+    var_nR * alpha^2 * (A2 B1 A2)_kk = Re sum_j (A2 B1)_kj conj((A2)_kj),
+    as A2 is Hermitian (hybrid._re_dot): one K x K product, A2 B1, which
+    is m itself when B1 is A1 (full digital).  Works on a stack of trials,
+    one alpha^2 each; a NaN alpha^2 gives a NaN row.
     """
     (a1, b1), (a2, _) = hop1, hop2
-    power = np.abs(a2 @ a1) ** 2
+    power = np.abs(m) ** 2
     desired = np.diagonal(power, axis1=-2, axis2=-1)
     off_diagonal = ~np.eye(config.n_pairs, dtype=bool)
     interference = np.where(off_diagonal, power, 0.0).sum(axis=-1)
-    relay_noise = np.diagonal(a2 @ b1 @ a2, axis1=-2, axis2=-1).real
+    relay_noise = hybrid._re_dot(m if b1 is a1 else a2 @ b1, a2)
     gain = np.asarray(alpha_sq)[..., None]
     return gain * config.p_user * desired / (
         gain * (config.p_user * interference + config.var_relay_noise * relay_noise)
@@ -100,7 +108,8 @@ def _variant_sinrs(
     `stages` holds each hop's hybrid._analog_stages, whose next stage is
     the variant's, or is None for full digital, the hop without an analog
     stage.  Each hop's stage is an argument of its Grams, so it is freed
-    before the next hop's is built.  A draw whose channel, forwarded power
+    before the next hop's is built.  M = A2 A1 is formed here, once for
+    alpha and the SINRs.  A draw whose channel, forwarded power
     or SINR is not finite or overflows gives a NaN row, which the engine
     counts and sinrs raises on, so the analog stage, the Grams, the
     normalization and the SINR steps run without numpy's overflow and
@@ -112,10 +121,11 @@ def _variant_sinrs(
         else:
             hop1 = hybrid._hop_grams(g1, next(stages[0]))
             hop2 = hybrid._hop_grams(g2, next(stages[1]))
+        m = hop2[0] @ hop1[0]  # A2 A1, read by alpha and the SINRs
         alpha_sq = hybrid._alpha_squared(
-            hop1, hop2, config.p_user, config.p_relay, config.var_relay_noise
+            hop1, hop2, m, config.p_user, config.p_relay, config.var_relay_noise
         )
-        return _gram_sinrs(hop1, hop2, alpha_sq, config)
+        return _gram_sinrs(hop1, hop2, m, alpha_sq, config)
 
 
 def _stack_sinrs(
@@ -459,7 +469,8 @@ class SweepSpec:
     """One batch of simulation cells, checked on construction.
 
     beta_values uses None for continuous phases.  Energies are stored in dB
-    exactly as given; each of the regime's two settings must be a finite
+    exactly as given.  The regime's two settings must be set, and every dB
+    setting that is set, read by the regime or not, must be a finite
     number (hybrid._check_real) that converts to a finite linear value.
     """
 
@@ -490,10 +501,13 @@ class SweepSpec:
         missing = [k.replace("_", "-") for k in (user, relay) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.case} requires settings: {', '.join(missing)}")
-        for key in (user, relay):
-            hybrid._check_real(key, getattr(self, key))
-            if not math.isfinite(db_to_linear(getattr(self, key))):
-                raise ValueError(f"{key} = {getattr(self, key)!r} dB has no finite linear value")
+        for key in ("eu_db", "er_db", "pu_db", "pr_db"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            hybrid._check_real(key, value)
+            if not math.isfinite(db_to_linear(value)):
+                raise ValueError(f"{key} = {value!r} dB has no finite linear value")
         if law is None and "asymptote" in self.modes:
             raise ValueError(f"{self.case} has no closed-form asymptote")
 

@@ -70,9 +70,10 @@ def kernel_alpha(real, config, mode="hybrid"):
     forms it; NaN for a degenerate draw.
     """
     stages = oracles.analog_stages(real, config) if mode == "hybrid" else (None, None)
-    hops = hybrid._hop_grams(real.g1, stages[0]), hybrid._hop_grams(real.g2, stages[1])
+    hop1, hop2 = hybrid._hop_grams(real.g1, stages[0]), hybrid._hop_grams(real.g2, stages[1])
     alpha_sq = hybrid._alpha_squared(
-        *hops, config.p_user, config.p_relay, config.var_relay_noise
+        hop1, hop2, hop2[0] @ hop1[0], config.p_user, config.p_relay,
+        config.var_relay_noise,
     )
     return float(np.sqrt(alpha_sq))
 

@@ -98,7 +98,7 @@ class TestFhConvergence:
         # Phase errors uniform on [-step, step) thin the coherent average
         # by exactly E[cos(err)] = sinc(step).
         f, h, quant = analog_pair(20000, bits=bits)
-        _, _, diag_mean = fh_parts(f, h, quant)
+        _, _, diag_mean = fh_parts(f, h, sinc_penalty(quant))
         assert diag_mean == pytest.approx(sinc_penalty(quant), rel=0.02)
 
     def test_deviation_decreases_with_n(self):
@@ -157,7 +157,7 @@ class TestIdentityRule:
         quant = QuantizationSpec(bits) if bits is not None else None
         f = build_analog(h, chains, quant)
         for got, want in ((orthonormality_parts(f), orthonormality_reference(f)),
-                          (fh_parts(f, h, quant), fh_reference(f, h, quant))):
+                          (fh_parts(f, h, sinc_penalty(quant)), fh_reference(f, h, quant))):
             assert [x.hex() for x in got] == [x.hex() for x in want]
         if chains == 1:
             assert orthonormality_parts(f)[1] == 0.0
@@ -210,6 +210,14 @@ class TestSweep:
             for seed in (0, 1) for row in lemma_checks(lemma_draw(64, 3, seed), 3, None)
         ]
         assert rows == sorted(expected, key=lambda r: (r["metric"], r["seed"]))
+
+    def test_each_beta_computes_its_sinc_penalty_once_per_call(self, monkeypatch):
+        # Two sizes of three seeds at three betas: 18 stage checks, 3 penalties.
+        penalty, calls = diagnostics.sinc_penalty, []
+        monkeypatch.setattr(diagnostics, "sinc_penalty",
+                            lambda quant: calls.append(quant) or penalty(quant))
+        lemma_rows([16, 32], [None, 1, 2], 3)
+        assert calls == [None, QuantizationSpec(1), QuantizationSpec(2)]
 
     @pytest.mark.parametrize("betas", [[None], [2], [None, 1, 2, 3], [12, 1, None, 2]])
     def test_each_draw_computes_its_phase_once_for_all_betas(self, monkeypatch, betas):

@@ -340,15 +340,29 @@ class TestAlpha:
         ratio = kernel_alpha(real, scaled) / kernel_alpha(real, base)
         assert ratio == pytest.approx(math.sqrt(3.7), rel=1e-12)
 
+    @pytest.mark.parametrize("k_r,k_t", [(2, 4), (4, 3), (1, 1)])
+    def test_fewer_chains_match_reference(self, rng, k_r, k_t):
+        # Fewer chains than pairs leave A and B rank-deficient; the trace
+        # identities of the normalization hold for any Hermitian A, B.
+        for bits in (None, 2):
+            cfg = SystemConfig(n_antennas=24, n_pairs=4, n_rx_chains=k_r, n_tx_chains=k_t,
+                               quant_bits=bits, p_user=1.3, p_relay=2.1,
+                               var_relay_noise=0.9)
+            real = make_channels(rng, 24, 4, eta1=[1.0, 0.3, 2.0, 0.7],
+                                 eta2=[0.5, 1.0, 1.5, 2.5])
+            f1, f2 = oracles.analog_stages(real, cfg)
+            expect = oracles.alpha_reference(f1 @ real.g1, f2 @ real.g2, f1, f2, 1.3, 2.1, 0.9)
+            assert kernel_alpha(real, cfg) == pytest.approx(expect, rel=1e-12)
+            expect = oracles.alpha_full_reference(real.g1, real.g2, 1.3, 2.1, 0.9)
+            assert kernel_alpha(real, cfg, "full_digital") == pytest.approx(expect, rel=1e-12)
+
     def test_nonfinite_input_gives_nan(self, rng):
         real, _, ref = make_processor(rng, 16, 4)
         g1 = real.g1.copy()
         g1[0, 0] = np.nan
-        alpha_sq = hybrid._alpha_squared(
-            hybrid._hop_grams(g1, ref.f1),
-            hybrid._hop_grams(real.g2, ref.f2),
-            1.0, 1.0, 1.0,
-        )
+        hop1 = hybrid._hop_grams(g1, ref.f1)
+        hop2 = hybrid._hop_grams(real.g2, ref.f2)
+        alpha_sq = hybrid._alpha_squared(hop1, hop2, hop2[0] @ hop1[0], 1.0, 1.0, 1.0)
         assert np.isnan(alpha_sq)
 
 

@@ -27,7 +27,7 @@ from hybridrelay import (
     sample_realization,
     sinrs,
 )
-from hybridrelay import channel, metrics
+from hybridrelay import channel, hybrid, metrics
 from hybridrelay.channel import ChannelRealization
 from hybridrelay.metrics import (
     _block_sinrs,
@@ -93,6 +93,43 @@ class TestSinr:
         for k in range(3):
             expect = oracles.sinr_reference(b, real.g1, real.g2, k, 0.6, 1.0, 1.0)
             assert got[k] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("k_r,k_t", [(2, 4), (4, 3), (1, 2)])
+    @pytest.mark.parametrize("mode,bits", [
+        ("hybrid", None), ("hybrid", 2), ("full_digital", None),
+    ])
+    def test_fewer_chains_match_termwise_oracle(self, rng, k_r, k_t, mode, bits):
+        # The relay-noise diagonal and alpha's traces read A and B as
+        # Hermitian, which holds at any rank.
+        cfg = SystemConfig(n_antennas=12, n_pairs=4, n_rx_chains=k_r, n_tx_chains=k_t,
+                           quant_bits=bits, p_user=1.7, var_relay_noise=0.8,
+                           var_dest_noise=1.2)
+        real = make_channels(rng, 12, 4, eta1=[1.0, 0.3, 2.0, 0.7], eta2=[0.5, 1.0, 1.5, 2.5])
+        b = (oracles.relay_matrix(real, cfg) if mode == "hybrid"
+             else oracles.relay_matrix_full(real, cfg))
+        got = sinrs(real, cfg, mode)
+        for k in range(4):
+            expect = oracles.sinr_reference(b, real.g1, real.g2, k, 1.7, 0.8, 1.2)
+            assert got[k] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(16, 10), (256, 4), (2048, 3)])
+    def test_full_digital_shortcut_equals_the_general_path(self, n, k):
+        # Full digital's B is A itself, so alpha and the SINRs read
+        # m = A2 A1 for B2 A1 and A2 B1; a copy of A takes the products.
+        config = SystemConfig(n_antennas=n, n_pairs=k, n_rx_chains=k, n_tx_chains=k, seed=3)
+        g1, g2, _, _ = channel._fill_block(config, 0, 6, None)
+        hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
+        assert hop1[1] is hop1[0] and hop2[1] is hop2[0]
+        copies = (hop1[0], hop1[0].copy()), (hop2[0], hop2[0].copy())
+        results = []
+        for h1, h2 in ((hop1, hop2), copies):
+            m = h2[0] @ h1[0]
+            alpha_sq = hybrid._alpha_squared(h1, h2, m, config.p_user, config.p_relay,
+                                             config.var_relay_noise)
+            results.append((alpha_sq, metrics._gram_sinrs(h1, h2, m, alpha_sq, config)))
+        for shortcut, general in zip(*results):
+            assert np.isfinite(shortcut).all()
+            np.testing.assert_allclose(shortcut, general, rtol=1e-13)
 
     @pytest.mark.parametrize("mode", metrics.MODES)
     def test_degenerate_draw_raises(self, rng, mode):
