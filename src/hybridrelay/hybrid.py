@@ -1,16 +1,12 @@
 """Relay processing: phase quantizer, phase-only analog stage, and the
-K x K Gram kernel of the power normalization.
+products over N that the K x K Gram kernel reads.
 
 The digital MRC/MRT stage W = alpha (F2 G2)(F1 G1)^H is never formed: alpha
-and every SINR (metrics._gram_sinrs) reduce to each hop's Grams (_hop_grams;
-full digital is the hop without an analog stage, F = I), and read one
-K x K product M = A2 A1.  A and B are Hermitian, so each trace or diagonal
-they need is a real dot product of real views (_re_dot): tr(B2 B1) with no
-product, tr(A1 B2 A1) with B2 A1 and (A2 B1 A2)_kk with A2 B1, both M in
-full digital.  A full-digital variant forms 1 K x K product per block, a
-hybrid variant 9 (3 per hop in _hop_grams, then M, B2 A1, A2 B1).  Every
-product over N is formed here: F G by _dot, G^H G and F F^H by _gram (BLAS
-syrk if large).
+and every SINR reduce to each hop's Grams (_hop_grams; full digital is the
+hop without an analog stage, F = I), which metrics._gram_sinrs, the one
+K x K kernel, reads; its docstring gives the identities and the product
+counts.  Every product over N is formed here: F G by _dot, G^H G and F F^H
+by _gram (BLAS syrk if large).
 Precision is set here too: build_analog and _gram read complex128.  The
 channel phase is computed here only (_phase), once for every quantized
 stage of a draw (_analog_stages).
@@ -269,62 +265,21 @@ def _gram(x: np.ndarray, conj: bool = False) -> np.ndarray:
 
 def _hop_grams(
     g: np.ndarray, f: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two K x K Grams of one hop that alpha and every SINR reduce to.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The K x K Grams (A, B) of one hop that alpha and every SINR reduce to.
 
     With a = F G the effective channel, A = a^H a and B = a^H (F F^H) a.
-    Full digital is the hop without an analog stage (f None, F = I), so
-    B = A = G^H G, returned as one array: _alpha_squared and
-    metrics._gram_sinrs then read M = A2 A1 for B2 A1 and A2 B1.  Accepts
-    stacks (..., N, K) and (..., chains, N); each trial's Grams depend on
-    that trial's slices only.  F G comes from _dot, and the Grams over N,
-    G^H G and F F^H, from _gram.
+    Full digital is the hop without an analog stage (f None, F = I), which
+    has no B: it gives (G^H G, None), and metrics._gram_sinrs reads A for
+    B.  Accepts stacks (..., N, K) and (..., chains, N); each trial's Grams
+    depend on that trial's slices only.  F G comes from _dot, and the Grams
+    over N, G^H G and F F^H, from _gram.
     """
     if f is None:
-        gram = _gram(g)
-        return gram, gram
+        return _gram(g), None
     a = _dot(f, g)
     ah = np.conj(np.swapaxes(a, -1, -2))
     return ah @ a, ah @ _gram(np.swapaxes(f, -1, -2), conj=True) @ a
-
-
-def _re_dot(x: np.ndarray, y: np.ndarray, axes: int = 1) -> np.ndarray:
-    """Re sum x * conj(y) over the last `axes` axes of two complex stacks.
-
-    Re(x conj(y)) = Re x Re y + Im x Im y, so this is one real dot product
-    of the float64 views, with no complex product and no conjugate copy.
-    A trial's sum depends on its own slices only, never on the stack.
-    """
-    shape = x.shape[:x.ndim - axes] + (-1,)
-    return np.einsum("...i,...i->...", x.view(np.float64).reshape(shape),
-                     y.view(np.float64).reshape(shape))
-
-
-def _alpha_squared(
-    hop1: Tuple[np.ndarray, np.ndarray],
-    hop2: Tuple[np.ndarray, np.ndarray],
-    m: np.ndarray,
-    p_user: float,
-    p_relay: float,
-    var_relay_noise: float,
-) -> np.ndarray:
-    """Squared power normalization from the Grams of both hops.
-
-        alpha^2 = p_relay / (p_user * tr(A1 B2 A1) + var_nR * tr(B2 B1))
-
-    The two traces are ||F2^H a2 A1||_F^2 and ||F2^H a2 a1^H F1||_F^2, the
-    signal and forwarded-noise power of the un-normalized relay map.  As
-    A and B are Hermitian, tr(A1 B2 A1) = Re sum (B2 A1) o conj(A1) and
-    tr(B2 B1) = Re sum B2 o conj(B1) (_re_dot): one K x K product, B2 A1,
-    which is m = A2 A1, shared with the SINRs, when B2 is A2 (full
-    digital), so full digital forms none here.  NaN marks a trial whose
-    forwarded power is zero or non-finite.
-    """
-    (a1, b1), (a2, b2) = hop1, hop2
-    b2a1 = m if b2 is a2 else b2 @ a1
-    den = p_user * _re_dot(b2a1, a1, 2) + var_relay_noise * _re_dot(b2, b1, 2)
-    ok = np.isfinite(den) & (den > 0.0)
-    return np.where(ok, p_relay / np.where(ok, den, 1.0), np.nan)
 
 
 def sinc_penalty(quant: Optional[QuantizationSpec]) -> float:

@@ -1,14 +1,11 @@
 """Exact per-pair SINRs of one realization, the Monte-Carlo sum-rate engine,
 and run_sweep, the library's one sweep over array sizes.
 
-SINRs and engine run one K x K Gram kernel (_variant_sinrs) on a stack of
-draws; hybrid._hop_grams forms its products over N.  The kernel forms
-M = A2 A1 once for alpha and the SINRs, plus B2 A1 and A2 B1 for a hybrid
-variant (traces and diagonals are real dot products, hybrid._re_dot): 1
-K x K product per block in full digital, 9 in a hybrid variant with the 6
-of the Grams.  The engine's block
-rule, and the pool, SIM_THREADS and allocator rules that the lemma table
-shares (_pool_map), live here only.
+SINRs and engine run one K x K Gram kernel (_gram_sinrs) on a stack of
+draws, on the Grams whose products over N hybrid._hop_grams forms; the
+kernel's docstring gives its identities and product counts.  The engine's
+block rule, and the pool, SIM_THREADS and allocator rules that the lemma
+table shares (_pool_map), live here only.
 """
 
 from __future__ import annotations
@@ -60,32 +57,61 @@ class RatePoint:
     n_degenerate: int = 0         # trials skipped for degenerate channels
 
 
-def _gram_sinrs(
-    hop1: Tuple[np.ndarray, np.ndarray],
-    hop2: Tuple[np.ndarray, np.ndarray],
-    m: np.ndarray,
-    alpha_sq: np.ndarray,
-    config: SystemConfig,
-) -> np.ndarray:
-    """Per-pair SINRs from the hops' K x K Grams (hybrid._hop_grams).
+def _re_dot(x: np.ndarray, y: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Re sum x * conj(y) over the last `axes` axes of two complex stacks.
 
-    The end-to-end source-to-destination matrix is S = alpha * m, with
-    m = A2 A1 the product that hybrid._alpha_squared shares: its diagonal
-    is the desired gain and the rest of row k the inter-pair interference
-    at destination k.  The relay noise forwarded to destination k has power
-    var_nR * alpha^2 * (A2 B1 A2)_kk = Re sum_j (A2 B1)_kj conj((A2)_kj),
-    as A2 is Hermitian (hybrid._re_dot): one K x K product, A2 B1, which
-    is m itself when B1 is A1 (full digital).  Works on a stack of trials,
-    one alpha^2 each; a NaN alpha^2 gives a NaN row.
+    Re(x conj(y)) = Re x Re y + Im x Im y, so this is one real dot product
+    of the float64 views, with no complex product and no conjugate copy.
+    A trial's sum depends on its own slices only, never on the stack.
     """
-    (a1, b1), (a2, _) = hop1, hop2
+    shape = x.shape[:x.ndim - axes] + (-1,)
+    return np.einsum("...i,...i->...", x.view(np.float64).reshape(shape),
+                     y.view(np.float64).reshape(shape))
+
+
+def _gram_sinrs(
+    hop1: Tuple[np.ndarray, Optional[np.ndarray]],
+    hop2: Tuple[np.ndarray, Optional[np.ndarray]],
+    config: SystemConfig,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(alpha^2, per-pair SINRs) from the hops' K x K Grams: the one K x K kernel.
+
+    Each hop is hybrid._hop_grams's (A, B), with B None in full digital,
+    where B = A.  M = A2 A1 is formed once: the end-to-end
+    source-to-destination matrix is alpha M, whose diagonal is the desired
+    gain and the rest of row k the inter-pair interference at destination
+    k.  The power normalization and the relay noise forwarded to
+    destination k are
+
+        alpha^2 = p_relay / (p_user * tr(A1 B2 A1) + var_nR * tr(B2 B1)),
+        var_nR * alpha^2 * (A2 B1 A2)_kk.
+
+    As A and B are Hermitian, each is a real dot product of real views
+    (_re_dot): tr(B2 B1) = Re sum B2 o conj(B1) with no product,
+    tr(A1 B2 A1) = Re sum (B2 A1) o conj(A1) and (A2 B1 A2)_kk =
+    Re sum_j (A2 B1)_kj conj((A2)_kj) with one each, and both of those are
+    M in full digital.  So a full-digital variant forms 1 K x K product per
+    block, a hybrid variant 9 (3 per hop in hybrid._hop_grams, then M,
+    B2 A1 and A2 B1).  Works on a stack of trials or on one draw.  NaN
+    alpha^2 marks a trial whose forwarded power is zero or non-finite, and
+    its SINR row is NaN.
+    """
+    (a1, b1), (a2, b2) = hop1, hop2
+    m = a2 @ a1
+    if b1 is None:  # full digital, on both hops: B = A, so B2 A1 = A2 B1 = M
+        b1, b2, b2a1, a2b1 = a1, a2, m, m
+    else:
+        b2a1, a2b1 = b2 @ a1, a2 @ b1
+    den = config.p_user * _re_dot(b2a1, a1, 2) + config.var_relay_noise * _re_dot(b2, b1, 2)
+    ok = np.isfinite(den) & (den > 0.0)
+    alpha_sq = np.where(ok, config.p_relay / np.where(ok, den, 1.0), np.nan)
     power = np.abs(m) ** 2
     desired = np.diagonal(power, axis1=-2, axis2=-1)
     off_diagonal = ~np.eye(config.n_pairs, dtype=bool)
     interference = np.where(off_diagonal, power, 0.0).sum(axis=-1)
-    relay_noise = hybrid._re_dot(m if b1 is a1 else a2 @ b1, a2)
-    gain = np.asarray(alpha_sq)[..., None]
-    return gain * config.p_user * desired / (
+    relay_noise = _re_dot(a2b1, a2)
+    gain = alpha_sq[..., None]
+    return alpha_sq, gain * config.p_user * desired / (
         gain * (config.p_user * interference + config.var_relay_noise * relay_noise)
         + config.var_dest_noise
     )
@@ -108,12 +134,10 @@ def _variant_sinrs(
     `stages` holds each hop's hybrid._analog_stages, whose next stage is
     the variant's, or is None for full digital, the hop without an analog
     stage.  Each hop's stage is an argument of its Grams, so it is freed
-    before the next hop's is built.  M = A2 A1 is formed here, once for
-    alpha and the SINRs.  A draw whose channel, forwarded power
+    before the next hop's is built.  A draw whose channel, forwarded power
     or SINR is not finite or overflows gives a NaN row, which the engine
-    counts and sinrs raises on, so the analog stage, the Grams, the
-    normalization and the SINR steps run without numpy's overflow and
-    invalid-value warnings.
+    counts and sinrs raises on, so the analog stage, the Grams and the
+    kernel run without numpy's overflow and invalid-value warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if stages is None:
@@ -121,11 +145,7 @@ def _variant_sinrs(
         else:
             hop1 = hybrid._hop_grams(g1, next(stages[0]))
             hop2 = hybrid._hop_grams(g2, next(stages[1]))
-        m = hop2[0] @ hop1[0]  # A2 A1, read by alpha and the SINRs
-        alpha_sq = hybrid._alpha_squared(
-            hop1, hop2, m, config.p_user, config.p_relay, config.var_relay_noise
-        )
-        return _gram_sinrs(hop1, hop2, m, alpha_sq, config)
+        return _gram_sinrs(hop1, hop2, config)[1]
 
 
 def _stack_sinrs(
@@ -366,12 +386,11 @@ def monte_carlo_rates(
     own SeedSequence supplies the pool that a block's trial stream seeds
     share, once per block, and the block finishes each trial's seed from
     there, giving trial_rng's stream (trial_rng itself serves trials from
-    2**32 on).  Its loop only fills each trial's random numbers; the
-    gains, the complex fading and its
-    scaling are then computed once per block, and the block's stacks are
-    reduced to K x K Grams together.  A trial's
-    SINRs do not depend on the block it lands in or on the other variants
-    of the call.  A thread pool of
+    2**32 on and one-trial blocks).  Its loop only fills each trial's
+    random numbers; the gains, the complex fading and its scaling are then
+    computed once per block, and the block's stacks are reduced to K x K
+    Grams together.  A trial's SINRs do not depend on the block it lands in
+    or on the other variants of the call.  A thread pool of
     min(CPU count, SIM_THREADS when set, number of blocks) workers runs the
     blocks, overlapping where numpy releases the GIL (see hybrid._dot); one
     worker runs them inline (_pool_map).  It is run_sweep's pool for a

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hybridrelay import hybrid, sample_small_scale
+from hybridrelay import hybrid, metrics, sample_small_scale
 from hybridrelay.channel import ChannelRealization
 from hybridrelay.config import SystemConfig
 
@@ -66,15 +66,12 @@ def make_processor(rng, n, k, quant_bits=None):
 def kernel_alpha(real, config, mode="hybrid"):
     """alpha of one realization from the package's one normalization.
 
-    That is hybrid._alpha_squared of the two hops' Grams, as the engine
-    forms it; NaN for a degenerate draw.
+    That is the alpha^2 of metrics._gram_sinrs on the two hops' Grams, as
+    the engine forms it; NaN for a degenerate draw.
     """
     stages = oracles.analog_stages(real, config) if mode == "hybrid" else (None, None)
     hop1, hop2 = hybrid._hop_grams(real.g1, stages[0]), hybrid._hop_grams(real.g2, stages[1])
-    alpha_sq = hybrid._alpha_squared(
-        hop1, hop2, hop2[0] @ hop1[0], config.p_user, config.p_relay,
-        config.var_relay_noise,
-    )
+    alpha_sq, _ = metrics._gram_sinrs(hop1, hop2, config)
     return float(np.sqrt(alpha_sq))
 
 

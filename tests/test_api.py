@@ -3,8 +3,10 @@ dropped on purpose, the command-line front end uses only public names, and
 the benchmark calls only public names, with parameters they take."""
 
 import ast
+import importlib
 import inspect
 import math
+import sys
 import typing
 from pathlib import Path
 
@@ -92,6 +94,30 @@ def test_benchmark_uses_public_names_with_their_signatures():
                     problems.append(f"{where}(...): {exc}")
     assert problems == []
     assert {"SystemConfig", "monte_carlo_rate", "cli.main"} <= seen
+
+
+@pytest.fixture
+def bench_checks(monkeypatch):
+    """perfbench/checks.py, imported from its directory without writing bytecode there."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    names = ("checks", "oracle", "workloads")
+    assert not any(name in sys.modules for name in names)
+    yield importlib.import_module("checks")
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_benchmark_check_passes_on_a_sweep(bench_checks, tmp_path):
+    # Every sweep run's check calls monte_carlo_rate, SystemConfig with
+    # quant_bits, canonical_drop, rate_case2 and AsymptoticInputs, so a
+    # renamed one fails here, not only in the benchmark.  Seed 3 is not the
+    # reference seed, so the check reads the program, not the stored table.
+    workload = importlib.import_module("workloads").WORKLOADS["sweep-small-n"]
+    out = tmp_path / "rates.csv"
+    assert hybridrelay.cli.main(workload.argv(3, str(out))) == 0
+    text = out.read_text(encoding="utf-8")
+    assert bench_checks.check(workload, 3, text, hybridrelay, 0) == (0, [])
 
 
 def package_imports(tree):
@@ -269,6 +295,28 @@ def test_only_hybrid_and_diagnostics_form_products_over_n():
             if getattr(func, "attr", getattr(func, "id", None)) in ("_dot", "_gram"):
                 flagged.append(f"{path.name}:{node.lineno}")
     assert flagged == []
+
+
+def test_only_the_kernel_forms_k_by_k_products():
+    # The K x K products have fixed homes: @ in hybrid._dot (a stack of
+    # products over N), hybrid._hop_grams and metrics._gram_sinrs, the one
+    # kernel, whose full-digital branch is then the only place that knows a
+    # hop without B; and einsum only in metrics._re_dot, its real dot product.
+    homes = {
+        "@": {("hybrid", "_dot"), ("hybrid", "_hop_grams"), ("metrics", "_gram_sinrs")},
+        "einsum": {("metrics", "_re_dot")},
+    }
+    found = {key: set() for key in homes}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "op", None), ast.MatMult):
+                    found["@"].add(owner)
+                elif getattr(node, "attr", getattr(node, "id", None)) == "einsum":
+                    found["einsum"].add(owner)
+    assert found == homes
 
 
 def test_only_channel_builds_random_streams():

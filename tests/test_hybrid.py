@@ -17,6 +17,7 @@ from hybridrelay import (
     SystemConfig,
     build_analog,
     hybrid,
+    metrics,
     quantize_phase,
     sinc_penalty,
 )
@@ -357,12 +358,12 @@ class TestAlpha:
             assert kernel_alpha(real, cfg, "full_digital") == pytest.approx(expect, rel=1e-12)
 
     def test_nonfinite_input_gives_nan(self, rng):
-        real, _, ref = make_processor(rng, 16, 4)
+        real, cfg, ref = make_processor(rng, 16, 4)
         g1 = real.g1.copy()
         g1[0, 0] = np.nan
         hop1 = hybrid._hop_grams(g1, ref.f1)
         hop2 = hybrid._hop_grams(real.g2, ref.f2)
-        alpha_sq = hybrid._alpha_squared(hop1, hop2, hop2[0] @ hop1[0], 1.0, 1.0, 1.0)
+        alpha_sq, _ = metrics._gram_sinrs(hop1, hop2, cfg)
         assert np.isnan(alpha_sq)
 
 

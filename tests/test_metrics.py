@@ -114,19 +114,14 @@ class TestSinr:
 
     @pytest.mark.parametrize("n,k", [(16, 10), (256, 4), (2048, 3)])
     def test_full_digital_shortcut_equals_the_general_path(self, n, k):
-        # Full digital's B is A itself, so alpha and the SINRs read
-        # m = A2 A1 for B2 A1 and A2 B1; a copy of A takes the products.
+        # Full digital's hop has no B, so alpha and the SINRs read
+        # M = A2 A1 for B2 A1 and A2 B1; a copy of A as B takes the products.
         config = SystemConfig(n_antennas=n, n_pairs=k, n_rx_chains=k, n_tx_chains=k, seed=3)
         g1, g2, _, _ = channel._fill_block(config, 0, 6, None)
         hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
-        assert hop1[1] is hop1[0] and hop2[1] is hop2[0]
+        assert hop1[1] is None and hop2[1] is None
         copies = (hop1[0], hop1[0].copy()), (hop2[0], hop2[0].copy())
-        results = []
-        for h1, h2 in ((hop1, hop2), copies):
-            m = h2[0] @ h1[0]
-            alpha_sq = hybrid._alpha_squared(h1, h2, m, config.p_user, config.p_relay,
-                                             config.var_relay_noise)
-            results.append((alpha_sq, metrics._gram_sinrs(h1, h2, m, alpha_sq, config)))
+        results = [metrics._gram_sinrs(h1, h2, config) for h1, h2 in ((hop1, hop2), copies)]
         for shortcut, general in zip(*results):
             assert np.isfinite(shortcut).all()
             np.testing.assert_allclose(shortcut, general, rtol=1e-13)
@@ -448,9 +443,9 @@ class TestMonteCarlo:
         orig = metrics._gram_sinrs
 
         def inf_in_column_2(*args):
-            out = orig(*args)
+            alpha_sq, out = orig(*args)
             out[7, 2] = np.inf
-            return out
+            return alpha_sq, out
 
         monkeypatch.setattr(metrics, "_gram_sinrs", inf_in_column_2)
         point = monte_carlo_rate(SMALL, 300)
