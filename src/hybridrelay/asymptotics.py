@@ -91,17 +91,19 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
     e1, e2 = inputs.eta1[: inputs.r], inputs.eta2[: inputs.r]
     vr, vd = inputs.var_relay_noise, inputs.var_dest_noise
     gain = QUARTER_PI * float(np.sinc(inputs.delta / np.pi)) ** 2
-    hop1 = gain * e1                    # per unit Eu
-    relayed = gain * e1 ** 2 * e2 ** 2  # per unit Er
-    inverse = np.zeros(inputs.r)
-    with np.errstate(divide="ignore"):  # a zero energy makes 1/SINR infinite
+    # A zero energy makes 1/SINR infinite, and a term that overflows has
+    # reciprocal 0, its limit; a SINR beyond the float range is inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        hop1 = gain * e1                    # per unit Eu
+        relayed = gain * e1 ** 2 * e2 ** 2  # per unit Er
+        inverse = np.zeros(inputs.r)
         if e_user is not None:
             inverse += vr / (hop1 * e_user)
         if e_relay is not None:
             inverse += vd * np.sum(e1 ** 2 * e2) / (relayed * e_relay)
         if e_user is not None and e_relay is not None:
             inverse += vr * vd * np.sum(e1 * e2) / (gain * e_user * relayed * e_relay)
-    return 1.0 / inverse
+        return 1.0 / inverse
 
 
 def sinr_case1(inputs: AsymptoticInputs, k: int) -> float:

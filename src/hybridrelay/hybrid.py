@@ -103,9 +103,11 @@ def quantize_phase(
     two codewords snaps to the higher one, so the circular error
     (reduced phase - result) always lies in [-step, +step).  The returned
     codeword may equal 2*pi, which is the zero codeword expressed without
-    wrapping past the input.
+    wrapping past the input.  A non-finite phase gives NaN, without a
+    warning.
     """
-    reduced = np.mod(phi, 2.0 * np.pi)
+    with np.errstate(invalid="ignore"):  # inf mod 2 pi is NaN
+        reduced = np.mod(phi, 2.0 * np.pi)
     return _codeword_index(reduced, quant) * (2.0 * quant.step)
 
 

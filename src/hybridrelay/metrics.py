@@ -18,7 +18,7 @@ import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,46 +123,35 @@ def _block_trials(config: SystemConfig) -> int:
     return max(1, _BLOCK_BYTES // trial_bytes)
 
 
-def _variant_sinrs(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    stages: Optional[Tuple[Iterator[np.ndarray], Iterator[np.ndarray]]],
-    config: SystemConfig,
-) -> np.ndarray:
-    """SINR rows of a stack of draws under one processing variant.
-
-    `stages` holds each hop's hybrid._analog_stages, whose next stage is
-    the variant's, or is None for full digital, the hop without an analog
-    stage.  Each hop's stage is an argument of its Grams, so it is freed
-    before the next hop's is built.  A draw whose channel, forwarded power
-    or SINR is not finite or overflows gives a NaN row, which the engine
-    counts and sinrs raises on, so the analog stage, the Grams and the
-    kernel run without numpy's overflow and invalid-value warnings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if stages is None:
-            hop1, hop2 = hybrid._hop_grams(g1), hybrid._hop_grams(g2)
-        else:
-            hop1 = hybrid._hop_grams(g1, next(stages[0]))
-            hop2 = hybrid._hop_grams(g2, next(stages[1]))
-        return _gram_sinrs(hop1, hop2, config)[1]
-
-
 def _stack_sinrs(
     g1: np.ndarray, g2: np.ndarray, variants: Sequence[Variant], config: SystemConfig
 ) -> np.ndarray:
     """SINR rows of a stack of draws under each variant, shape (V, trials, K).
 
-    The hybrid variants' stages come from one hybrid._analog_stages per hop,
-    in variant order, so each hop's channel phase is computed once for all
-    quantized variants.
+    Each variant in turn runs the analog stage, the Grams and the kernel,
+    one call each.  The hybrid variants' stages come from one
+    hybrid._analog_stages per hop, in variant order, so each hop's channel
+    phase is computed once for all quantized variants; full digital is the
+    hop without an analog stage.  Each hop's stage is an argument of its
+    Grams, and the Grams are arguments of the kernel, so each stage is freed
+    before the next hop's is built and no Gram outlives its variant.  A draw
+    whose channel, forwarded power or SINR is not finite or overflows gives
+    a NaN row, which the engine counts and sinrs raises on, so the loop runs
+    without numpy's overflow and invalid-value warnings.
     """
     quants = [hybrid.QuantizationSpec(bits) if bits is not None else None
               for mode, bits in variants if mode == "hybrid"]
     stages = (hybrid._analog_stages(g1, config.n_rx_chains, quants),
               hybrid._analog_stages(g2, config.n_tx_chains, quants))
-    return np.stack([_variant_sinrs(g1, g2, stages if mode == "hybrid" else None, config)
-                     for mode, _ in variants])
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, _ in variants:
+            analog = mode == "hybrid"
+            rows.append(_gram_sinrs(
+                hybrid._hop_grams(g1, next(stages[0]) if analog else None),
+                hybrid._hop_grams(g2, next(stages[1]) if analog else None),
+                config)[1])
+    return np.stack(rows)
 
 
 def _check_variant(mode: str, bits: Optional[int]) -> None:
@@ -216,8 +205,8 @@ def _block_sinrs(
     channel stacks: one stream per trial, with the bits sample_realization
     returns for it.  `drop`, when given, must already be validated.  The
     stacks then go through _stack_sinrs: one variant after another, the
-    analog stage, the Grams, alpha and the SINRs, where each hop's analog
-    stages share one channel phase.  Degenerate draws give NaN rows.
+    analog stage, the Grams and the kernel, where each hop's analog stages
+    share one channel phase.  Degenerate draws give NaN rows.
     """
     g1, g2, _, _ = channel._fill_block(config, lo, hi, drop)
     return _stack_sinrs(g1, g2, variants, config)
@@ -385,12 +374,12 @@ def monte_carlo_rates(
     of about 1 MB of fading (max(1, 2**20 // (2 N K 16)) trials).  numpy's
     own SeedSequence supplies the pool that a block's trial stream seeds
     share, once per block, and the block finishes each trial's seed from
-    there, giving trial_rng's stream (trial_rng itself serves trials from
-    2**32 on and one-trial blocks).  Its loop only fills each trial's
-    random numbers; the gains, the complex fading and its scaling are then
-    computed once per block, and the block's stacks are reduced to K x K
-    Grams together.  A trial's SINRs do not depend on the block it lands in
-    or on the other variants of the call.  A thread pool of
+    there, giving trial_rng's stream (trial_rng itself serves only trials
+    from 2**32 on).  Its loop only fills each trial's random numbers; the
+    gains, the complex fading and its scaling are then computed once per
+    block, and the block's stacks are reduced to K x K Grams together.  A
+    trial's SINRs do not depend on the block it lands in or on the other
+    variants of the call.  A thread pool of
     min(CPU count, SIM_THREADS when set, number of blocks) workers runs the
     blocks, overlapping where numpy releases the GIL (see hybrid._dot); one
     worker runs them inline (_pool_map).  It is run_sweep's pool for a
@@ -487,10 +476,12 @@ def _check_lists(
 class SweepSpec:
     """One batch of simulation cells, checked on construction.
 
-    beta_values uses None for continuous phases.  Energies are stored in dB
-    exactly as given.  The regime's two settings must be set, and every dB
-    setting that is set, read by the regime or not, must be a finite
-    number (hybrid._check_real) that converts to a finite linear value.
+    beta_values uses None for continuous phases.  n_values, beta_values and
+    modes are stored as tuples, whatever sequence is given.  Energies are
+    stored in dB exactly as given.  The regime's two settings must be set,
+    and every dB setting that is set, read by the regime or not, must be a
+    finite number (hybrid._check_real) that converts to a finite linear
+    value.
     """
 
     case: str
@@ -505,6 +496,8 @@ class SweepSpec:
     drop_policy: str = "redraw_per_trial"
 
     def __post_init__(self) -> None:
+        for name in ("n_values", "beta_values", "modes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         _check_lists(self.n_values, self.beta_values)

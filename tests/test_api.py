@@ -120,6 +120,16 @@ def test_benchmark_check_passes_on_a_sweep(bench_checks, tmp_path):
     assert bench_checks.check(workload, 3, text, hybridrelay, 0) == (0, [])
 
 
+def test_benchmark_check_passes_on_lemmas(bench_checks, tmp_path):
+    # The lemma check recomputes the table from its draws, so a change to
+    # the lemma rows or their draws fails here, not only in the benchmark.
+    workload = importlib.import_module("workloads").WORKLOADS["lemmas"]
+    out = tmp_path / "lemmas.csv"
+    assert hybridrelay.cli.main(workload.argv(3, str(out))) == 0
+    text = out.read_text(encoding="utf-8")
+    assert bench_checks.check(workload, 3, text, hybridrelay, 0) == (0, [])
+
+
 def package_imports(tree):
     """(module, names) of each import from the package; module None for
     `from . import a, b`, whose names are modules."""

@@ -161,6 +161,32 @@ class TestZeroEnergy:
         )
 
 
+class TestOverflow:
+    """Settings that pass every check give no floating-point warning
+    (pytest turns one into an error): a term of 1/SINR that overflows is 0,
+    its limit, and a SINR beyond the float range is inf."""
+
+    def test_sinr_beyond_float_range_is_inf(self):
+        inp = unit_inputs(e_user=EU, var_relay_noise=1e-320)
+        assert rate_case2(inp) == math.inf
+        assert sinr_case1(unit_inputs(e_user=EU, e_relay=EU, var_relay_noise=1e-320,
+                                      var_dest_noise=1e-320), 0) == math.inf
+
+    def test_overflowing_cross_term_drops_out(self):
+        # With unit gains, 1/SINR = (1 + r) / (gain E) + a cross term whose
+        # denominator gain^2 E^2 overflows; the cross term is 0 (rel 1e-308).
+        inp = AsymptoticInputs(np.ones(3), np.ones(3), 3, e_user=1e308, e_relay=1e308)
+        sinr = math.pi / 4 * 1e308 / 4
+        assert sinr_case1(inp, 0) == pytest.approx(sinr, rel=1e-15)
+        assert rate_case1(inp) == pytest.approx(1.5 * math.log2(1.0 + sinr), rel=1e-15)
+
+    def test_overflowing_energy_term_drops_out(self):
+        # 1e300 * 1e10 overflows: the user side's term is 0, and case 2's
+        # limit SINR is beyond the float range.
+        inp = unit_inputs(e_user=1e300, eta1=np.full(10, 1e10))
+        assert rate_case2(inp) == math.inf
+
+
 class TestValidation:
     def test_missing_energy_named(self):
         with pytest.raises(ValueError, match="e_user"):

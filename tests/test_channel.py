@@ -352,9 +352,10 @@ class TestBlockSeeding:
         ids=["0", "17", "2**32+5", "2**96-1", "2**128-1", "2**130+1", "2**160+7",
              "uint64(2**64-1)"])
     def test_streams_equal_seed_sequence_and_trial_rng(self, seed):
-        # A one-trial block is trial_rng's own, so the replay's edge cases
-        # are the last trials of two-trial blocks.
-        blocks = [(0, 300), (2**31 + 7, 2**31 + 9), (2**32 - 2, 2**32)]
+        # The replay's edge trials, in two-trial blocks and in one-trial
+        # blocks of their own.
+        blocks = [(0, 300), (2**31 + 7, 2**31 + 9), (2**32 - 2, 2**32),
+                  (2**31 + 7, 2**31 + 8), (2**32 - 1, 2**32)]
         for lo, hi in blocks:
             for trial, rng in zip(range(lo, hi), channel._trial_rngs(seed, lo, hi)):
                 seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, trial))
@@ -365,9 +366,10 @@ class TestBlockSeeding:
                 assert_same_bits(rng.standard_normal(40), ref.standard_normal(40))
                 assert_same_bits(rng.random(10), ref.random(10))
 
-    def test_one_trial_block_builds_no_pool(self, monkeypatch):
-        # A one-trial block seeds through trial_rng: one SeedSequence per
-        # trial, none for a block's pool, and the bits of a longer block.
+    def test_one_trial_block_seeds_from_the_block_pool(self, monkeypatch):
+        # A one-trial block is seeded like any other block below 2**32: one
+        # SeedSequence for the block's pool, none per trial, and the bits of
+        # a longer block.
         cfg = SystemConfig(n_antennas=16, seed=17)
         block = channel._fill_block(cfg, 3, 9, None)
         keys, seed_sequence = [], np.random.SeedSequence
@@ -380,7 +382,7 @@ class TestBlockSeeding:
         for i, trial in enumerate(range(3, 9)):
             for alone, whole in zip(channel._fill_block(cfg, trial, trial + 1, None), block):
                 assert_same_bits(alone[0], whole[i])
-        assert keys == [(0, trial) for trial in range(3, 9)]
+        assert keys == [(0,)] * 6
 
     def test_state_words_serve_only_pcg64s_request(self):
         words = channel._StateWords([1, 2, 3, 4])

@@ -30,6 +30,7 @@ from hybridrelay import (
     rate_case1,
     rate_case2,
     rate_case3,
+    run_sweep,
 )
 from hybridrelay.cli import _parse_beta_list, _parse_case, _parse_modes, main
 from hybridrelay.diagnostics import LEMMA_COLUMNS
@@ -252,14 +253,14 @@ class TestSimulate:
     def assert_first_failure(tmp_path, capsys, monkeypatch, threads, losses, lost):
         """Each N loses its first losses[N] trials in every variant; the run
         exits 1 naming `lost` of 6 only after drawing both sizes' trials once."""
-        orig = metrics._variant_sinrs
+        orig = metrics._gram_sinrs
 
-        def lossy(g1, g2, stages, config):
-            out = orig(g1, g2, stages, config)
+        def lossy(hop1, hop2, config):
+            alpha_sq, out = orig(hop1, hop2, config)
             out[:losses.get(config.n_antennas, 0)] = np.nan
-            return out
+            return alpha_sq, out
 
-        monkeypatch.setattr(metrics, "_variant_sinrs", lossy)
+        monkeypatch.setattr(metrics, "_gram_sinrs", lossy)
         monkeypatch.setenv("SIM_THREADS", threads)
         calls = count_draws(monkeypatch)
         out = tmp_path / "rates.csv"
@@ -300,6 +301,25 @@ class TestSimulate:
             "failure: 5 of 20 trials degenerate (> 1%); configuration unusable\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings, limit", [
+        (["--case", "2", "--eu-db", "13", "--pr-db", "13", "--var-relay-noise", "1e-320"],
+         "inf"),
+        (["--case", "1", "--eu-db", "3080", "--er-db", "3080"], "5024.455824"),
+    ], ids=["sinr-beyond-float-range", "overflowing-energy-term"])
+    def test_overflowing_limit_writes_without_numpy_warnings(
+        self, tmp_path, capsys, settings, limit
+    ):
+        # A SINR beyond the float range is inf, and an overflowing term of
+        # 1/SINR is 0, its limit; under the suite's filterwarnings = error a
+        # numpy overflow warning would fail the run with exit 1.
+        out = tmp_path / "rates.csv"
+        assert main(["simulate", "--n", "16", "--trials", "2", "--modes", "asym",
+                     "--out", str(out)] + settings) == 0
+        assert capsys.readouterr().err == ""
+        _, body = read_csv(out)
+        assert [(r["mean_rate_bps_hz"], r["asymptote_rate"]) for r in body] == [
+            (limit, limit)]
 
     def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # At this shape the raw SINRs under one OpenBLAS thread and under
@@ -1156,6 +1176,18 @@ class TestSweepSpecValidation:
     def test_rejections(self, kw, fragment):
         with pytest.raises(ValueError, match=fragment):
             self.good(**kw)
+
+    def test_lists_are_stored_as_tuples(self):
+        lists = SweepSpec("case2", [16], beta_values=[None, 1], modes=["hybrid"],
+                          eu_db=13.0, pr_db=13.0, trials=4)
+        tuples = SweepSpec("case2", (16,), beta_values=(None, 1), modes=("hybrid",),
+                           eu_db=13.0, pr_db=13.0, trials=4)
+        assert (lists.n_values, lists.beta_values, lists.modes) == (
+            (16,), (None, 1), ("hybrid",))
+        assert lists == tuples
+        assert hash(lists) == hash(tuples)
+        config = SystemConfig(n_antennas=16)
+        assert run_sweep(lists, config) == run_sweep(tuples, config)
 
     def test_defaults_are_continuous_hybrid(self):
         spec = SweepSpec("case2", (64,), eu_db=13.0, pr_db=13.0)

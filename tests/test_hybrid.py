@@ -45,6 +45,15 @@ class TestQuantizer:
         q = quantize_phase(np.array([0.0, np.pi / 3.0, np.pi]), spec)
         np.testing.assert_allclose(q, [0.0, np.pi / 2.0, np.pi], atol=1e-15)
 
+    def test_non_finite_phase_gives_nan_without_warning(self):
+        # As build_analog's non-finite rule; the suite runs with
+        # filterwarnings = error, so numpy's remainder warning would raise.
+        spec = QuantizationSpec(2)
+        assert np.isnan(quantize_phase(np.inf, spec))
+        q = quantize_phase(np.array([np.inf, -np.inf, np.nan, np.pi / 3.0]), spec)
+        assert np.isnan(q[:3]).all()
+        assert q[3] == quantize_phase(np.pi / 3.0, spec)
+
     @pytest.mark.parametrize("bits", [1, 2, 12])
     def test_codeword_index_keeps_its_bits_and_leaves_phi_alone(self, rng, bits):
         # Without `out` the index is built in the divide's own array, so
