@@ -92,8 +92,9 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
     vr, vd = inputs.var_relay_noise, inputs.var_dest_noise
     gain = QUARTER_PI * float(np.sinc(inputs.delta / np.pi)) ** 2
     # A zero energy makes 1/SINR infinite, and a term that overflows has
-    # reciprocal 0, its limit; a SINR beyond the float range is inf.
-    with np.errstate(divide="ignore", over="ignore"):
+    # reciprocal 0, its limit; a SINR beyond the float range is inf.  Only
+    # inf / inf, 0 / 0 or 0 * inf make a NaN: those pairs take _log_sinrs.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hop1 = gain * e1                    # per unit Eu
         relayed = gain * e1 ** 2 * e2 ** 2  # per unit Er
         inverse = np.zeros(inputs.r)
@@ -103,7 +104,37 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
             inverse += vd * np.sum(e1 ** 2 * e2) / (relayed * e_relay)
         if e_user is not None and e_relay is not None:
             inverse += vr * vd * np.sum(e1 * e2) / (gain * e_user * relayed * e_relay)
-        return 1.0 / inverse
+        sinrs = 1.0 / inverse
+    lost = np.isnan(sinrs)
+    if lost.any():
+        sinrs[lost] = _log_sinrs(e1, e2, vr, vd, gain, e_user, e_relay)[lost]
+    return sinrs
+
+
+def _log_sinrs(
+    e1: np.ndarray, e2: np.ndarray, vr: float, vd: float, gain: float,
+    e_user: Optional[float], e_relay: Optional[float],
+) -> np.ndarray:
+    """_limit_sinrs's law with each term of 1/SINR formed as a logarithm.
+
+    No product or ratio of the inputs is formed, so nothing leaves the
+    float range before a term is known; a zero energy's log is -inf and
+    makes its terms +inf, so its SINR is 0.  Exponentiating logs of a few
+    hundred costs accuracy (up to about 3e-13 relative at gains of 1e160
+    to 1e300), so only the pairs that the direct law leaves NaN take it.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        l1, l2, lgain = np.log(e1), np.log(e2), math.log(gain)
+        terms = []
+        if e_user is not None:
+            terms.append(math.log(vr) - lgain - l1 - np.log(e_user))
+        if e_relay is not None:
+            relayed = lgain + 2 * l1 + 2 * l2 + np.log(e_relay)
+            terms.append(math.log(vd) + np.logaddexp.reduce(2 * l1 + l2) - relayed)
+        if e_user is not None and e_relay is not None:
+            terms.append(math.log(vr) + math.log(vd) + np.logaddexp.reduce(l1 + l2)
+                         - lgain - np.log(e_user) - relayed)
+        return np.exp(-np.logaddexp.reduce(terms))
 
 
 def sinr_case1(inputs: AsymptoticInputs, k: int) -> float:

@@ -9,7 +9,9 @@ lemma_rows measures both over a family of draws: the verify-lemmas table.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +23,8 @@ from .hybrid import (
     sinc_penalty,
 )
 from .metrics import _beta_key, _check_lists, _pool_map
+
+log = logging.getLogger(__name__)
 
 # Row norms of the analog stage are exact by construction; only float
 # accumulation separates them from 1.
@@ -124,11 +128,15 @@ def lemma_rows(
     (lemma_rng).  Its stages come from one hybrid._analog_stages, so the
     draw's channel phase is computed once for all quantized betas, and kept
     until the last of them; each beta's sinc_penalty is computed once per
-    call.  The jobs run in the table's own order, N
-    ascending, then seed, so one draw per worker is live and the largest
-    draws overlap only at the end: largest first would hold them together
-    for longer.  Rows are sorted by (metric, N, beta, seed), the same for
-    any worker count.
+    call.  The jobs are queued largest N first, seeds ascending within each
+    N, as the engine queues its blocks: the largest draws hold most of the
+    work, and queued last, the final one ran alone at the end of the pool.
+    Queued first, they overlap on every worker: on five seeds of N = 64 to
+    16384 with two workers on a 2-core host, 14% more draws per second
+    for 1.7 MB more peak memory.  Rows are sorted by
+    (metric, N, beta, seed), the same for any worker count.  Once every
+    draw has run, one INFO line per N, in N order, gives its seeds and the
+    failed rows of each metric.
     """
     _check_lists(n_values, beta_values)
     _check_int("n_seeds", n_seeds, 1)
@@ -147,7 +155,11 @@ def lemma_rows(
                 for beta, penalty in zip(beta_values, penalties)
                 for row in _stage_checks(next(stages), h, penalty)]
 
-    jobs = [(n, s) for n in n_values for s in range(seed, seed + n_seeds)]
+    jobs = [(n, s) for n in reversed(n_values) for s in range(seed, seed + n_seeds)]
     rows = [row for done in _pool_map(draw_rows, jobs) for row in done]
     rows.sort(key=lambda r: (r["metric"], r["N"], _beta_key(r["beta"]), r["seed"]))
+    failed = Counter((r["N"], r["metric"]) for r in rows if not r["passed"])
+    for n in n_values:
+        log.info("N=%d: seeds=%d failed: orthonormality=%d fh_convergence=%d", n,
+                 n_seeds, failed[n, "orthonormality"], failed[n, "fh_convergence"])
     return rows

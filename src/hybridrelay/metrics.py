@@ -256,9 +256,11 @@ def _keep_freed_memory() -> None:
 def _pool_map(fn: Callable, jobs: Sequence) -> List:
     """[fn(job) for job in jobs], run on _worker_count(len(jobs)) threads.
 
-    The pool of the engine's blocks and of the lemma table's draws.  With
-    one worker the jobs run inline in the calling thread: a one-thread pool
-    overlaps nothing and only adds its hand-offs.  Otherwise every job is
+    The pool of the engine's blocks and of the lemma table's draws; both
+    callers queue their largest array first, so the costliest jobs start
+    first and a short one ends the pool.  With one worker the jobs run
+    inline in the calling thread: a one-thread pool overlaps nothing and
+    only adds its hand-offs.  Otherwise every job is
     queued at once and the workers overlap where numpy releases the GIL
     (hybrid._dot).  The worker count, and so the SIM_THREADS check, is read
     before any job runs.  Both callers rely on that check; run_sweep also

@@ -187,6 +187,53 @@ class TestOverflow:
         assert rate_case2(inp) == math.inf
 
 
+class TestExtremeGains:
+    """Gains whose squares and cubes leave the float range: the direct law's
+    ratios of two infinite or two zero sums once gave NaN with a numpy
+    warning.  Three equal gains g at unit energies and noise have 1/SINR
+    = (1 + 3) / (gain g) (case 1), 1 / (gain g) (case 2) and 3 / (gain g)
+    (case 3), up to a cross term of relative size 1/g (1e-160 here)."""
+
+    @pytest.mark.parametrize("law, expected", [
+        (rate_case1, 793.7399869671754),
+        (rate_case2, 796.7399869671754),
+        (rate_case3, 794.3625432160937),
+    ], ids=["case1", "case2", "case3"])
+    def test_overflowing_gains(self, law, expected):
+        inp = AsymptoticInputs(np.full(3, 1e160), np.full(3, 1e160), 3,
+                               e_user=1.0, e_relay=1.0)
+        assert law(inp) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("law", [rate_case1, rate_case2, rate_case3],
+                             ids=["case1", "case2", "case3"])
+    def test_underflowing_gains(self, law):
+        # No SINR is above about 1e-200: log2(1 + SINR) rounds to 0.
+        inp = AsymptoticInputs(np.full(3, 1e-200), np.full(3, 1e-200), 3,
+                               e_user=1.0, e_relay=1.0)
+        assert law(inp) == 0.0
+
+    @pytest.mark.parametrize("a, b", [(1e160, 1e160), (1e-200, 1e-200), (1e300, 1e-300)])
+    def test_scaled_gains_keep_every_sinr(self, a, b):
+        # Gains a eta1 and b eta2 at energies Eu / a and Er / b leave every
+        # term of 1/SINR as it was, so every SINR and rate keeps its value,
+        # though the direct law's sums and products leave the float range.
+        eta1, eta2 = np.array([1.0, 2.0, 0.5]), np.array([3.0, 1.0, 0.25])
+        base = AsymptoticInputs(eta1, eta2, 3, e_user=EU, e_relay=2.0, delta=0.3)
+        scaled = AsymptoticInputs(eta1 * a, eta2 * b, 3, e_user=EU / a,
+                                  e_relay=2.0 / b, delta=0.3)
+        for k in range(3):
+            assert sinr_case1(scaled, k) == pytest.approx(sinr_case1(base, k), rel=1e-12)
+        for law in (rate_case1, rate_case2, rate_case3):
+            assert law(scaled) == pytest.approx(law(base), rel=1e-12)
+
+    def test_zero_energy_with_overflowing_gains_is_zero(self):
+        # 0 * inf in the cross term; a zero energy still gives SINR 0.
+        for e_user, e_relay in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+            inp = AsymptoticInputs(np.full(3, 1e160), np.full(3, 1e160), 3,
+                                   e_user=e_user, e_relay=e_relay)
+            assert sinr_case1(inp, 0) == 0.0
+
+
 class TestValidation:
     def test_missing_energy_named(self):
         with pytest.raises(ValueError, match="e_user"):

@@ -306,13 +306,20 @@ class TestSimulate:
         (["--case", "2", "--eu-db", "13", "--pr-db", "13", "--var-relay-noise", "1e-320"],
          "inf"),
         (["--case", "1", "--eu-db", "3080", "--er-db", "3080"], "5024.455824"),
-    ], ids=["sinr-beyond-float-range", "overflowing-energy-term"])
+        (["--case", "1", "--eu-db", "10", "--er-db", "10", "--pathloss-exp", "200"],
+         "0"),
+        (["--case", "3", "--pu-db", "10", "--er-db", "10", "--pathloss-exp", "200"],
+         "0"),
+    ], ids=["sinr-beyond-float-range", "overflowing-energy-term",
+            "underflowing-gains-case1", "underflowing-gains-case3"])
     def test_overflowing_limit_writes_without_numpy_warnings(
         self, tmp_path, capsys, settings, limit
     ):
         # A SINR beyond the float range is inf, and an overflowing term of
         # 1/SINR is 0, its limit; under the suite's filterwarnings = error a
-        # numpy overflow warning would fail the run with exit 1.
+        # numpy overflow warning would fail the run with exit 1.  At path-loss
+        # exponent 200 every canonical gain is below 1e-20, and the relayed
+        # terms' 0 / 0 once wrote nan with an "invalid value" warning.
         out = tmp_path / "rates.csv"
         assert main(["simulate", "--n", "16", "--trials", "2", "--modes", "asym",
                      "--out", str(out)] + settings) == 0
@@ -824,8 +831,30 @@ class TestVerifyLemmas:
         assert main(argv + [str(quiet)]) == 0
         assert capsys.readouterr().err == ""
         assert main(argv + [str(loud), "--verbose"]) == 0
-        assert capsys.readouterr().err == f"INFO wrote 4 rows to {loud}\n"
+        assert capsys.readouterr().err == (
+            "INFO N=16: seeds=2 failed: orthonormality=0 fh_convergence=0\n"
+            f"INFO wrote 4 rows to {loud}\n"
+        )
         assert quiet.read_bytes() == loud.read_bytes()
+
+    def test_verbose_counts_failed_rows_per_n_in_n_order(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # One line per N, in N order whatever the pool's order, counting
+        # the rows of each metric that fail: every row of a NaN draw.
+        draw = diagnostics.sample_small_scale
+        monkeypatch.setattr(diagnostics, "sample_small_scale", lambda n, k, rng: (
+            np.full((n, k), np.nan + 0j) if n == 32 else draw(n, k, rng)))
+        monkeypatch.setenv("SIM_THREADS", "2")
+        out = tmp_path / "lemmas.csv"
+        assert main(["verify-lemmas", "--n", "16,32,64", "--seeds", "3",
+                     "--n-pairs", "3", "--n-rx-chains", "3", "--out", str(out),
+                     "-v"]) == 0
+        assert capsys.readouterr().err == (
+            "INFO N=16: seeds=3 failed: orthonormality=0 fh_convergence=0\n"
+            "INFO N=32: seeds=3 failed: orthonormality=3 fh_convergence=3\n"
+            "INFO N=64: seeds=3 failed: orthonormality=0 fh_convergence=0\n"
+            f"INFO wrote 18 rows to {out}\n"
+        )
 
     def test_csv_bytes_do_not_depend_on_threads(self, tmp_path):
         # Each (N, seed) draw is one pool job; the bytes must not move with

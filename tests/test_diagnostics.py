@@ -273,6 +273,15 @@ class TestSweep:
         assert len(serial) == 2 * 3 * 4 * 3
         assert pooled == serial
 
+    def test_draws_queue_largest_n_first(self, monkeypatch):
+        # One pool job per (N, seed) draw: every N = 4096 seed, ascending,
+        # then 1024's and 64's, the engine's largest-array-first rule.
+        queued, pool_map = [], diagnostics._pool_map
+        monkeypatch.setattr(diagnostics, "_pool_map",
+                            lambda fn, jobs: queued.append(jobs) or pool_map(fn, jobs))
+        lemma_rows([64, 1024, 4096], [None, 1, 2, 12], 3)
+        assert queued == [[(n, s) for n in (4096, 1024, 64) for s in range(3)]]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the pool changes glibc's allocator settings only")
     def test_repeat_library_call_keeps_its_draws_in_the_heap(self):

@@ -719,6 +719,23 @@ class TestRunSweep:
         if spec.case == "fixed_power":
             assert all(r["asymptote_rate"] is None for r in rows)
 
+    def test_blocks_queue_largest_array_first(self, monkeypatch):
+        # One pool job per (config, lo, hi) block: the N = 24 blocks of one
+        # trial, then N = 16's of two and N = 8's of five, each in trial
+        # order.  diagnostics.lemma_rows queues its draws by the same rule.
+        queued, pool_map = [], metrics._pool_map
+        monkeypatch.setattr(metrics, "_pool_map",
+                            lambda fn, jobs: queued.append(jobs) or pool_map(fn, jobs))
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 2 ** 12)
+        spec = SweepSpec(case="case2", n_values=(8, 16, 24), trials=7,
+                         eu_db=13.0, pr_db=13.0)
+        run_sweep(spec, SystemConfig(n_antennas=24, n_pairs=3, n_rx_chains=3,
+                                     n_tx_chains=3))
+        assert queued == [
+            [(2, lo, lo + 1) for lo in range(7)]
+            + [(1, 0, 2), (1, 2, 4), (1, 4, 6), (1, 6, 7), (0, 0, 5), (0, 5, 7)]
+        ]
+
     def test_cell_powers_follow_each_scaling_law(self):
         def spec(case, **kw):
             return SweepSpec(case=case, n_values=(10,), beta_values=(None,),
