@@ -91,9 +91,9 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
     e1, e2 = inputs.eta1[: inputs.r], inputs.eta2[: inputs.r]
     vr, vd = inputs.var_relay_noise, inputs.var_dest_noise
     gain = QUARTER_PI * float(np.sinc(inputs.delta / np.pi)) ** 2
-    # A zero energy makes 1/SINR infinite, and a term that overflows has
-    # reciprocal 0, its limit; a SINR beyond the float range is inf.  Only
-    # inf / inf, 0 / 0 or 0 * inf make a NaN: those pairs take _log_sinrs.
+    # A SINR beyond the float range is inf.  A pair left at 0 (a zero
+    # energy, or a term of 1/SINR that overflowed) or at NaN (inf / inf,
+    # 0 / 0 or 0 * inf) takes _log_sinrs, which still gives a zero energy 0.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hop1 = gain * e1                    # per unit Eu
         relayed = gain * e1 ** 2 * e2 ** 2  # per unit Er
@@ -105,7 +105,7 @@ def _limit_sinrs(inputs: AsymptoticInputs, *scaled: str) -> np.ndarray:
         if e_user is not None and e_relay is not None:
             inverse += vr * vd * np.sum(e1 * e2) / (gain * e_user * relayed * e_relay)
         sinrs = 1.0 / inverse
-    lost = np.isnan(sinrs)
+    lost = ~(sinrs > 0.0)
     if lost.any():
         sinrs[lost] = _log_sinrs(e1, e2, vr, vd, gain, e_user, e_relay)[lost]
     return sinrs
@@ -121,7 +121,7 @@ def _log_sinrs(
     float range before a term is known; a zero energy's log is -inf and
     makes its terms +inf, so its SINR is 0.  Exponentiating logs of a few
     hundred costs accuracy (up to about 3e-13 relative at gains of 1e160
-    to 1e300), so only the pairs that the direct law leaves NaN take it.
+    to 1e300), so only the pairs that the direct law leaves NaN or 0 take it.
     """
     with np.errstate(divide="ignore", over="ignore"):
         l1, l2, lgain = np.log(e1), np.log(e2), math.log(gain)

@@ -18,10 +18,7 @@ import numpy as np
 
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
-from .hybrid import (
-    QuantizationSpec, _analog_stages, _check_int, _dot, _gram, build_analog,
-    sinc_penalty,
-)
+from .hybrid import QuantizationSpec, _analog_stages, _check_int, _dot, _gram, sinc_penalty
 from .metrics import _beta_key, _check_lists, _pool_map
 
 log = logging.getLogger(__name__)
@@ -79,18 +76,20 @@ def _stage_checks(f: np.ndarray, h: np.ndarray, penalty: float) -> Tuple[dict, d
     offdiag_deviation, diag_mean), bound and passed.  Both rows carry the
     5/sqrt(N) bound and pass when the off-diagonal stays within it and the
     diagonal within DIAG_TOL for F F^H (each row is an exact average of N
-    unit-magnitude entries) or within the bound for F H.
+    unit-magnitude entries) or within the bound for F H.  A non-finite
+    draw fails both rows, with no numpy warning.
     """
     bound = 5.0 / math.sqrt(h.shape[0])
-    return tuple(
-        {"metric": metric, "diag_deviation": diag_dev, "offdiag_deviation": off_dev,
-         "diag_mean": diag_mean, "bound": bound,
-         "passed": diag_dev <= diag_tol and off_dev <= bound}
-        for metric, (diag_dev, off_dev, diag_mean), diag_tol in (
-            ("orthonormality", orthonormality_parts(f), DIAG_TOL),
-            ("fh_convergence", fh_parts(f, h, penalty), bound),
+    with np.errstate(invalid="ignore"):  # F H of an infinite entry of h
+        return tuple(
+            {"metric": metric, "diag_deviation": diag_dev, "offdiag_deviation": off_dev,
+             "diag_mean": diag_mean, "bound": bound,
+             "passed": diag_dev <= diag_tol and off_dev <= bound}
+            for metric, (diag_dev, off_dev, diag_mean), diag_tol in (
+                ("orthonormality", orthonormality_parts(f), DIAG_TOL),
+                ("fh_convergence", fh_parts(f, h, penalty), bound),
+            )
         )
-    )
 
 
 def lemma_checks(
@@ -100,12 +99,11 @@ def lemma_checks(
 
     _stage_checks of the analog stage F built from the first n_chains
     columns of h (continuous phases when bits is None): the one-resolution
-    call of the check that lemma_rows runs at every beta of a draw.  A
-    non-finite draw fails both rows, with no numpy warning.
+    call of the check that lemma_rows runs at every beta of a draw, on a
+    stage from the same hybrid._analog_stages (which gives the non-finite rule).
     """
     quant = QuantizationSpec(bits) if bits is not None else None
-    with np.errstate(invalid="ignore"):  # F H of an infinite entry of h
-        return _stage_checks(build_analog(h, n_chains, quant), h, sinc_penalty(quant))
+    return _stage_checks(next(_analog_stages(h, n_chains, (quant,))), h, sinc_penalty(quant))
 
 
 def lemma_rows(

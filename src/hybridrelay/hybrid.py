@@ -9,7 +9,7 @@ counts.  Every product over N is formed here: F G by _dot, G^H G and F F^H
 by _gram (BLAS syrk if large).
 Precision is set here too: build_analog and _gram read complex128.  The
 channel phase is computed here only (_phase), once for every quantized
-stage of a draw (_analog_stages).
+stage of a draw (_analog_stages, which owns the non-finite entry's rule).
 """
 
 from __future__ import annotations
@@ -128,23 +128,16 @@ def build_analog(
     is then read from a table of the 2**bits conjugate codewords, unless the
     table would hold more entries than the stage: then each entry is
     computed directly as exp(-2j * step * index) / sqrt(N), the table's
-    bits.  A non-finite channel entry gives a NaN stage entry, with or
-    without `quant`, and no warning.  `g` is N x K, or (..., N, K) for a
-    stack of trials, and the result is n_chains x N, or (..., n_chains, N):
-    the transposed view of an array built in g's own layout.  Only the
-    first n_chains columns of g are used; requesting more chains than
-    channel columns is an error because the remaining rows would have no
-    channel to match.  The stage is complex128 whatever g's dtype: g is
-    read as its complex128 cast.  This is the one-resolution call of
-    _analog_stages, through which the engine and the lemma table build
-    every stage of a draw.
+    bits.  `g` is N x K, or (..., N, K) for a stack of trials, and the
+    result is n_chains x N, or (..., n_chains, N): the transposed view of an
+    array built in g's own layout.  Only the first n_chains columns of g are
+    used; requesting more chains than channel columns is an error because
+    the remaining rows would have no channel to match.  The stage is
+    complex128 whatever g's dtype: g is read as its complex128 cast.  The
+    one-resolution call of _analog_stages, which builds every stage of the
+    engine and the lemma table, and gives the rule of a non-finite entry.
     """
-    g = np.asarray(g, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf * 0, a NaN phase's index cast
-        stage = next(_analog_stages(g, n_chains, (quant,)))
-    if quant is not None:  # angle(inf) is finite, so the codeword is overwritten
-        stage[~np.isfinite(np.swapaxes(g[..., :n_chains], -1, -2))] = np.nan
-    return stage
+    return next(_analog_stages(g, n_chains, (quant,)))
 
 
 def _phase(gs: np.ndarray) -> np.ndarray:
@@ -166,8 +159,11 @@ def _analog_stages(
     it costs alone.  A generator: the checks run at the first request, and
     each stage when it is asked for.  It holds no stage it has yielded, so a
     caller that frees each stage before asking for the next (by passing
-    next() as an argument) holds one stage at a time.  Only build_analog marks
-    a non-finite entry's stage NaN: the engine's row is NaN through alpha.
+    next() as an argument) holds one stage at a time.  The one non-finite
+    rule: a NaN or infinite channel entry (either part) gives a stage entry
+    NaN in both parts, at every resolution, with no warning, and every other
+    entry keeps its bits.  Only chain columns that fail one all-finite test
+    are copied, bad entries read as 1 (no NaN reaches an integer cast).
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
@@ -175,35 +171,39 @@ def _analog_stages(
     n, k = g.shape[-2], g.shape[-1]
     _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
+    bad = None if np.isfinite(gs).all() else ~np.isfinite(gs)
+    gs = gs if bad is None else np.where(bad, 1.0, gs)
     last = max((i for i, quant in enumerate(quants) if quant is not None), default=-1)
     phase = None
     for i, quant in enumerate(quants):
         if quant is None:
-            yield _continuous_stage(gs, n)
-            continue
-        if phase is None:
-            phase = _phase(gs)
-        if i < last:
-            index = _codeword_index(phase, quant)
+            stage = _continuous_stage(gs, n)
         else:
-            index, phase = _codeword_index(phase, quant, out=phase), None
-        size = 2 ** quant.bits
-        # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
-        if size > index.size:  # a table larger than the stage
-            stage = _conj_codeword(np.mod(index, size, out=index), quant, n)
-        else:
-            index = index.astype(np.intp)  # frees the float index before the lookup
-            index &= size - 1
-            stage = _conj_codeword(np.arange(size), quant, n)[index]
-        del index
+            if phase is None:
+                phase = _phase(gs)
+            if i < last:
+                index = _codeword_index(phase, quant)
+            else:
+                index, phase = _codeword_index(phase, quant, out=phase), None
+            size = 2 ** quant.bits
+            # angle() lies in [-pi, pi]; both branches wrap the index into [0, size).
+            if size > index.size:  # a table larger than the stage
+                stage = _conj_codeword(np.mod(index, size, out=index), quant, n)
+            else:
+                index = index.astype(np.intp)  # frees the float index before the lookup
+                index &= size - 1
+                stage = _conj_codeword(np.arange(size), quant, n)[index]
+            del index
+        if bad is not None:
+            stage[bad] = complex(math.nan, math.nan)
         yield np.swapaxes(stage, -1, -2)
         del stage  # freed once the caller drops it, before the next is built
 
 
 def _continuous_stage(gs: np.ndarray, n: int) -> np.ndarray:
-    """Continuous stage of channel columns gs: conj(gs) / (|gs| sqrt(n)), transposed."""
+    """Continuous stage of channel columns gs, in their layout: conj(gs) / (|gs| sqrt(n))."""
     mag = np.abs(gs)
-    # A zero or NaN minimum: phase 0 where g = 0, as angle(0) gives.
+    # A zero minimum: phase 0 where g = 0, as angle(0) gives.
     if not mag.min(initial=math.inf) > 0.0:
         dead = mag == 0.0
         gs = np.where(dead, 1.0, gs)
@@ -212,7 +212,7 @@ def _continuous_stage(gs: np.ndarray, n: int) -> np.ndarray:
     # a * (1 / c) is how numpy divides a complex a by a real c, bit for bit.
     f = np.conj(gs)
     f *= np.reciprocal(mag, out=mag)
-    return np.swapaxes(f, -1, -2)
+    return f
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

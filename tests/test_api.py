@@ -329,6 +329,35 @@ def test_only_the_kernel_forms_k_by_k_products():
     assert found == homes
 
 
+def test_one_analog_stage_path():
+    # hybrid._analog_stages is the one stage builder and owns the
+    # non-finite rule.  build_analog and lemma_checks only call it: no
+    # errstate, no mask and no stage entry of their own.  Within hybrid,
+    # np.exp forms stage entries only in _conj_codeword, and np.conj only in
+    # _continuous_stage; _gram and _hop_grams conjugate the products they form.
+    homes = {"exp": {"_conj_codeword"},
+             "conj": {"_continuous_stage", "_gram", "_hop_grams"}}
+    found = {key: set() for key in homes}
+    tree = ast.parse((PACKAGE_DIR / "hybrid.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in homes:
+                found[node.attr].add(top.name)
+    assert found == homes
+    builders = {"_analog_stages", "_continuous_stage", "_conj_codeword", "_codeword_index",
+                "_phase", "build_analog", "quantize_phase", "errstate", "exp", "conj"}
+    for module, name in (("hybrid", "build_analog"), ("diagnostics", "lemma_checks")):
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+        func = next(top for top in tree.body if getattr(top, "name", None) == name)
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(func)}
+        assert names & builders == {"_analog_stages"}, name
+        assert not any(isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                       for node in ast.walk(func)), name
+        if name == "build_analog":  # its body, after the docstring, is the one call
+            assert [ast.unparse(statement) for statement in func.body[1:]] == [
+                "return next(_analog_stages(g, n_chains, (quant,)))"]
+
+
 def test_only_channel_builds_random_streams():
     # channel.py owns the RNG stream layout: every generator the package
     # draws from is built there, from (seed, purpose, index).

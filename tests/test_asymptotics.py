@@ -3,12 +3,14 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
 from hybridrelay import (
     AsymptoticInputs,
+    asymptotics,
     rate_case1,
     rate_case2,
     rate_case3,
@@ -225,6 +227,30 @@ class TestExtremeGains:
             assert sinr_case1(scaled, k) == pytest.approx(sinr_case1(base, k), rel=1e-12)
         for law in (rate_case1, rate_case2, rate_case3):
             assert law(scaled) == pytest.approx(law(base), rel=1e-12)
+
+    @pytest.mark.parametrize("scaled", [("e_user", "e_relay"), ("e_relay",)],
+                             ids=["case1", "case3"])
+    def test_overflowing_sum_of_other_pairs(self, scaled):
+        # Pair 0's gain overflows S21 = sum_i eta1i^2 eta2i, and so the
+        # S21 term of 1/SINR of pairs 1 and 2, whose true SINR is about
+        # 7.85e-11: the direct law gave them 0.  Reference: the module's
+        # law at 50 digits.
+        eta1 = np.array([1e155, 1.0, 1.0])
+        inp = AsymptoticInputs(eta1, np.ones(3), 3, e_user=1.0, e_relay=1e300)
+        with mpmath.workdps(50):
+            e1 = [mpmath.mpf(float(x)) for x in eta1]
+            gain, eu, er = mpmath.pi / 4, mpmath.mpf(1), mpmath.mpf(1e300)
+            want = []
+            for a in e1:
+                inverse = sum(x ** 2 for x in e1) / (gain * a ** 2 * er)
+                if "e_user" in scaled:
+                    inverse += 1 / (gain * a * eu) + sum(e1) / (gain ** 2 * eu * er * a ** 2)
+                want.append(float(1 / inverse))
+        assert want[1] == pytest.approx(7.85398163e-11, rel=1e-8)
+        assert asymptotics._limit_sinrs(inp, *scaled) == pytest.approx(want, rel=1e-12, abs=0)
+        # A zero energy still gives SINR 0.
+        zero = AsymptoticInputs(eta1, np.ones(3), 3, e_user=1.0, e_relay=0.0)
+        assert np.all(asymptotics._limit_sinrs(zero, *scaled) == 0.0)
 
     def test_zero_energy_with_overflowing_gains_is_zero(self):
         # 0 * inf in the cross term; a zero energy still gives SINR 0.

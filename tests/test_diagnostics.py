@@ -251,6 +251,29 @@ class TestSweep:
                     assert np.isnan(row["diag_deviation"])
                     assert row["passed"] is False
 
+    def test_non_finite_draw_fails_every_row_of_the_table(self, monkeypatch):
+        # The table's stages follow the one non-finite rule too: a draw with
+        # a NaN and an infinite entry fails both rows at every beta (12 bits
+        # take the direct exp at N = 64 and read the table at 4096), with no
+        # numpy warning, and each row equals lemma_checks of its beta.  The
+        # table's 2-bit stage once cast the NaN's index to an integer.
+        def planted(n, k, rng):
+            h = sample_small_scale(n, k, rng)
+            h[5, 3] = np.nan
+            h[9, 1] = complex(np.inf, 0.5)
+            return h
+
+        monkeypatch.setattr(diagnostics, "sample_small_scale", planted)
+        monkeypatch.setenv("SIM_THREADS", "1")
+        rows = lemma_rows([64, 4096], [None, 1, 2, 12], 1)
+        assert len(rows) == 2 * 2 * 4
+        for row in rows:
+            assert np.isnan(row["diag_deviation"])
+            assert row["passed"] is False
+            h = planted(row["N"], 10, lemma_rng(0, row["N"]))
+            want = {r["metric"]: r for r in lemma_checks(h, 10, row["beta"])}[row["metric"]]
+            np.testing.assert_equal(row, {**want, "N": row["N"], "beta": row["beta"], "seed": 0})
+
     def test_rows_equal_for_one_and_two_workers(self, monkeypatch):
         # Each (N, seed) draw is one pool job: one worker draws inline in
         # the calling thread, two draw on the pool, and every value agrees.

@@ -296,6 +296,33 @@ class TestAnalogStages:
             assert_same_bits(stage, build_analog(g, chains, quant))
         assert_same_bits(g, before)
 
+    @pytest.mark.parametrize("entry", [
+        complex(np.nan, 0.5), complex(np.inf, 0.5), complex(0.5, -np.inf),
+        complex(-np.inf, np.inf),
+    ], ids=["nan", "inf", "minus-inf-imag", "minus-inf-inf"])
+    @pytest.mark.parametrize("layout", ["2-d", "stack"])
+    def test_non_finite_entry_is_nan_in_every_stage(self, rng, layout, entry):
+        # The one non-finite rule, with no errstate here (filterwarnings =
+        # error): the bad entry is NaN in both parts at every resolution and
+        # branch (bits 12-14 read the table at 4096 x 10, bits 13 and 14 take
+        # the direct exp at 3 x 1024 x 2), and every other entry keeps the
+        # bits of the finite channel.  A NaN index once reached the table's
+        # integer cast, and an infinite entry once got a real codeword.
+        wide = rng.standard_normal((4096, 20)) + 1j * rng.standard_normal((4096, 20))
+        g, chains, where = {
+            "2-d": (wide[:, :10].copy(), 10, (2, 1)),
+            "stack": (wide.reshape(20, 1024, 4)[:3, :, :2].copy(), 2, (1, 5, 1)),
+        }[layout]
+        at = where[:-2] + (where[-1], where[-2])
+        quants = self.specs(self.QUANTS)
+        finite = list(hybrid._analog_stages(g, chains, quants))
+        g[where] = entry
+        for stage, want, quant in zip(hybrid._analog_stages(g, chains, quants), finite, quants):
+            assert_same_bits(stage, build_analog(g, chains, quant))
+            assert np.isnan(stage[at].real) and np.isnan(stage[at].imag)
+            stage[at] = want[at]
+            assert_same_bits(stage, want)
+
     def test_holds_no_stage_it_has_yielded(self, rng):
         # A stage the caller has dropped is freed before the next is built.
         g = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
