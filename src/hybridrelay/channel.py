@@ -59,10 +59,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     The reference for the trial streams: the engine's block draw builds
     the same generators through _trial_rngs.
     """
+    return _stream(seed, _TRIAL_STREAM, "trial", trial)
+
+
+def _stream(seed: int, purpose: int, name: str, index: int) -> np.random.Generator:
+    """The generator of stream (seed, purpose, index); errors call index `name`."""
     _check_int("seed", seed, 0)
-    _check_int("trial", trial, 0)
+    _check_int(name, index, 0)
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_TRIAL_STREAM, trial))
+        np.random.SeedSequence(entropy=seed, spawn_key=(purpose, index))
     )
 
 
@@ -156,11 +161,7 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
 
 def lemma_rng(seed: int, n: int) -> np.random.Generator:
     """Generator for the convergence diagnostics at array size n."""
-    _check_int("seed", seed, 0)
-    _check_int("n", n, 0)
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_LEMMA_STREAM, n))
-    )
+    return _stream(seed, _LEMMA_STREAM, "n", n)
 
 
 # numpy's complex division by sqrt(2) multiplies by this reciprocal.

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .asymptotics import QUARTER_PI
 from .channel import lemma_rng, sample_small_scale
 from .config import SystemConfig
 from .hybrid import QuantizationSpec, _analog_stages, _check_int, _dot, _gram, sinc_penalty
@@ -64,7 +65,7 @@ def fh_parts(
     _identity_parts: all but its first min(chains, K) diagonal entries
     converge to zero.
     """
-    m = _dot(f, h) / math.sqrt(h.shape[0] * math.pi / 4.0)
+    m = _dot(f, h) / math.sqrt(h.shape[0] * QUARTER_PI)
     return _identity_parts(m, penalty)
 
 

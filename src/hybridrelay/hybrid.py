@@ -9,7 +9,7 @@ counts.  Every product over N is formed here: F G by _dot, G^H G and F F^H
 by _gram (BLAS syrk if large).
 Precision is set here too: build_analog and _gram read complex128.  The
 channel phase is computed here only (_phase), once for every quantized
-stage of a draw (_analog_stages, which owns the non-finite entry's rule).
+stage of a draw (_analog_stages, which owns the channel entry rule).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def build_analog(
     the remaining rows would have no channel to match.  The stage is
     complex128 whatever g's dtype: g is read as its complex128 cast.  The
     one-resolution call of _analog_stages, which builds every stage of the
-    engine and the lemma table, and gives the rule of a non-finite entry.
+    engine and the lemma table, and owns the channel entry rule.
     """
     return next(_analog_stages(g, n_chains, (quant,)))
 
@@ -159,11 +159,12 @@ def _analog_stages(
     it costs alone.  A generator: the checks run at the first request, and
     each stage when it is asked for.  It holds no stage it has yielded, so a
     caller that frees each stage before asking for the next (by passing
-    next() as an argument) holds one stage at a time.  The one non-finite
-    rule: a NaN or infinite channel entry (either part) gives a stage entry
-    NaN in both parts, at every resolution, with no warning, and every other
-    entry keeps its bits.  Only chain columns that fail one all-finite test
-    are copied, bad entries read as 1 (no NaN reaches an integer cast).
+    next() as an argument) holds one stage at a time.  The one entry rule,
+    at every resolution and branch, with no warning: a NaN or infinite entry
+    (either part) gives a stage entry NaN in both parts, a zero entry of
+    either sign that of +1 (phase 0), and every other entry keeps its bits.
+    Only a draw whose chain columns fail one finite and non-zero test is
+    copied, once, those entries read as 1 (no NaN reaches an integer cast).
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
@@ -171,8 +172,10 @@ def _analog_stages(
     n, k = g.shape[-2], g.shape[-1]
     _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
-    bad = None if np.isfinite(gs).all() else ~np.isfinite(gs)
-    gs = gs if bad is None else np.where(bad, 1.0, gs)
+    bad = None
+    if not (np.isfinite(gs).all() and gs.all()):
+        bad = ~np.isfinite(gs)
+        gs = np.where(bad | (gs == 0), 1.0, gs)
     last = max((i for i, quant in enumerate(quants) if quant is not None), default=-1)
     phase = None
     for i, quant in enumerate(quants):
@@ -201,17 +204,29 @@ def _analog_stages(
 
 
 def _continuous_stage(gs: np.ndarray, n: int) -> np.ndarray:
-    """Continuous stage of channel columns gs, in their layout: conj(gs) / (|gs| sqrt(n))."""
+    """Continuous stage of channel columns gs, in their layout: conj(gs) / (|gs| sqrt(n)).
+
+    gs is finite and non-zero (_analog_stages' entry rule).  An entry whose
+    |gs| sqrt(n) leaves the normal float range gets the stage of its copy
+    scaled by 2**-e, e the exponent of its larger part (|gs| may overflow).
+    """
+    lo, hi = sys.float_info.min, 1.0 / sys.float_info.min
     mag = np.abs(gs)
-    # A zero minimum: phase 0 where g = 0, as angle(0) gives.
-    if not mag.min(initial=math.inf) > 0.0:
-        dead = mag == 0.0
-        gs = np.where(dead, 1.0, gs)
-        mag = np.where(dead, 1.0, mag)
-    mag *= math.sqrt(n)
+    with np.errstate(over="ignore"):  # an entry that overflows is rescaled below
+        mag *= math.sqrt(n)
+    odd = None
+    if not (mag.min(initial=1.0) >= lo and mag.max(initial=1.0) <= hi):
+        odd = (mag < lo) | (mag > hi)
+        mag[odd] = 1.0  # a finite placeholder; f[odd] is set below
     # a * (1 / c) is how numpy divides a complex a by a real c, bit for bit.
     f = np.conj(gs)
     f *= np.reciprocal(mag, out=mag)
+    if odd is not None:
+        sub = gs[odd]
+        exponent = np.frexp(np.maximum(np.abs(sub.real), np.abs(sub.imag)))[1]
+        np.ldexp(sub.real, -exponent, out=sub.real)
+        np.ldexp(sub.imag, -exponent, out=sub.imag)
+        f[odd] = _continuous_stage(sub, n)
     return f
 
 

@@ -331,12 +331,14 @@ def test_only_the_kernel_forms_k_by_k_products():
 
 def test_one_analog_stage_path():
     # hybrid._analog_stages is the one stage builder and owns the
-    # non-finite rule.  build_analog and lemma_checks only call it: no
-    # errstate, no mask and no stage entry of their own.  Within hybrid,
-    # np.exp forms stage entries only in _conj_codeword, and np.conj only in
-    # _continuous_stage; _gram and _hop_grams conjugate the products they form.
+    # non-finite and zero entry rule.  build_analog and lemma_checks only
+    # call it: no errstate, no mask and no stage entry of their own.  Within
+    # hybrid, np.exp forms stage entries only in _conj_codeword, np.conj only
+    # in _continuous_stage (_gram and _hop_grams conjugate the products they
+    # form), and np.where, the special-entry copy, only in _analog_stages.
     homes = {"exp": {"_conj_codeword"},
-             "conj": {"_continuous_stage", "_gram", "_hop_grams"}}
+             "conj": {"_continuous_stage", "_gram", "_hop_grams"},
+             "where": {"_analog_stages"}}
     found = {key: set() for key in homes}
     tree = ast.parse((PACKAGE_DIR / "hybrid.py").read_text(encoding="utf-8"))
     for top in tree.body:

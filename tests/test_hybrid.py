@@ -175,9 +175,10 @@ class TestBuildAnalog:
         g = np.stack([make_channels(rng, 1024, 4).g1 for _ in range(3)])
         g[0, :9, 0] = [0, 1, 1 + 1j, 1j, -1 + 1j, -1, complex(-1, -0.0), -1 - 1j, -1j]
         g[1, 3, 2] = 0.0
+        g[2, 7, 1] = complex(-0.0, -0.0)  # angle() gives -pi; the stage's rule, phase 0
         before = g.copy()
         quant = QuantizationSpec(bits) if bits is not None else None
-        phase = np.angle(g)
+        phase = np.where(g == 0, 0.0, np.angle(g))
         if quant is not None:
             phase = quantize_phase(phase, quant)
         want = np.swapaxes(np.exp(-1j * phase), -1, -2) / 32.0
@@ -263,6 +264,19 @@ class TestAnalogStages:
     def specs(bits_list):
         return [QuantizationSpec(b) if b is not None else None for b in bits_list]
 
+    @staticmethod
+    def channel(rng, layout):
+        """A channel, its chain count and the entry a special-entry test plants.
+
+        At 4096 x 10 bits 12-14 read the codeword table; at 3 x 1024 x 2
+        bits 13 and 14 take the direct exp.
+        """
+        wide = rng.standard_normal((4096, 20)) + 1j * rng.standard_normal((4096, 20))
+        return {
+            "2-d": (wide[:, :10].copy(), 10, (2, 1)),
+            "stack": (wide.reshape(20, 1024, 4)[:3, :, :2].copy(), 2, (1, 5, 1)),
+        }[layout]
+
     @pytest.mark.parametrize("bits_list", [
         QUANTS, QUANTS[::-1], [2, None, 2, 1, 2, 13, 13], [3], [None, None], [],
     ], ids=["ascending", "descending", "repeats", "one-quantized", "continuous", "none"])
@@ -308,11 +322,7 @@ class TestAnalogStages:
         # the direct exp at 3 x 1024 x 2), and every other entry keeps the
         # bits of the finite channel.  A NaN index once reached the table's
         # integer cast, and an infinite entry once got a real codeword.
-        wide = rng.standard_normal((4096, 20)) + 1j * rng.standard_normal((4096, 20))
-        g, chains, where = {
-            "2-d": (wide[:, :10].copy(), 10, (2, 1)),
-            "stack": (wide.reshape(20, 1024, 4)[:3, :, :2].copy(), 2, (1, 5, 1)),
-        }[layout]
+        g, chains, where = self.channel(rng, layout)
         at = where[:-2] + (where[-1], where[-2])
         quants = self.specs(self.QUANTS)
         finite = list(hybrid._analog_stages(g, chains, quants))
@@ -321,6 +331,52 @@ class TestAnalogStages:
             assert_same_bits(stage, build_analog(g, chains, quant))
             assert np.isnan(stage[at].real) and np.isnan(stage[at].imag)
             stage[at] = want[at]
+            assert_same_bits(stage, want)
+
+    @pytest.mark.parametrize("entry", [
+        complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, 0.0),
+    ], ids=["plus-minus", "minus-plus", "minus-minus", "plus-plus"])
+    @pytest.mark.parametrize("layout", ["2-d", "stack"])
+    def test_zero_entry_of_either_sign_is_phase_zero_in_every_stage(self, rng, layout, entry):
+        # The one zero rule, with no errstate here: a zero entry gets the
+        # stage entry of +1 (phase 0) whatever the signs of its parts, in
+        # the continuous, table and direct-exp branches.  The quantized
+        # stages once read a real part of -0.0 through arctan2 as phase pi.
+        g, chains, where = self.channel(rng, layout)
+        quants = self.specs(self.QUANTS)
+        g[where] = complex(0.0, 0.0)
+        plus = list(hybrid._analog_stages(g, chains, quants))
+        g[where] = entry
+        for stage, want, quant in zip(hybrid._analog_stages(g, chains, quants), plus, quants):
+            assert_same_bits(stage, want)
+            assert_same_bits(stage, build_analog(g, chains, quant))
+
+    @pytest.mark.parametrize("entry,same_phase", [
+        (complex(1e308, 1e308), 1 + 1j), (complex(1.7e308, 1.7e308), 1 + 1j),
+        (complex(5e-324, 5e-324), 1 + 1j), (complex(1e-310, 0.0), 1.0),
+    ], ids=["1e308", "1.7e308", "5e-324", "1e-310"])
+    @pytest.mark.parametrize("layout", ["2-d", "stack"])
+    def test_entry_beyond_the_float_range_keeps_its_phase(self, rng, layout, entry,
+                                                          same_phase):
+        # |g| sqrt(N), or its reciprocal, of these finite entries leaves the
+        # float range: the continuous stage once gave 0, inf - inf j or
+        # inf + nan j there, with overflow warnings (filterwarnings = error).
+        # Now it gives exp(-1j angle(g)) / sqrt(N), every other entry keeps
+        # the bits of the channel without it, and each quantized stage
+        # equals that of an entry of the same exact phase, same_phase.
+        g, chains, where = self.channel(rng, layout)
+        at = where[:-2] + (where[-1], where[-2])
+        root = math.sqrt(g.shape[-2])
+        quants = self.specs(self.QUANTS)
+        g[where] = same_phase
+        near = list(hybrid._analog_stages(g, chains, quants))
+        g[where] = entry
+        for stage, want, quant in zip(hybrid._analog_stages(g, chains, quants), near, quants):
+            assert_same_bits(stage, build_analog(g, chains, quant))
+            if quant is None:
+                assert abs(stage[at] - np.exp(-1j * np.angle(entry)) / root) <= 1e-16
+                assert abs(stage[at]) == pytest.approx(1.0 / root, rel=0.0, abs=1e-16)
+                stage[at] = want[at]
             assert_same_bits(stage, want)
 
     def test_holds_no_stage_it_has_yielded(self, rng):

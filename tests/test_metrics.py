@@ -154,6 +154,20 @@ class TestSinr:
         with pytest.raises(DegenerateChannelError):
             sinrs(real, replace(SMALL, quant_bits=bits), mode)
 
+    @pytest.mark.parametrize("mode,bits", [
+        ("full_digital", None), ("hybrid", None), ("hybrid", 1), ("hybrid", 2),
+    ])
+    def test_negative_zero_entry_keeps_the_bits_of_positive_zero(self, rng, mode, bits):
+        # The analog stage reads a zero entry of either sign as phase 0, so
+        # the SINRs are the same bits; the 1- and 2-bit stages once matched
+        # complex(-0.0, -0.0) with the codeword of phase pi.
+        real = make_channels(rng, 8, 3)
+        got = []
+        for zero in (complex(0.0, 0.0), complex(-0.0, -0.0)):
+            real.g1[2, 1] = real.g2[5, 0] = zero
+            got.append(sinrs(real, replace(SMALL, quant_bits=bits), mode))
+        assert_same_bits(got[1], got[0])
+
     def test_mode_validated(self, rng):
         with pytest.raises(ValueError, match="mode"):
             sinrs(make_channels(rng, 8, 3), SMALL, "analog_only")
