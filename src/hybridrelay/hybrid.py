@@ -8,8 +8,8 @@ K x K kernel, reads; its docstring gives the identities and the product
 counts.  Every product over N is formed here: F G by _dot, G^H G and F F^H
 by _gram (BLAS syrk if large).
 Precision is set here too: build_analog and _gram read complex128.  The
-channel phase is computed here only (_phase), once for every quantized
-stage of a draw (_analog_stages, which owns the channel entry rule).
+channel magnitude and phase are computed here only, once per draw
+(_analog_stages, which owns the channel entry rule).
 """
 
 from __future__ import annotations
@@ -150,21 +150,22 @@ def _analog_stages(
 ) -> Iterator[np.ndarray]:
     """Yield build_analog(g, n_chains, quant) for each quant of quants, in order.
 
-    The stages of one draw at several resolutions share one channel phase:
-    _phase of the first n_chains columns runs at most once, at the first
-    quantized stage, and never when none is quantized.  It is kept while a
-    later quantized stage still needs it (one float64 array of the stage's
-    size); the last quantized stage builds its codeword index in place on
-    it, earlier ones in a new array, so a single quantized stage costs what
-    it costs alone.  A generator: the checks run at the first request, and
-    each stage when it is asked for.  It holds no stage it has yielded, so a
-    caller that frees each stage before asking for the next (by passing
-    next() as an argument) holds one stage at a time.  The one entry rule,
-    at every resolution and branch, with no warning: a NaN or infinite entry
-    (either part) gives a stage entry NaN in both parts, a zero entry of
-    either sign that of +1 (phase 0), and every other entry keeps its bits.
-    Only a draw whose chain columns fail one finite and non-zero test is
-    copied, once, those entries read as 1 (no NaN reaches an integer cast).
+    The stages of one draw share one magnitude m = |g| sqrt(N) and one
+    phase of the first n_chains columns, each kept only while a later stage
+    reads it: the last continuous stage takes m's reciprocal in place, the
+    last quantized one its codeword index on the phase (_phase runs at most
+    once, never when no stage is quantized).  A generator: the checks run
+    at the first request, and each stage when it is asked for.  It holds no
+    stage it has yielded, so a caller that frees each stage before asking
+    for the next (by passing next() as an argument) holds one at a time.
+    The one entry rule, at every resolution and branch, with no warning: a
+    NaN or infinite entry (either part) gives NaN in both parts, a zero
+    entry of either sign phase 0, an entry whose m leaves [2**-1022,
+    2**1022] the stage of its copy scaled by 2**-e, e the exponent of its
+    larger part (exact, so the phase is kept), and every other entry keeps
+    its bits.  All come from one test of m's min and max: only a draw that
+    fails it is copied, once, its non-finite and zero entries read as 1 (no
+    NaN reaches an integer cast) and its out-of-range ones rescaled.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
@@ -172,19 +173,36 @@ def _analog_stages(
     n, k = g.shape[-2], g.shape[-1]
     _check_int("n_chains", n_chains, 1, k)
     gs = g[..., :n_chains]
+    root, lo, hi = math.sqrt(n), sys.float_info.min, 1.0 / sys.float_info.min
+    mag = np.abs(gs)  # a silent inf where the parts overflow it
+    with np.errstate(over="ignore"):  # an entry that overflows fails the test below
+        mag *= root
     bad = None
-    if not (np.isfinite(gs).all() and gs.all()):
+    if not (mag.min(initial=1.0) >= lo and mag.max(initial=1.0) <= hi):  # NaN, inf, 0 too
         bad = ~np.isfinite(gs)
-        gs = np.where(bad | (gs == 0), 1.0, gs)
-    last = max((i for i, quant in enumerate(quants) if quant is not None), default=-1)
+        one = bad | (gs == 0)
+        gs = np.where(one, 1.0, gs)
+        mag[one] = root
+        odd = (mag < lo) | (mag > hi)
+        sub = gs[odd]
+        exponent = np.frexp(np.maximum(np.abs(sub.real), np.abs(sub.imag)))[1]
+        np.ldexp(sub.real, -exponent, out=sub.real)
+        np.ldexp(sub.imag, -exponent, out=sub.imag)
+        gs[odd] = sub
+        mag[odd] = np.abs(sub) * root
+    last = {quant is None: i for i, quant in enumerate(quants)}  # last continuous (True)
+    mag = mag if True in last else None  # freed when no continuous stage reads it
     phase = None
     for i, quant in enumerate(quants):
         if quant is None:
-            stage = _continuous_stage(gs, n)
+            if i < last[True]:
+                stage = _continuous_stage(gs, np.reciprocal(mag))
+            else:
+                stage, mag = _continuous_stage(gs, np.reciprocal(mag, out=mag)), None
         else:
             if phase is None:
                 phase = _phase(gs)
-            if i < last:
+            if i < last[False]:
                 index = _codeword_index(phase, quant)
             else:
                 index, phase = _codeword_index(phase, quant, out=phase), None
@@ -203,30 +221,11 @@ def _analog_stages(
         del stage  # freed once the caller drops it, before the next is built
 
 
-def _continuous_stage(gs: np.ndarray, n: int) -> np.ndarray:
-    """Continuous stage of channel columns gs, in their layout: conj(gs) / (|gs| sqrt(n)).
-
-    gs is finite and non-zero (_analog_stages' entry rule).  An entry whose
-    |gs| sqrt(n) leaves the normal float range gets the stage of its copy
-    scaled by 2**-e, e the exponent of its larger part (|gs| may overflow).
-    """
-    lo, hi = sys.float_info.min, 1.0 / sys.float_info.min
-    mag = np.abs(gs)
-    with np.errstate(over="ignore"):  # an entry that overflows is rescaled below
-        mag *= math.sqrt(n)
-    odd = None
-    if not (mag.min(initial=1.0) >= lo and mag.max(initial=1.0) <= hi):
-        odd = (mag < lo) | (mag > hi)
-        mag[odd] = 1.0  # a finite placeholder; f[odd] is set below
+def _continuous_stage(gs: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """conj(gs) * inverse in gs's layout, inverse the 1 / m of _analog_stages' entry rule."""
     # a * (1 / c) is how numpy divides a complex a by a real c, bit for bit.
     f = np.conj(gs)
-    f *= np.reciprocal(mag, out=mag)
-    if odd is not None:
-        sub = gs[odd]
-        exponent = np.frexp(np.maximum(np.abs(sub.real), np.abs(sub.imag)))[1]
-        np.ldexp(sub.real, -exponent, out=sub.real)
-        np.ldexp(sub.imag, -exponent, out=sub.imag)
-        f[odd] = _continuous_stage(sub, n)
+    f *= inverse
     return f
 
 

@@ -330,15 +330,19 @@ def test_only_the_kernel_forms_k_by_k_products():
 
 
 def test_one_analog_stage_path():
-    # hybrid._analog_stages is the one stage builder and owns the
-    # non-finite and zero entry rule.  build_analog and lemma_checks only
-    # call it: no errstate, no mask and no stage entry of their own.  Within
-    # hybrid, np.exp forms stage entries only in _conj_codeword, np.conj only
-    # in _continuous_stage (_gram and _hop_grams conjugate the products they
-    # form), and np.where, the special-entry copy, only in _analog_stages.
+    # hybrid._analog_stages is the one stage builder and owns the entry
+    # rule, one test on the channel magnitude |g| sqrt(N).  build_analog and
+    # lemma_checks only call it: no errstate, no mask and no stage entry of
+    # their own.  Within hybrid, np.exp forms stage entries only in
+    # _conj_codeword, np.conj only in _continuous_stage (_gram and
+    # _hop_grams conjugate the products they form), and np.where (the
+    # special-entry copy), np.abs (the magnitude), np.isfinite, np.frexp
+    # and np.ldexp (the rescale) only in _analog_stages.
+    stages_only = {"_analog_stages"}
     homes = {"exp": {"_conj_codeword"},
              "conj": {"_continuous_stage", "_gram", "_hop_grams"},
-             "where": {"_analog_stages"}}
+             "where": stages_only, "abs": stages_only, "isfinite": stages_only,
+             "frexp": stages_only, "ldexp": stages_only}
     found = {key: set() for key in homes}
     tree = ast.parse((PACKAGE_DIR / "hybrid.py").read_text(encoding="utf-8"))
     for top in tree.body:
@@ -346,6 +350,13 @@ def test_one_analog_stage_path():
             if isinstance(node, ast.Attribute) and node.attr in homes:
                 found[node.attr].add(top.name)
     assert found == homes
+    # _continuous_stage only scales conj(g) by the reciprocal magnitude it
+    # is given: no branch, no loop and no call to itself.
+    stage = next(top for top in tree.body if getattr(top, "name", None) == "_continuous_stage")
+    assert not any(isinstance(node, (ast.If, ast.IfExp, ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(stage))
+    assert not any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == stage.name
+                   for node in ast.walk(stage))
     builders = {"_analog_stages", "_continuous_stage", "_conj_codeword", "_codeword_index",
                 "_phase", "build_analog", "quantize_phase", "errstate", "exp", "conj"}
     for module, name in (("hybrid", "build_analog"), ("diagnostics", "lemma_checks")):

@@ -379,6 +379,78 @@ class TestAnalogStages:
                 stage[at] = want[at]
             assert_same_bits(stage, want)
 
+    @pytest.mark.parametrize("entry,rescaled", [
+        (2.0 ** 1021, False), (np.nextafter(2.0 ** 1021, np.inf), True),
+        (2.0 ** -1023, False), (np.nextafter(2.0 ** -1023, 0.0), True),
+    ], ids=["2^1021", "above-2^1021", "2^-1023", "below-2^-1023"])
+    @pytest.mark.parametrize("layout", ["2-d", "stack"])
+    def test_edges_of_the_one_entry_test(self, monkeypatch, rng, layout, entry, rescaled):
+        # At N = 4, sqrt(N) = 2 is exact, so m = |g| sqrt(N) is 2**1022 for
+        # 2**1021 and 2**-1022 for 2**-1023: the two edges of the range
+        # that the one test keeps, where the continuous stage is the plain
+        # conj(g) * (1 / m).  One ulp further out the entry is rescaled
+        # (np.ldexp sees it) and keeps its phase.  No errstate here
+        # (filterwarnings = error).
+        shape, chains, where = {"2-d": ((4, 3), 3, (2, 1)),
+                                "stack": ((3, 4, 2), 2, (1, 3, 1))}[layout]
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        at = where[:-2] + (where[-1], where[-2])
+        quants = self.specs(self.QUANTS)
+        g[where] = 1.0
+        unit = list(hybrid._analog_stages(g, chains, quants))
+        g[where] = entry
+        ldexp, scaled = np.ldexp, []
+        monkeypatch.setattr(np, "ldexp", lambda x, e, out: scaled.append(x.size)
+                            or ldexp(x, e, out=out))
+        stages = list(hybrid._analog_stages(g, chains, quants))
+        monkeypatch.undo()
+        assert set(scaled) == ({1} if rescaled else set())
+        gs = g[..., :chains]
+        for stage, want, quant in zip(stages, unit, quants):
+            assert_same_bits(stage, build_analog(g, chains, quant))
+            if quant is None:
+                if rescaled:
+                    assert abs(stage[at] - np.exp(-1j * np.angle(entry)) / 2.0) <= 1e-16
+                else:
+                    direct = np.conj(gs) * (1.0 / (np.abs(gs) * 2.0))
+                    assert_same_bits(stage, np.swapaxes(direct, -1, -2))
+                stage[at] = want[at]
+            assert_same_bits(stage, want)
+
+    def test_fuzz_over_the_whole_float_range(self):
+        # Parts with exponents over the whole float range, zeros of either
+        # sign, NaN and inf mixed in, at every branch (bits 1 and 2 read the
+        # table, 13 and 20 take the direct exp), with no warning
+        # (filterwarnings = error).  A zero entry takes phase 0.  A
+        # rescaled entry is not compared bit for bit with an in-range one:
+        # arctan2 is not exactly scale-invariant.
+        rng = np.random.default_rng(20151118)
+        quants = self.specs([None, 1, 2, None, 13, 20])
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        n, chains = 16, 3
+        for trial in range(200):
+            shape = (2,) + ((n, 4) if trial % 2 == 0 else (3, n, 4))
+            parts = np.ldexp(rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape),
+                             rng.integers(-1074, 1024, shape))
+            special = rng.random(shape) < 0.05
+            parts[special] = rng.choice(specials, special.sum())
+            g = np.empty(shape[1:], dtype=complex)
+            g.real, g.imag = parts
+            gs = g[..., :chains]
+            finite = np.isfinite(gs)
+            angle = np.angle(np.where(gs == 0, 1.0, gs))[finite]
+            for stage, quant in zip(hybrid._analog_stages(g, chains, quants), quants):
+                stage = np.swapaxes(stage, -1, -2)
+                assert np.isnan(stage[~finite].real).all()
+                assert np.isnan(stage[~finite].imag).all()
+                got = stage[finite]
+                if quant is None:
+                    assert np.abs(got - np.exp(-1j * angle) / math.sqrt(n)).max() <= 1e-16
+                else:
+                    assert np.abs(np.abs(got) - 1.0 / math.sqrt(n)).max() <= 1e-16
+                    error = np.abs(np.angle(got * np.exp(1j * angle)))
+                    assert error.max() <= quant.step + 1e-12
+
     def test_holds_no_stage_it_has_yielded(self, rng):
         # A stage the caller has dropped is freed before the next is built.
         g = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
